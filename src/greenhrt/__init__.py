@@ -31,10 +31,11 @@ from .level import (
 )
 from .macaulay import MacaulayRep, binomial, kappa, macaulay_rep, rep_compare, rep_value
 from .monomials import (
+    DegreeSlice,
     ModuleMonomial,
     MonomialIdeal,
     MonomialModule,
-    deglex_compare,
+    degree_slice,
     enumerate_module_monomials,
     enumerate_monomials,
     hilbert_value_module,
@@ -45,7 +46,6 @@ from .monomials import (
     module_to_data,
     random_monomial_module,
     restrict_xn_count,
-    revlex_compare,
 )
 from .oracle import (
     PrimeFieldMatrix,
@@ -70,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundBreakdown",
     "CapacityError",
+    "DegreeSlice",
     "FreeModuleShape",
     "LevelComparison",
     "LevelHilbert",
@@ -94,7 +95,7 @@ __all__ = [
     "compare_bounds",
     "compute_hG",
     "compute_hGM",
-    "deglex_compare",
+    "degree_slice",
     "enumerate_module_monomials",
     "enumerate_monomials",
     "generic_restriction_dim",
@@ -118,6 +119,5 @@ __all__ = [
     "reproduce_table",
     "restrict_xn_count",
     "restricted_quotient_dim",
-    "revlex_compare",
     "scaled_bound",
 ]

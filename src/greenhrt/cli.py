@@ -13,15 +13,8 @@ import sys
 from . import bounds, level, macaulay, monomials, oracle, verifiers
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad file, malformed JSON or out-of-range value supplied by the user."""
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise InputError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -70,11 +63,10 @@ def cmd_bound_green(args) -> int:
 
 
 def cmd_bound_module(args) -> int:
-    shape = bounds.FreeModuleShape(n=args.n, degrees=_parse_int_list(args.degrees, "--degrees"))
-    try:
-        bb = bounds.module_bound(args.h, args.m, shape)
-    except bounds.CapacityError as exc:
-        raise InputError(str(exc))
+    shape = bounds.FreeModuleShape(
+        n=args.n, degrees=level._parse_int_list(args.degrees, "--degrees")
+    )
+    bb = bounds.module_bound(args.h, args.m, shape)
     payload = {
         "n": args.n,
         "degrees": list(shape.degrees),
@@ -110,7 +102,7 @@ def cmd_bound_scaled(args) -> int:
 
 
 def cmd_level_analyze(args) -> int:
-    lh = level.LevelHilbert(h=_parse_int_list(args.h, "--h"), n=args.n)
+    lh = level.LevelHilbert(h=level._parse_int_list(args.h, "--h"), n=args.n)
     cmp = level.compare_bounds(lh)
     payload = {
         "h": list(cmp.h),
@@ -217,10 +209,6 @@ def cmd_verify(args) -> int:
     return _emit_outcome(args, outcome)
 
 
-def _report_payload(report: oracle.RestrictionReport) -> dict:
-    return report.to_json_dict()
-
-
 def cmd_oracle_restrict(args) -> int:
     module = _load_module(args.module)
     report = oracle.generic_restriction_dim(
@@ -230,7 +218,7 @@ def cmd_oracle_restrict(args) -> int:
         f"generic restriction dim = {report.generic_dim} (trials {list(report.dims)}), "
         f"bound = {report.bound}, holds = {report.holds}, equality = {report.equality}"
     )
-    _emit(args, _report_payload(report), human)
+    _emit(args, report.to_json_dict(), human)
     return 0 if report.holds else 1
 
 
@@ -244,7 +232,7 @@ def cmd_oracle_certify(args) -> int:
         f"{verdict}: generic dim {report.generic_dim} vs bound {report.bound}"
         f" (top-slice equality expected: {report.expect_equality})"
     )
-    _emit(args, _report_payload(report), human)
+    _emit(args, report.to_json_dict(), human)
     return 0 if report.certified else 1
 
 
@@ -391,9 +379,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,14 +60,22 @@ class PropositionCheck:
     all_hold: bool
 
 
+def _hG_entry(lh: LevelHilbert, i: int) -> int:
+    return lh.h[i + 1] - kappa(lh.h[i + 1], i + 1)
+
+
+def _hGM_entry(lh: LevelHilbert, i: int) -> int:
+    return lh.h[i] - braced_bound(lh.h[i], lh.c - i, lh.n)
+
+
 def compute_hG(lh: LevelHilbert) -> tuple[int, ...]:
     """Degree-wise restriction bound: hG_i = h_{i+1} - kappa(h_{i+1}, i+1)."""
-    return tuple(lh.h[i + 1] - kappa(lh.h[i + 1], i + 1) for i in range(lh.c))
+    return tuple(_hG_entry(lh, i) for i in range(lh.c))
 
 
 def compute_hGM(lh: LevelHilbert) -> tuple[int, ...]:
     """Module-side bound via the dual: hGM_i = h_i - braced_bound(h_i, c-i, n)."""
-    return tuple(lh.h[i] - braced_bound(lh.h[i], lh.c - i, lh.n) for i in range(lh.c))
+    return tuple(_hGM_entry(lh, i) for i in range(lh.c))
 
 
 def proposition_conditions(lh: LevelHilbert, i: int) -> PropositionCheck:
@@ -93,8 +101,8 @@ def proposition_conditions(lh: LevelHilbert, i: int) -> PropositionCheck:
         all_hold=low_half and plateau and fits,
     )
     if check.all_hold:
-        hgm_i = compute_hGM(lh)[i]
-        hg_i = compute_hG(lh)[i]
+        hgm_i = _hGM_entry(lh, i)
+        hg_i = _hG_entry(lh, i)
         if hgm_i < hg_i:
             raise TheoremViolation(
                 f"conditions hold at i={i} but hGM_i={hgm_i} < hG_i={hg_i} for h={lh.h}"
@@ -147,11 +155,12 @@ class RowResult:
     ok: bool
 
 
-def _parse_int_list(text: str, line_no: int) -> tuple[int, ...]:
+def _parse_int_list(text: str, where: str) -> tuple[int, ...]:
+    """Parse comma-separated integers; ``where`` names the flag or line."""
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"line {line_no}: bad integer list {text!r}") from exc
+        raise ValueError(f"{where}: bad integer list {text!r}") from exc
 
 
 def parse_level_table(text: str) -> list[TableRow]:
@@ -161,15 +170,16 @@ def parse_level_table(text: str) -> list[TableRow]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"line {line_no}"
         parts = line.split(";")
         if len(parts) != 4:
-            raise ValueError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+            raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
         rows.append(
             TableRow(
                 position=int(parts[0]),
-                h=_parse_int_list(parts[1], line_no),
-                hGM=_parse_int_list(parts[2], line_no),
-                hG=_parse_int_list(parts[3], line_no),
+                h=_parse_int_list(parts[1], where),
+                hGM=_parse_int_list(parts[2], where),
+                hG=_parse_int_list(parts[3], where),
             )
         )
     return rows

@@ -49,52 +49,6 @@ def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     return out
 
 
-def _s_deglex_cmp(a: Monomial, b: Monomial) -> int:
-    da, db = sum(a), sum(b)
-    if da != db:
-        return 1 if da > db else -1
-    return (a > b) - (a < b)
-
-
-def _s_revlex_cmp(a: Monomial, b: Monomial) -> int:
-    # Graded: degree decides first; within a degree the last differing
-    # exponent decides, smaller wins.
-    da, db = sum(a), sum(b)
-    if da != db:
-        return 1 if da > db else -1
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
-def deglex_compare(u: ModuleMonomial, v: ModuleMonomial, shape: FreeModuleShape) -> int:
-    """Position-over-term order on F: smaller component index wins, then
-    degree-lex on the scalar monomials. Returns -1, 0 or 1."""
-    _check_over_shape(u, shape)
-    _check_over_shape(v, shape)
-    if u.component != v.component:
-        return 1 if u.component < v.component else -1
-    return _s_deglex_cmp(u.monomial, v.monomial)
-
-
-def revlex_compare(u: ModuleMonomial, v: ModuleMonomial, shape: FreeModuleShape) -> int:
-    """Term-over-position order on F: total degree, then reverse-lex on the
-    scalar monomials, then smaller component index. Returns -1, 0 or 1."""
-    _check_over_shape(u, shape)
-    _check_over_shape(v, shape)
-    du = monomial_degree(u.monomial) + shape.degrees[u.component - 1]
-    dv = monomial_degree(v.monomial) + shape.degrees[v.component - 1]
-    if du != dv:
-        return 1 if du > dv else -1
-    c = _s_revlex_cmp(u.monomial, v.monomial)
-    if c != 0:
-        return c
-    if u.component != v.component:
-        return 1 if u.component < v.component else -1
-    return 0
-
-
 def _check_over_shape(u: ModuleMonomial, shape: FreeModuleShape) -> None:
     if not 1 <= u.component <= shape.r:
         raise ValueError(f"component {u.component} outside 1..{shape.r}")
@@ -201,11 +155,40 @@ def module_from_slice(shape: FreeModuleShape, members: Sequence[ModuleMonomial])
     )
 
 
+@dataclass(frozen=True)
+class DegreeSlice:
+    """The degree-m parts of F and of a submodule M.
+
+    ``basis`` is the monomial basis of F_m in decreasing position-over-term
+    order; ``in_module[k]`` records whether ``basis[k]`` lies in M.
+    """
+
+    shape: FreeModuleShape
+    m: int
+    basis: list[ModuleMonomial]
+    in_module: list[bool]
+
+    @property
+    def quotient_dim(self) -> int:
+        """dim (F/M)_m."""
+        return self.in_module.count(False)
+
+    @property
+    def is_top(self) -> bool:
+        """M_m is spanned by the largest dim M_m monomials of F_m: the flags
+        are all on, then all off."""
+        return all(self.in_module[: self.in_module.count(True)])
+
+
+def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
+    """Enumerate F_m once and test each basis monomial for membership in M."""
+    basis = enumerate_module_monomials(module.shape, m)
+    return DegreeSlice(module.shape, m, basis, [module.contains(u) for u in basis])
+
+
 def hilbert_value_module(module: MonomialModule, m: int) -> int:
     """dim (F/M)_m: module monomials of degree m lying in no component ideal."""
-    return sum(
-        1 for u in enumerate_module_monomials(module.shape, m) if not module.contains(u)
-    )
+    return degree_slice(module, m).quotient_dim
 
 
 def restrict_xn_count(module: MonomialModule, m: int) -> int:
@@ -215,11 +198,10 @@ def restrict_xn_count(module: MonomialModule, m: int) -> int:
     each component the degree-m survivors are precisely the x_n-free
     monomials outside the ideal.
     """
-    count = 0
-    for u in enumerate_module_monomials(module.shape, m):
-        if u.monomial[-1] == 0 and not module.contains(u):
-            count += 1
-    return count
+    sl = degree_slice(module, m)
+    return sum(
+        1 for u, inside in zip(sl.basis, sl.in_module) if not inside and u.monomial[-1] == 0
+    )
 
 
 def module_to_data(module: MonomialModule) -> dict:
@@ -231,6 +213,11 @@ def module_to_data(module: MonomialModule) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def module_from_data(data: dict) -> MonomialModule:
     """Parse the JSON module description, naming the offending field on error."""
     if not isinstance(data, dict):
@@ -239,10 +226,10 @@ def module_from_data(data: dict) -> MonomialModule:
         if field not in data:
             raise ValueError(f"module description missing field '{field}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
     degrees = data["degrees"]
-    if not isinstance(degrees, list) or not all(isinstance(f, int) for f in degrees):
+    if not isinstance(degrees, list) or not all(_is_int(f) for f in degrees):
         raise ValueError("field 'degrees' must be a list of integers")
     shape = FreeModuleShape(n=n, degrees=tuple(degrees))
     raw = data["components"]
@@ -256,7 +243,7 @@ def module_from_data(data: dict) -> MonomialModule:
             if (
                 not isinstance(g, list)
                 or len(g) != n
-                or not all(isinstance(e, int) and e >= 0 for e in g)
+                or not all(_is_int(e) and e >= 0 for e in g)
             ):
                 raise ValueError(
                     f"field 'components[{idx}]' has a malformed exponent vector: {g!r}"

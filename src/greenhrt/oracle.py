@@ -8,7 +8,6 @@ overestimate it; the minimum over trials is reported.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from math import isqrt
@@ -17,10 +16,10 @@ import numpy as np
 
 from .bounds import module_bound
 from .monomials import (
+    DegreeSlice,
     MonomialModule,
+    degree_slice,
     enumerate_module_monomials,
-    hilbert_value_module,
-    lex_module_slice,
     module_to_data,
 )
 
@@ -40,7 +39,7 @@ def is_prime(p: int) -> bool:
 
 
 class PrimeFieldMatrix:
-    """Dense matrix over F_p with rank by fraction-free elimination.
+    """Dense matrix over F_p with rank by Gaussian elimination mod p.
 
     Entries are reduced into [0, p); p must stay below 2**31 so products
     of two entries fit in int64.
@@ -132,30 +131,27 @@ def _trial_coefficients(n: int, p: int, seed: int, trial: int) -> tuple[int, ...
     return tuple(coeffs)
 
 
-def restricted_quotient_dim(
-    module: MonomialModule, m: int, p: int, coeffs: tuple[int, ...]
-) -> int:
+def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) -> int:
     """dim (F/(M + l F))_m for the specific linear form l = sum c_i x_i.
 
     The span of M_m together with l * F_{m-1} is eliminated over F_p in the
-    monomial-basis coordinates of F_m.
+    monomial-basis coordinates of F_m, taken from the degree-m slice.
     """
-    shape = module.shape
+    shape = sl.shape
     if len(coeffs) != shape.n:
         raise ValueError(f"need {shape.n} coefficients, got {len(coeffs)}")
-    basis = enumerate_module_monomials(shape, m)
-    col = {u: idx for idx, u in enumerate(basis)}
-    ncols = len(basis)
+    col = {u: idx for idx, u in enumerate(sl.basis)}
+    ncols = len(sl.basis)
     if ncols == 0:
         return 0
 
     rows: list[np.ndarray] = []
-    for u in basis:
-        if module.contains(u):
+    for idx, inside in enumerate(sl.in_module):
+        if inside:
             row = np.zeros(ncols, dtype=np.int64)
-            row[col[u]] = 1
+            row[idx] = 1
             rows.append(row)
-    for u in enumerate_module_monomials(shape, m - 1):
+    for u in enumerate_module_monomials(shape, sl.m - 1):
         row = np.zeros(ncols, dtype=np.int64)
         for var, c in enumerate(coeffs):
             if c == 0:
@@ -171,6 +167,39 @@ def restricted_quotient_dim(
     return ncols - rank
 
 
+def _sampled_report(
+    module: MonomialModule, m: int, p: int, trials: int, seed: int, certify: bool
+) -> RestrictionReport:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    shape = module.shape
+    dim_fm = shape.dim(m)
+    if p <= 2 * dim_fm:
+        raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
+    sl = degree_slice(module, m)
+    dims = tuple(
+        restricted_quotient_dim(sl, p, _trial_coefficients(shape.n, p, seed, t))
+        for t in range(trials)
+    )
+    generic = min(dims)
+    bound = module_bound(sl.quotient_dim, m, shape).total
+    return RestrictionReport(
+        module_data=module_to_data(module),
+        m=m,
+        p=p,
+        trials=trials,
+        seed=seed,
+        dims=dims,
+        generic_dim=generic,
+        bound=bound,
+        holds=generic <= bound,
+        equality=generic == bound,
+        expect_equality=certify and sl.is_top,
+    )
+
+
 def generic_restriction_dim(
     module: MonomialModule,
     m: int,
@@ -184,41 +213,13 @@ def generic_restriction_dim(
     report carries its own verdict. Certification is probabilistic: a trial
     can only overestimate the generic dimension, never undershoot it.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    shape = module.shape
-    dim_fm = shape.dim(m)
-    if p <= 2 * dim_fm:
-        raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
-    dims = tuple(
-        restricted_quotient_dim(module, m, p, _trial_coefficients(shape.n, p, seed, t))
-        for t in range(trials)
-    )
-    generic = min(dims)
-    bound = module_bound(hilbert_value_module(module, m), m, shape).total
-    return RestrictionReport(
-        module_data=module_to_data(module),
-        m=m,
-        p=p,
-        trials=trials,
-        seed=seed,
-        dims=dims,
-        generic_dim=generic,
-        bound=bound,
-        holds=generic <= bound,
-        equality=generic == bound,
-    )
+    return _sampled_report(module, m, p, trials, seed, certify=False)
 
 
 def is_top_slice(module: MonomialModule, m: int) -> bool:
     """True when the module's degree-m monomials are exactly the largest
     dim M_m module monomials of F_m."""
-    members = [
-        u for u in enumerate_module_monomials(module.shape, m) if module.contains(u)
-    ]
-    return members == lex_module_slice(module.shape, m, len(members))
+    return degree_slice(module, m).is_top
 
 
 def certify_main_theorem(
@@ -235,5 +236,4 @@ def certify_main_theorem(
     as well. A failed check is reported in the returned verdict flags, not
     raised.
     """
-    report = generic_restriction_dim(module, m, p=p, trials=trials, seed=seed)
-    return dataclasses.replace(report, expect_equality=is_top_slice(module, m))
+    return _sampled_report(module, m, p, trials, seed, certify=True)

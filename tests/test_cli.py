@@ -173,6 +173,11 @@ def test_oracle_bad_file_and_json(capsys, tmp_path):
     code, _, err = run(capsys, ["oracle", "restrict", "--module", str(missing), "--m", "2"])
     assert code == 2 and "components" in err
 
+    boolean = tmp_path / "bool.json"
+    boolean.write_text(json.dumps({"n": True, "degrees": [0], "components": [[[True]]]}))
+    code, _, err = run(capsys, ["oracle", "certify", "--module", str(boolean), "--m", "0"])
+    assert code == 2 and "'n'" in err
+
 
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:

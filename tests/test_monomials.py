@@ -1,5 +1,7 @@
-"""Monomial enumeration, orders, slices and specialization counts."""
+"""Monomial enumeration, slices and specialization counts."""
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from greenhrt.monomials import (
     ModuleMonomial,
     MonomialIdeal,
     MonomialModule,
-    deglex_compare,
+    degree_slice,
     enumerate_module_monomials,
     enumerate_monomials,
     hilbert_value_module,
@@ -20,9 +22,10 @@ from greenhrt.monomials import (
     module_from_data,
     module_from_slice,
     module_to_data,
+    random_monomial_module,
     restrict_xn_count,
-    revlex_compare,
 )
+from greenhrt.oracle import is_top_slice
 
 
 def test_enumeration_examples():
@@ -59,48 +62,6 @@ def test_lex_segment_examples():
     assert lex_segment(3, 2, 2) == [(2, 0, 0), (1, 1, 0)]
     assert lex_segment(2, 3, 0) == []
     assert len(lex_segment(2, 3, 4)) == 4 == binomial(4, 3)
-
-
-def test_deglex_is_position_over_term():
-    shape = FreeModuleShape(n=2, degrees=(0, 3))
-    u = ModuleMonomial(1, (0, 5))  # x2^5 e1
-    v = ModuleMonomial(2, (2, 0))  # x1^2 e2, same total degree 5
-    assert deglex_compare(u, v, shape) == 1
-    same = ModuleMonomial(1, (2, 0)), ModuleMonomial(1, (1, 1))
-    assert deglex_compare(*same, shape) == 1
-    assert deglex_compare(u, u, shape) == 0
-    # across degrees within one component the scalar degree decides
-    assert deglex_compare(ModuleMonomial(1, (1, 1)), ModuleMonomial(1, (3, 0)), shape) == -1
-
-
-def test_revlex_is_term_over_position():
-    shape = FreeModuleShape(n=2, degrees=(0, 0))
-    hi = ModuleMonomial(2, (2, 1))
-    lo = ModuleMonomial(1, (1, 1))
-    assert revlex_compare(hi, lo, shape) == 1  # degree dominates
-    a = ModuleMonomial(1, (1, 1))
-    b = ModuleMonomial(2, (1, 1))
-    assert revlex_compare(a, b, shape) == 1  # same term, smaller index wins
-    c = ModuleMonomial(1, (2, 0))
-    d = ModuleMonomial(1, (0, 2))
-    assert revlex_compare(c, d, shape) == 1  # revlex on the scalar part
-
-
-def test_revlex_within_degree_matches_classic_order():
-    import functools
-
-    shape = FreeModuleShape(n=3, degrees=(0,))
-    expected = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
-    ordered = sorted(
-        enumerate_monomials(3, 2),
-        key=functools.cmp_to_key(
-            lambda a, b: revlex_compare(
-                ModuleMonomial(1, a), ModuleMonomial(1, b), shape
-            )
-        ),
-        reverse=True,
-    )
-    assert ordered == expected
 
 
 def test_module_enumeration_and_slices():
@@ -165,6 +126,36 @@ def test_restrict_xn_examples():
     )
 
 
+def _slice_modules():
+    """Seeded random modules, zero modules and lex top slices, n = 1..4."""
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        r = rng.randint(1, 3)
+        shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(r))))
+        m = rng.randint(0, 4)
+        yield random_monomial_module(rng, shape, max_gens=3, max_degree=4), m
+        yield MonomialModule.zero(shape), m
+        k = rng.randint(0, shape.dim(m))
+        yield module_from_slice(shape, lex_module_slice(shape, m, k)), m
+
+
+def test_slice_readers_match_direct_formulations():
+    seen_top = seen_not_top = 0
+    for module, m in _slice_modules():
+        basis = enumerate_module_monomials(module.shape, m)
+        members = [u for u in basis if module.contains(u)]
+        expected_top = members == lex_module_slice(module.shape, m, len(members))
+        assert is_top_slice(module, m) == expected_top
+        assert hilbert_value_module(module, m) == len(basis) - len(members)
+        sl = degree_slice(module, m)
+        assert sl.basis == basis
+        assert [u for u, inside in zip(sl.basis, sl.in_module) if inside] == members
+        seen_top += expected_top
+        seen_not_top += not expected_top
+    assert seen_top and seen_not_top
+
+
 def test_lex_segment_restriction_identity_small():
     # Specialized codimension of a lex segment equals kappa of its codimension.
     for n in (2, 3, 4):
@@ -218,6 +209,9 @@ def test_module_data_round_trip():
         ({"n": 2, "degrees": "x", "components": [[]]}, "degrees"),
         ({"n": 2, "degrees": [0], "components": [[[1]]]}, "components[0]"),
         ({"n": 2, "degrees": [0, 1], "components": [[]]}, "components"),
+        ({"n": True, "degrees": [0], "components": [[[True]]]}, "n"),
+        ({"n": 2, "degrees": [False], "components": [[]]}, "degrees"),
+        ({"n": 1, "degrees": [0], "components": [[[True]]]}, "components[0]"),
     ],
 )
 def test_module_data_validation_names_field(bad, field):

@@ -10,6 +10,7 @@ from greenhrt.bounds import FreeModuleShape, module_bound
 from greenhrt.monomials import (
     MonomialIdeal,
     MonomialModule,
+    degree_slice,
     lex_module_slice,
     module_from_slice,
     random_monomial_module,
@@ -93,9 +94,9 @@ def test_xn_form_reproduces_combinatorial_count():
         module = random_monomial_module(rng, shape, max_gens=3, max_degree=4)
         m = rng.randint(0, 4)
         coeffs = (0,) * (n - 1) + (1,)
-        assert restricted_quotient_dim(module, m, 32003, coeffs) == restrict_xn_count(
-            module, m
-        )
+        assert restricted_quotient_dim(
+            degree_slice(module, m), 32003, coeffs
+        ) == restrict_xn_count(module, m)
 
 
 def test_certify_flags_lex_slices():
