@@ -5,12 +5,21 @@ forms with coefficients in a large prime field and measure the restricted
 quotient dimension by exact rank computation. The generic dimension is the
 minimum over a Zariski-open set, so every sampled trial can only
 overestimate it; the minimum over trials is reported.
+
+One trial restricts component by component. M is monomial, so
+F/(M + lF) is the sum of S/(I_i + l) in degree d = m - f_i. Substituting
+for the last variable x_j with c_j != 0 (mod p) identifies S/(l) with the
+ring S' of the other n - 1 variables (Green 1989, restriction to a
+hyperplane), and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d) holds
+exactly for every form. Members of (I_i)_d free of x_j map to distinct
+unit vectors, so only the other members are ranked, on the columns those
+units leave: one |(I_i)_d| x dim S'_d block at most per component.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -19,7 +28,7 @@ from .monomials import (
     DegreeSlice,
     MonomialModule,
     degree_slice,
-    enumerate_module_monomials,
+    enumerate_monomials,
     module_to_data,
 )
 
@@ -38,6 +47,14 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_modulus(p: int) -> None:
+    # The size test comes first: trial division of a huge p would not end.
+    if p >= 2**31:
+        raise ValueError(f"modulus {p} too large for int64 arithmetic")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+
+
 class PrimeFieldMatrix:
     """Dense matrix over F_p with rank by Gaussian elimination mod p.
 
@@ -46,10 +63,7 @@ class PrimeFieldMatrix:
     """
 
     def __init__(self, rows: np.ndarray, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        if p >= 2**31:
-            raise ValueError(f"modulus {p} too large for int64 arithmetic")
+        _check_modulus(p)
         self.p = p
         self.rows = np.asarray(rows, dtype=np.int64) % p
         if self.rows.ndim != 2:
@@ -86,7 +100,9 @@ class PrimeFieldMatrix:
 class RestrictionReport:
     """Observed restricted dimension versus the theoretical bound.
 
-    ``generic_dim`` is the minimum of the per-trial quotient dimensions.
+    ``generic_dim`` is the minimum of the per-trial quotient dimensions and
+    ``quotient_dim`` is dim (F/M)_m, the value the bound is taken at; it is
+    not part of the JSON payload.
     ``holds`` records generic_dim <= bound; ``equality`` records equality.
     ``expect_equality`` is set by the certifier when the module's degree-m
     monomials form the top slice, where the bound is attained.
@@ -99,6 +115,7 @@ class RestrictionReport:
     seed: int
     dims: tuple[int, ...]
     generic_dim: int
+    quotient_dim: int
     bound: int
     holds: bool
     equality: bool
@@ -131,49 +148,136 @@ def _trial_coefficients(n: int, p: int, seed: int, trial: int) -> tuple[int, ...
     return tuple(coeffs)
 
 
+def _suffix_sums(exps: np.ndarray) -> np.ndarray:
+    """s[..., k]: the sum of the exponents after position k."""
+    return exps.sum(axis=-1, keepdims=True) - np.cumsum(exps, axis=-1)
+
+
+def _lex_index(sums: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Positions of monomials in the lex-decreasing list of their degree.
+
+    ``sums`` holds the monomials' suffix sums. ``table[k, s]`` counts the
+    monomials that agree with one before position k and have a larger
+    exponent at k, when its exponents after k add up to s:
+    C(N - k - 2 + s, N - k - 1) in N variables.
+    """
+    index = np.zeros(sums.shape[:-1], dtype=np.int64)
+    for k, row in enumerate(table):
+        index += row[sums[..., k]]
+    return index
+
+
 def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) -> int:
     """dim (F/(M + l F))_m for the specific linear form l = sum c_i x_i.
 
-    The span of M_m together with l * F_{m-1} is eliminated over F_p in the
-    monomial-basis coordinates of F_m, taken from the degree-m slice.
+    M is monomial, so the quotient is the sum over components i of
+    (S/(I_i + l))_d with d = m - f_i. Pivot on the last variable x_j with
+    c_j != 0 mod p: S/(l) is the ring S' of the other n - 1 variables, by
+    phi(x^a) = x'^a' * L^(a_j) with L = -sum_{k != j} (c_k / c_j) x_k. So,
+    exactly and for every l,
+
+        dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d).
+
+    A member with a_j = 0 maps to the unit vector of x'^a', and distinct
+    members give distinct units: those rows are counted, their columns
+    dropped, and only the other rows are ranked, on the columns left. The
+    zero form gives dim (F/M)_m; for n = 1, S' is the field.
     """
     shape = sl.shape
     if len(coeffs) != shape.n:
         raise ValueError(f"need {shape.n} coefficients, got {len(coeffs)}")
-    col = {u: idx for idx, u in enumerate(sl.basis)}
-    ncols = len(sl.basis)
-    if ncols == 0:
-        return 0
+    live = [k for k, c in enumerate(coeffs) if c % p]
+    if not live:
+        return sl.quotient_dim
+    if shape.n == 1:
+        # S'_d is the field for d = 0 and zero above it.
+        return sum(
+            1 for u, inside in zip(sl.basis, sl.in_module) if not inside and u.monomial == (0,)
+        )
+    j = live[-1]
+    nvars = shape.n - 1
+    big = max(sl.m - min(shape.degrees), 0)
+    # Lex positions in S'_d for every d <= big, as _lex_index reads them.
+    table = np.array(
+        [[comb(nvars - k - 2 + s, nvars - k - 1) for s in range(big + 1)]
+         for k in range(nvars - 1)],
+        dtype=np.int64,
+    ).reshape(nvars - 1, big + 1)
 
-    rows: list[np.ndarray] = []
-    for idx, inside in enumerate(sl.in_module):
+    members: dict[int, list[tuple[int, ...]]] = {}
+    for u, inside in zip(sl.basis, sl.in_module):
         if inside:
-            row = np.zeros(ncols, dtype=np.int64)
-            row[idx] = 1
-            rows.append(row)
-    for u in enumerate_module_monomials(shape, sl.m - 1):
-        row = np.zeros(ncols, dtype=np.int64)
-        for var, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            bumped = list(u.monomial)
-            bumped[var] += 1
-            row[col[(u.component, tuple(bumped))]] = c % p
-        rows.append(row)
+            members.setdefault(u.component, []).append(u.monomial)
+    total = 0
+    blocks = []  # (a_j, suffix sums of a', kept columns) of the rows left to rank
+    for i, f in enumerate(shape.degrees, start=1):
+        d = sl.m - f
+        if d < 0:
+            continue
+        width = comb(nvars - 1 + d, nvars - 1)
+        if i not in members:
+            total += width
+            continue
+        exps = np.array(members[i], dtype=np.int64)
+        pivot = exps[:, j]
+        rest_sums = _suffix_sums(np.delete(exps, j, axis=1))
+        unit = pivot == 0
+        keep = np.ones(width, dtype=bool)
+        keep[_lex_index(rest_sums[unit], table)] = False
+        total += width - int(unit.sum())
+        if keep.any() and not unit.all():
+            blocks.append((pivot[~unit], rest_sums[~unit], keep))
+    if not blocks:
+        return total
 
-    if not rows:
-        return ncols
-    rank = PrimeFieldMatrix(np.array(rows, dtype=np.int64), p).rank()
-    return ncols - rank
+    # Coefficient-free tables. S'_0, ..., S'_top are listed one after the
+    # other, each lex-decreasing, S'_e from offset[e] = C(nvars - 1 + e, nvars);
+    # shift[g, k] is the listed position of monomial g times x'_k.
+    top = max(int(aj.max()) for aj, _, _ in blocks)
+    offset = np.array([comb(nvars - 1 + e, nvars) for e in range(top + 2)], dtype=np.int64)
+    listed_sums = _suffix_sums(
+        np.array(enumerate_monomials(nvars + 1, top), dtype=np.int64)[:, 1:]
+    )
+    degree = np.repeat(np.arange(top), np.diff(offset[: top + 1]))
+    earlier = np.triu(np.ones((nvars, nvars), dtype=np.int64), 1)  # [t, k] = t < k
+    shift = offset[degree + 1, None] + _lex_index(
+        listed_sums[: offset[top], None, :] + earlier.T, table
+    )
+
+    # Coefficients of L^e on S'_e for every e <= top: L^(e+1) = L^e * L.
+    inv = pow(coeffs[j], -1, p)
+    lam = np.array([-c * inv % p for k, c in enumerate(coeffs) if k != j], dtype=np.int64)
+    power = np.zeros(offset[top + 1], dtype=np.int64)
+    power[0] = 1
+    starts = offset.tolist()
+    for e in range(top):
+        lo, mid, hi = starts[e : e + 3]
+        np.add.at(power, shift[lo:mid], power[lo:mid, None] * lam % p)
+        power[mid:hi] %= p
+
+    for aj, rest_sums, keep in blocks:
+        # Row r is x'^a' * L^(a_j): one entry per monomial b of S'_(a_j), at
+        # the column of x'^a' * x'^b unless a unit row dropped that column.
+        column = np.cumsum(keep) - 1
+        column[~keep] = -1
+        counts = offset[aj + 1] - offset[aj]
+        row_of = np.repeat(np.arange(aj.size), counts)
+        first = np.cumsum(counts) - counts
+        listed = np.arange(counts.sum()) + np.repeat(offset[aj] - first, counts)
+        cells = column[_lex_index(rest_sums[row_of] + listed_sums[listed], table)]
+        hit = cells >= 0
+        block = np.zeros((aj.size, int(keep.sum())), dtype=np.int64)
+        block[row_of[hit], cells[hit]] = power[listed[hit]]
+        total -= PrimeFieldMatrix(block, p).rank()
+    return total
 
 
 def _sampled_report(
     module: MonomialModule, m: int, p: int, trials: int, seed: int, certify: bool
 ) -> RestrictionReport:
+    _check_modulus(p)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
     shape = module.shape
     dim_fm = shape.dim(m)
     if p <= 2 * dim_fm:
@@ -193,6 +297,7 @@ def _sampled_report(
         seed=seed,
         dims=dims,
         generic_dim=generic,
+        quotient_dim=sl.quotient_dim,
         bound=bound,
         holds=generic <= bound,
         equality=generic == bound,

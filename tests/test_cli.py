@@ -179,6 +179,18 @@ def test_oracle_bad_file_and_json(capsys, tmp_path):
     assert code == 2 and "'n'" in err
 
 
+def test_oracle_modulus_too_large_is_input_error(capsys, tmp_path):
+    # Checked before any work, also where no block would need a rank.
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 2, "degrees": [0], "components": [[]]}))
+    for m in ("0", "2"):
+        code, _, err = run(
+            capsys, ["oracle", "certify", "--module", str(zero), "--m", m, "--p", "2147483659"]
+        )
+        assert code == 2, m
+        assert "modulus 2147483659 too large for int64 arithmetic" in err, m
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["bound", "unknown-kind"])

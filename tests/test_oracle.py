@@ -11,6 +11,7 @@ from greenhrt.monomials import (
     MonomialIdeal,
     MonomialModule,
     degree_slice,
+    enumerate_module_monomials,
     lex_module_slice,
     module_from_slice,
     random_monomial_module,
@@ -18,6 +19,7 @@ from greenhrt.monomials import (
 )
 from greenhrt.oracle import (
     PrimeFieldMatrix,
+    _trial_coefficients,
     certify_main_theorem,
     generic_restriction_dim,
     is_prime,
@@ -97,6 +99,71 @@ def test_xn_form_reproduces_combinatorial_count():
         assert restricted_quotient_dim(
             degree_slice(module, m), 32003, coeffs
         ) == restrict_xn_count(module, m)
+
+
+def _dense_quotient_dim(sl, p, coeffs):
+    """Reference: dim F_m minus the rank over F_p of M_m stacked on l * F_{m-1},
+    in the monomial basis of F_m."""
+    col = {u: idx for idx, u in enumerate(sl.basis)}
+    ncols = len(sl.basis)
+    if ncols == 0:
+        return 0
+    rows = []
+    for idx, inside in enumerate(sl.in_module):
+        if inside:
+            row = np.zeros(ncols, dtype=np.int64)
+            row[idx] = 1
+            rows.append(row)
+    for u in enumerate_module_monomials(sl.shape, sl.m - 1):
+        row = np.zeros(ncols, dtype=np.int64)
+        for var, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            bumped = list(u.monomial)
+            bumped[var] += 1
+            row[col[(u.component, tuple(bumped))]] = c % p
+        rows.append(row)
+    if not rows:
+        return ncols
+    return ncols - PrimeFieldMatrix(np.array(rows, dtype=np.int64), p).rank()
+
+
+def test_substitution_matches_dense_elimination():
+    # The per-component substitution and the dense elimination compute the
+    # same dimension for every form, not just for generic ones.
+    rng = random.Random(31)
+    differs_from_xn = 0
+    for case in range(320):
+        n = rng.randint(1, 4)
+        r = rng.randint(1, 3)
+        shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(r))))
+        m = rng.randint(0, 6)
+        if case % 4 == 0:
+            module = MonomialModule.zero(shape)
+        elif case % 4 == 1:
+            k = rng.randint(0, shape.dim(m))
+            module = module_from_slice(shape, lex_module_slice(shape, m, k))
+        else:
+            module = random_monomial_module(rng, shape, max_gens=4, max_degree=m)
+        sl = degree_slice(module, m)
+        p = (7, 101, 32003)[case % 3]
+        head = [rng.randrange(p) for _ in range(n - 1)]
+        forms = [
+            _trial_coefficients(n, p, case, 0),
+            _trial_coefficients(n, p, case, 1),
+            tuple(rng.choice((0, rng.randrange(p))) for _ in range(n)),
+            tuple(head) + (0,),  # pivot is not x_n
+            tuple(head) + (p,),  # zero mod p only
+            (0,) * n,
+            (0,) * (n - 1) + (1,),
+        ]
+        xn_free = restrict_xn_count(module, m)
+        for coeffs in forms:
+            expected = _dense_quotient_dim(sl, p, coeffs)
+            assert restricted_quotient_dim(sl, p, coeffs) == expected, (module, m, p, coeffs)
+            differs_from_xn += expected != xn_free
+    # Substituting x_n -> 0 instead of L would miss these.
+    assert differs_from_xn > 100
 
 
 def test_certify_flags_lex_slices():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from greenhrt import monomials, oracle
 from greenhrt.bounds import rank2_bound
 from greenhrt.macaulay import binomial, kappa
 from greenhrt.verifiers import (
@@ -89,6 +90,21 @@ def test_lex_restriction_sweeps():
             outcome = check_lex_restriction(n, d)
             assert outcome.ok
             assert outcome.cases == binomial(n + d - 1, d) + 1
+
+
+def test_scaled_corollary_builds_one_slice_per_case(monkeypatch):
+    calls = []
+    original = monomials.degree_slice
+
+    def counting(module, m):
+        calls.append(m)
+        return original(module, m)
+
+    monkeypatch.setattr(monomials, "degree_slice", counting)
+    monkeypatch.setattr(oracle, "degree_slice", counting)
+    outcome = check_scaled_corollary(n_max=2, r_max=2, d_max=3, samples=1)
+    assert outcome.ok and outcome.cases == 28
+    assert len(calls) == 28
 
 
 def test_scaled_corollary_sweep_small():
