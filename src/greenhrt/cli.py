@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import bounds, level, macaulay, monomials, oracle, verifiers
 
@@ -242,7 +243,10 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # every call gets a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="greenhrt",
         description="Hyperplane restriction bounds for graded modules: "

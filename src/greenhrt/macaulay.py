@@ -7,7 +7,9 @@ Every non-negative integer ``a`` has a unique expansion in base ``d``
 with strictly decreasing numerators ``a_d > a_{d-1} > ... > a_delta >= delta``.
 Decrementing every numerator by one (with the convention ``C(c, k) = 0`` for
 ``c < k``) yields ``kappa(a, d)``, the quantity that bounds the Hilbert
-function of a generic hyperplane restriction.
+function of a generic hyperplane restriction. One greedy pass over cached
+binomial rows yields the numerators and kappa together: C(a_i - 1, i) is the
+row entry just below the one the pass picks.
 
 All arithmetic is exact; binomials are arbitrary-precision integers.
 """
@@ -42,26 +44,26 @@ class MacaulayRep:
     numerators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numerators", tuple(self.numerators))
-        if self.d < 1:
-            raise ValueError(f"representation base must be >= 1, got d={self.d}")
-        if len(self.numerators) > self.d:
+        nums = self.numerators
+        if type(nums) is not tuple:
+            nums = tuple(nums)
+            object.__setattr__(self, "numerators", nums)
+        d = self.d
+        if d < 1:
+            raise ValueError(f"representation base must be >= 1, got d={d}")
+        if len(nums) > d:
             raise ValueError("more numerators than degrees in base d")
         prev = None
-        for a_i in self.numerators:
+        for a_i in nums:
             if a_i < 0:
                 raise ValueError("numerators must be non-negative")
             if prev is not None and a_i >= prev:
-                raise ValueError(
-                    f"numerators must strictly decrease, got {self.numerators}"
-                )
+                raise ValueError(f"numerators must strictly decrease, got {nums}")
             prev = a_i
-        if self.numerators:
-            delta = self.d - len(self.numerators) + 1
-            if self.numerators[-1] < delta:
-                raise ValueError(
-                    f"terminal numerator {self.numerators[-1]} below degree {delta}"
-                )
+        if nums:
+            delta = d - len(nums) + 1
+            if nums[-1] < delta:
+                raise ValueError(f"terminal numerator {nums[-1]} below degree {delta}")
 
     @property
     def delta(self) -> int | None:
@@ -89,23 +91,27 @@ class MacaulayRep:
         return "+".join(f"C({a},{i})" for a, i in self.terms())
 
 
-def macaulay_rep(a: int, d: int) -> MacaulayRep:
-    """Base-d Macaulay representation of a, built greedily from degree d down.
+def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
+    """Numerators of the base-d representation of a, and kappa(a, d).
 
     The greedy choice (largest numerator whose binomial still fits) is the
     standard constructive proof of uniqueness; maximality forces the strict
-    decrease of the numerators automatically.
+    decrease of the numerators automatically. With row[k] = C(i + k, i), the
+    pick a_i = i + idx contributes C(a_i - 1, i) = row[idx - 1] to kappa
+    (zero when idx = 0), and C(rem - 1, 1) = rem - 1 at degree 1.
     """
     if d < 1:
         raise ValueError(f"representation base must be >= 1, got d={d}")
     if a < 0:
         raise ValueError(f"cannot represent negative integer {a}")
     nums: list[int] = []
+    kap = 0
     rem = a
     i = d
     while rem > 0:
         if i == 1:
             nums.append(rem)
+            kap += rem - 1
             break
         row = _BINOM_ROWS.get(i)
         if row is None:
@@ -115,9 +121,16 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         # largest m with C(m, i) <= rem; idx >= 0 since C(i,i) = 1 <= rem
         idx = bisect_right(row, rem) - 1
         nums.append(i + idx)
+        if idx:
+            kap += row[idx - 1]
         rem -= row[idx]
         i -= 1
-    return MacaulayRep(d=d, numerators=tuple(nums))
+    return tuple(nums), kap
+
+
+def macaulay_rep(a: int, d: int) -> MacaulayRep:
+    """Base-d Macaulay representation of a, built greedily from degree d down."""
+    return MacaulayRep(d=d, numerators=_greedy(a, d)[0])
 
 
 def rep_value(rep: MacaulayRep) -> int:
@@ -131,9 +144,10 @@ def kappa(a: int, d: int) -> int:
 
     kappa(a, d) = C(a_d - 1, d) + ... + C(a_delta - 1, delta), with terms
     where the numerator drops below the degree contributing zero. Always
-    satisfies kappa(a, d) <= a.
+    satisfies kappa(a, d) <= a. Accumulated in the same greedy pass that
+    finds the numerators; no representation object is built.
     """
-    return sum(comb(a_i - 1, i) for a_i, i in macaulay_rep(a, d).terms())
+    return _greedy(a, d)[1]
 
 
 def rep_compare(a: int, b: int, d: int) -> int:
@@ -143,6 +157,8 @@ def rep_compare(a: int, b: int, d: int) -> int:
     with the integer order of a and b; that agreement is a testable fact,
     not an assumption of the implementation.
     """
-    pa = macaulay_rep(a, d).padded()
-    pb = macaulay_rep(b, d).padded()
+    na = _greedy(a, d)[0]
+    nb = _greedy(b, d)[0]
+    pa = na + (0,) * (d - len(na))
+    pb = nb + (0,) * (d - len(nb))
     return (pa > pb) - (pa < pb)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isqrt
 
 import numpy as np
@@ -47,8 +48,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
 def _check_modulus(p: int) -> None:
     # The size test comes first: trial division of a huge p would not end.
+    # Cached, so the oracle's per-block matrices test a modulus once; a
+    # rejected p raises and is not cached.
     if p >= 2**31:
         raise ValueError(f"modulus {p} too large for int64 arithmetic")
     if not is_prime(p):

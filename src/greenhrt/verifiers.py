@@ -18,7 +18,6 @@ from .macaulay import binomial, kappa, macaulay_rep
 from .monomials import (
     MonomialModule,
     enumerate_monomials,
-    lex_segment,
     random_monomial_module,
 )
 from .oracle import DEFAULT_PRIME, DEFAULT_TRIALS, generic_restriction_dim
@@ -62,13 +61,13 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
         d: np.array([kappa(a, d) for a in range(2 * a_max + 1)], dtype=np.int64)
         for d in range(1, d_max + 2)
     }
-    idx = np.arange(a_max + 1)
-    pair_sums = idx[:, None] + idx[None, :]
     for d in range(1, d_max + 1):
         table = tables[d]
         head = table[: a_max + 1]
         lhs = head[:, None] + head[None, :]
-        rhs = table[pair_sums]
+        # Row a of the window view is table[a : a + a_max + 1], so
+        # rhs[a, b] = kappa(a + b, d) without gathering an index array.
+        rhs = np.lib.stride_tricks.sliding_window_view(table, a_max + 1)
         for a, b in np.argwhere(lhs > rhs):
             _record(
                 out,
@@ -125,12 +124,15 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     return out
 
 
-def _higher_rhs(values: tuple[int, ...], degrees: tuple[int, ...], n: int) -> int:
-    # Shift the degree tuple into a free-module shape at m = max degree and
-    # reuse the piecewise bound; the pivot condition is identical.
+def _higher_shape(degrees: tuple[int, ...], n: int) -> FreeModuleShape:
+    # Shift the degree tuple into a free-module shape at m = max degree, so
+    # the piecewise bound applies; the pivot condition is identical.
     m = degrees[0]
-    shape = FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
-    return module_bound(sum(values), m, shape).total
+    return FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
+
+
+def _higher_rhs(values: tuple[int, ...], degrees: tuple[int, ...], n: int) -> int:
+    return module_bound(sum(values), degrees[0], _higher_shape(degrees, n)).total
 
 
 def check_higher(
@@ -157,13 +159,14 @@ def check_higher(
         ):
             raise ValueError(f"degree tuple must be non-increasing and >= 1: {degrees}")
         caps = [binomial(n + d - 1, d) for d in degrees]
+        shape = _higher_shape(degrees, n)
         corner_values = itertools.product(*[(0, c) for c in caps])
         sampled = (
             tuple(rng.randint(0, c) for c in caps) for _ in range(samples)
         )
         for values in itertools.chain(corner_values, sampled):
             lhs = sum(kappa(a, d) for a, d in zip(values, degrees))
-            rhs = _higher_rhs(values, degrees, n)
+            rhs = module_bound(sum(values), degrees[0], shape).total
             if lhs > rhs:
                 _record(out, {"values": list(values), "degrees": list(degrees), "n": n}, lhs, rhs)
             out.cases += 1
@@ -184,10 +187,14 @@ def check_lex_restriction(n: int, d: int) -> VerificationOutcome:
     out = VerificationOutcome("lex-restriction", {"n": n, "d": d})
     all_monomials = enumerate_monomials(n, d)
     dim = len(all_monomials)
-    ambient_free = sum(1 for mono in all_monomials if mono[-1] == 0)
-    for k in range(dim + 1):
-        segment = lex_segment(n, d, k)
-        specialized_codim = ambient_free - sum(1 for mono in segment if mono[-1] == 0)
+    # lex_segment(n, d, k) is the first k monomials of that list, so running
+    # counts give the x_n-free members of every segment.
+    segment_free = list(
+        itertools.accumulate((mono[-1] == 0 for mono in all_monomials), initial=0)
+    )
+    ambient_free = segment_free[-1]
+    for k, free in enumerate(segment_free):
+        specialized_codim = ambient_free - free
         expected = kappa(dim - k, d) if d >= 1 else dim - k
         if specialized_codim != expected:
             _record(out, {"n": n, "d": d, "k": k}, specialized_codim, expected)

@@ -226,3 +226,32 @@ def test_every_subcommand_has_json_path(capsys):
         out = capsys.readouterr().out
         json.loads(out)  # must parse
         assert code == 0, argv
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    # The argument parser is built once per process; nothing a call parses
+    # may leak into the next one.
+    higher = ["verify", "higher", "--n", "2", "--d-max", "2", "--r-max", "1",
+              "--samples", "3"]
+    code, out, _ = run(capsys, higher + ["--seed", "3", "--format", "json"])
+    assert code == 0 and json.loads(out)["ranges"]["seed"] == 3
+    code, out, _ = run(capsys, higher + ["--format", "json"])
+    assert code == 0 and json.loads(out)["ranges"]["seed"] == 0
+
+    code, out, _ = run(capsys, ["kappa", "8", "3", "--format", "json"])
+    assert code == 0 and json.loads(out) == {"a": 8, "d": 3, "kappa": 2}
+    code, out, _ = run(capsys, ["kappa", "8", "3"])
+    assert code == 0 and out == "kappa(8,3) = 2\n"
+
+    good = ["bound", "module", "--n", "2", "--degrees", "0,1", "--m", "2", "--h", "3",
+            "--format", "json"]
+    _, first, _ = run(capsys, good)
+    code, _, err = run(capsys, ["bound", "module", "--n", "2", "--degrees", "0",
+                                "--m", "2", "--h", "99"])
+    assert code == 2 and err.startswith("error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "module", "--n", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, second, _ = run(capsys, good)
+    assert code == 0 and second == first

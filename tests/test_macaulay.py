@@ -1,6 +1,7 @@
 """Representation core: uniqueness, round trips, order agreement."""
 from __future__ import annotations
 
+import itertools
 import random
 from math import comb
 
@@ -163,3 +164,33 @@ def test_order_agreement_property(a, b, d):
 def test_expansion_str():
     assert macaulay_rep(8, 3).expansion_str() == "C(4,3)+C(3,2)+C(1,1)"
     assert macaulay_rep(0, 3).expansion_str() == "0"
+
+
+def test_greedy_core_matches_definitions():
+    # kappa and rep_compare share the greedy pass with macaulay_rep; check
+    # them against the formulas written over the representation itself.
+    rng = random.Random(4)
+    large = [int(10 ** rng.uniform(0, 12)) for _ in range(300)]
+    for d in range(1, 13):
+        padded: dict[int, tuple[int, ...]] = {}
+
+        def pad(a: int) -> tuple[int, ...]:
+            if a not in padded:
+                padded[a] = macaulay_rep(a, d).padded()
+            return padded[a]
+
+        for a in itertools.chain(range(3001), large):
+            rep = macaulay_rep(a, d)
+            assert kappa(a, d) == sum(comb(a_i - 1, i) for a_i, i in rep.terms()), (a, d)
+            others = [a + 1, rng.choice(large)] + ([a - 1] if a else [])
+            for b in others:
+                expected = (pad(a) > pad(b)) - (pad(a) < pad(b))
+                assert rep_compare(a, b, d) == expected, (a, b, d)
+
+
+@pytest.mark.parametrize("call", [kappa, lambda a, d: rep_compare(a, 0, d), macaulay_rep])
+def test_entry_points_keep_error_messages(call):
+    with pytest.raises(ValueError, match=r"^representation base must be >= 1, got d=0$"):
+        call(5, 0)
+    with pytest.raises(ValueError, match=r"^cannot represent negative integer -1$"):
+        call(-1, 3)

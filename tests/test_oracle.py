@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from greenhrt import oracle
 from greenhrt.bounds import FreeModuleShape, module_bound
 from greenhrt.monomials import (
     MonomialIdeal,
@@ -31,6 +32,34 @@ from greenhrt.oracle import (
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(32003)
     assert not is_prime(1) and not is_prime(0) and not is_prime(32001)
+
+
+def test_modulus_is_tested_once_per_certify(monkeypatch):
+    # Every block the oracle ranks is a PrimeFieldMatrix, which checks its
+    # modulus; trial division of p must still run only once.
+    divisions, blocks = [], []
+    original_is_prime, original_rank = oracle.is_prime, PrimeFieldMatrix.rank
+
+    def counting_is_prime(p):
+        divisions.append(p)
+        return original_is_prime(p)
+
+    def counting_rank(self):
+        blocks.append(self.shape)
+        return original_rank(self)
+
+    oracle._check_modulus.cache_clear()
+    monkeypatch.setattr(oracle, "is_prime", counting_is_prime)
+    monkeypatch.setattr(PrimeFieldMatrix, "rank", counting_rank)
+    shape = FreeModuleShape(n=3, degrees=(0, 0, 1, 1))
+    module = MonomialModule(
+        shape=shape,
+        components=tuple(MonomialIdeal.from_generators(3, [(0, 0, 1)]) for _ in range(4)),
+    )
+    report = certify_main_theorem(module, 2, p=2147483647, trials=3, seed=1)
+    assert report.certified
+    assert len(blocks) >= 3 and all(rows > 0 for rows, _ in blocks)
+    assert divisions == [2147483647]
 
 
 def test_matrix_rank_known_cases():

@@ -1,9 +1,10 @@
 """Verification sweeps: zero counterexamples, honest bookkeeping."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from greenhrt import monomials, oracle
+from greenhrt import monomials, oracle, verifiers
 from greenhrt.bounds import rank2_bound
 from greenhrt.macaulay import binomial, kappa
 from greenhrt.verifiers import (
@@ -134,3 +135,68 @@ def test_determinism_of_seeded_sweeps():
     s1 = check_scaled_corollary(n_max=2, r_max=1, d_max=2, samples=1, seed=3)
     s2 = check_scaled_corollary(n_max=2, r_max=1, d_max=2, samples=1, seed=3)
     assert s1.to_json_dict() == s2.to_json_dict()
+
+
+def _lex_restriction_reference(n, d, kappa_fn):
+    # Reference formulation: one lex_segment call per segment size.
+    all_monomials = monomials.enumerate_monomials(n, d)
+    dim = len(all_monomials)
+    ambient_free = sum(1 for mono in all_monomials if mono[-1] == 0)
+    cases, bad = 0, []
+    for k in range(dim + 1):
+        segment = monomials.lex_segment(n, d, k)
+        codim = ambient_free - sum(1 for mono in segment if mono[-1] == 0)
+        expected = kappa_fn(dim - k, d) if d >= 1 else dim - k
+        if codim != expected:
+            bad.append({"n": n, "d": d, "k": k, "lhs": codim, "rhs": expected})
+        cases += 1
+    return cases, bad
+
+
+def test_lex_restriction_matches_segment_by_segment_reference(monkeypatch):
+    # With kappa skewed by one wherever dim - k is odd, both formulations
+    # must also flag the same segment sizes with the same sides.
+    def skewed(a, d):
+        return kappa(a, d) + a % 2
+
+    for n in range(1, 6):
+        for d in range(0, 5):
+            for kappa_fn in (kappa, skewed):
+                expected = _lex_restriction_reference(n, d, kappa_fn)
+                monkeypatch.setattr(verifiers, "kappa", kappa_fn)
+                outcome = check_lex_restriction(n, d)
+                assert (outcome.cases, outcome.counterexamples) == expected, (n, d)
+                if kappa_fn is skewed and d >= 1:
+                    assert outcome.counterexamples
+
+
+def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
+    # A deliberately non-superadditive stand-in for kappa; the counterexamples
+    # must be those of the index-array formulation rhs = table[a + b].
+    def wobbly(a, d):
+        return (a * a * (d + 1)) % 17 + a // (d + 1)
+
+    a_max, d_max = 60, 3
+    tables = {
+        d: np.array([wobbly(a, d) for a in range(2 * a_max + 1)], dtype=np.int64)
+        for d in range(1, d_max + 2)
+    }
+    idx = np.arange(a_max + 1)
+    pair_sums = idx[:, None] + idx[None, :]
+    expected = []
+    for d in range(1, d_max + 1):
+        table = tables[d]
+        head = table[: a_max + 1]
+        for a, b in np.argwhere(head[:, None] + head[None, :] > table[pair_sums]):
+            a, b = int(a), int(b)
+            expected.append({"a": a, "b": b, "d": d, "part": "superadditive",
+                             "lhs": wobbly(a, d) + wobbly(b, d), "rhs": wobbly(a + b, d)})
+        for (a,) in np.argwhere(tables[d + 1][: a_max + 1] > head):
+            a = int(a)
+            expected.append({"a": a, "d": d, "part": "degree-monotone",
+                             "lhs": wobbly(a, d + 1), "rhs": wobbly(a, d)})
+    monkeypatch.setattr(verifiers, "kappa", wobbly)
+    outcome = check_kappa_lemma(a_max, d_max)
+    assert len(expected) > 100
+    assert outcome.counterexamples == expected
+    assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
