@@ -187,6 +187,11 @@ def cmd_verify(args) -> int:
     elif args.statement == "rank2":
         outcome = verifiers.check_rank2(args.n, args.d1, args.d2)
     elif args.statement == "higher":
+        # Empty tuple lists would pass with 0 cases; name the field instead.
+        if args.d_max < 1:
+            raise InputError(f"d_max must be at least 1, got {args.d_max}")
+        if not args.r and args.r_max < 1:
+            raise InputError(f"r_max must be at least 1 when r is 0, got {args.r_max}")
         tuples = verifiers.nonincreasing_tuples(args.d_max, args.r) if args.r else [
             tup
             for r in range(1, args.r_max + 1)

@@ -7,9 +7,11 @@ Every non-negative integer ``a`` has a unique expansion in base ``d``
 with strictly decreasing numerators ``a_d > a_{d-1} > ... > a_delta >= delta``.
 Decrementing every numerator by one (with the convention ``C(c, k) = 0`` for
 ``c < k``) yields ``kappa(a, d)``, the quantity that bounds the Hilbert
-function of a generic hyperplane restriction. One greedy pass over cached
-binomial rows yields the numerators and kappa together: C(a_i - 1, i) is the
-row entry just below the one the pass picks.
+function of a generic hyperplane restriction. One greedy pass yields the
+numerators and kappa together. Degrees 1 and 2 are closed form (C(m, 1) = m;
+the largest m with C(m, 2) <= rem is an integer square root); degrees 3 and
+up bisect cached binomial rows, where C(a_i - 1, i) is the row entry just
+below the one the pass picks.
 
 All arithmetic is exact; binomials are arbitrary-precision integers.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 
 def binomial(n: int, k: int) -> int:
@@ -28,8 +30,8 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-# Cached strictly increasing rows [C(i,i), C(i+1,i), ...] per degree i >= 2,
-# grown on demand. Degree 1 needs no table (C(m,1) = m).
+# Cached strictly increasing rows [C(i,i), C(i+1,i), ...] per degree i >= 3,
+# grown on demand. Degrees 1 and 2 are closed form and need no table.
 _BINOM_ROWS: dict[int, list[int]] = {}
 
 
@@ -98,7 +100,9 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
     standard constructive proof of uniqueness; maximality forces the strict
     decrease of the numerators automatically. With row[k] = C(i + k, i), the
     pick a_i = i + idx contributes C(a_i - 1, i) = row[idx - 1] to kappa
-    (zero when idx = 0), and C(rem - 1, 1) = rem - 1 at degree 1.
+    (zero when idx = 0). At degree 2 the pick is m = (1 + isqrt(8 rem + 1))
+    // 2, the largest m with m(m - 1)/2 <= rem, and C(m - 1, 2) = C(m, 2) -
+    (m - 1); at degree 1 it is rem itself, contributing rem - 1.
     """
     if d < 1:
         raise ValueError(f"representation base must be >= 1, got d={d}")
@@ -113,6 +117,14 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
             nums.append(rem)
             kap += rem - 1
             break
+        if i == 2:
+            m = (1 + isqrt(8 * rem + 1)) // 2
+            pick = m * (m - 1) // 2
+            nums.append(m)
+            kap += pick - (m - 1)
+            rem -= pick
+            i = 1
+            continue
         row = _BINOM_ROWS.get(i)
         if row is None:
             row = _BINOM_ROWS[i] = [1]

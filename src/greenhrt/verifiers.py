@@ -50,6 +50,11 @@ def _record(outcome: VerificationOutcome, inputs: dict, lhs, rhs) -> None:
     outcome.counterexamples.append({**inputs, "lhs": lhs, "rhs": rhs})
 
 
+# Rows of the superadditivity comparison per block: a block's lhs is
+# _LEMMA_BLOCK_ROWS x (a_max + 1) int64 instead of the full square.
+_LEMMA_BLOCK_ROWS = 256
+
+
 def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     """Superadditivity kappa(a,d)+kappa(b,d) <= kappa(a+b,d) and degree
     monotonicity kappa(a,d+1) <= kappa(a,d), exhaustively for a,b <= a_max
@@ -64,17 +69,21 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     for d in range(1, d_max + 1):
         table = tables[d]
         head = table[: a_max + 1]
-        lhs = head[:, None] + head[None, :]
         # Row a of the window view is table[a : a + a_max + 1], so
         # rhs[a, b] = kappa(a + b, d) without gathering an index array.
         rhs = np.lib.stride_tricks.sliding_window_view(table, a_max + 1)
-        for a, b in np.argwhere(lhs > rhs):
-            _record(
-                out,
-                {"a": int(a), "b": int(b), "d": d, "part": "superadditive"},
-                kappa(int(a), d) + kappa(int(b), d),
-                kappa(int(a) + int(b), d),
-            )
+        # Blocks of rows in order keep the counterexamples row-major.
+        for start in range(0, a_max + 1, _LEMMA_BLOCK_ROWS):
+            stop = min(start + _LEMMA_BLOCK_ROWS, a_max + 1)
+            lhs = head[start:stop, None] + head[None, :]
+            for a, b in np.argwhere(lhs > rhs[start:stop]):
+                a = start + int(a)
+                _record(
+                    out,
+                    {"a": a, "b": int(b), "d": d, "part": "superadditive"},
+                    kappa(a, d) + kappa(int(b), d),
+                    kappa(a + int(b), d),
+                )
         for (a,) in np.argwhere(tables[d + 1][: a_max + 1] > head):
             _record(
                 out,
@@ -91,6 +100,8 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     terminates with numerator equal to its degree."""
     if a_max < 2:
         raise ValueError("a_max must be at least 2")
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max})
     for d in range(1, d_max + 1):
         prev = kappa(0, d)
@@ -113,10 +124,12 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     out = VerificationOutcome("rank2", {"n": n, "d1": d1, "d2": d2})
     n1 = binomial(n + d1 - 1, d1)
     n2 = binomial(n + d2 - 1, d2)
+    # Every row visits every b, so kappa(b, d2) is computed once per b.
+    kb = [kappa(b, d2) for b in range(n2 + 1)]
     for a in range(n1 + 1):
         ka = kappa(a, d1)
         for b in range(n2 + 1):
-            lhs = ka + kappa(b, d2)
+            lhs = ka + kb[b]
             rhs = rank2_bound(a, b, d1, d2, n)
             if lhs > rhs:
                 _record(out, {"a": a, "b": b, "d1": d1, "d2": d2, "n": n}, lhs, rhs)
@@ -147,11 +160,17 @@ def check_higher(
     piecewise formulas break at boundaries, so uniform sampling alone
     would under-test them.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     out = VerificationOutcome(
         "higher",
         {"n": n, "tuples": len(degree_tuples), "samples": samples, "seed": seed},
     )
     rng = random.Random(seed)
+    # kappa(a, d) by degree, shared by every tuple of this call; filled on
+    # demand, never tabulated over [0, N_i], so no value is computed twice
+    # and none that no case asks for.
+    kappa_memo: dict[int, dict[int, int]] = {}
     for degrees in degree_tuples:
         degrees = tuple(degrees)
         if any(d < 1 for d in degrees) or any(
@@ -159,14 +178,26 @@ def check_higher(
         ):
             raise ValueError(f"degree tuple must be non-increasing and >= 1: {degrees}")
         caps = [binomial(n + d - 1, d) for d in degrees]
+        m = degrees[0]
         shape = _higher_shape(degrees, n)
+        memos = [(d, kappa_memo.setdefault(d, {})) for d in degrees]
+        # The bound depends on h = sum(values) and on this tuple's shape.
+        bound_memo: dict[int, int] = {}
         corner_values = itertools.product(*[(0, c) for c in caps])
         sampled = (
             tuple(rng.randint(0, c) for c in caps) for _ in range(samples)
         )
         for values in itertools.chain(corner_values, sampled):
-            lhs = sum(kappa(a, d) for a, d in zip(values, degrees))
-            rhs = module_bound(sum(values), degrees[0], shape).total
+            lhs = 0
+            for a, (d, memo) in zip(values, memos):
+                k = memo.get(a)
+                if k is None:
+                    k = memo[a] = kappa(a, d)
+                lhs += k
+            h = sum(values)
+            rhs = bound_memo.get(h)
+            if rhs is None:
+                rhs = bound_memo[h] = module_bound(h, m, shape).total
             if lhs > rhs:
                 _record(out, {"values": list(values), "degrees": list(degrees), "n": n}, lhs, rhs)
             out.cases += 1

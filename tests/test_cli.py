@@ -200,6 +200,23 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["verify", "herz", "--d-max", "0"], "d_max"),
+        (["verify", "herz", "--d-max", "-3"], "d_max"),
+        (["verify", "higher", "--samples", "-1"], "samples"),
+        (["verify", "higher", "--d-max", "0"], "d_max"),
+        (["verify", "higher", "--r-max", "0"], "r_max"),
+    ],
+)
+def test_vacuous_sweeps_are_input_errors(capsys, argv, field):
+    # Each of these once passed with 0 cases or echoed a negative count.
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {field} ")
+
+
 def test_json_output_is_byte_stable(capsys):
     argv = ["level", "analyze", "--h", "1,3,3,3,2", "--format", "json"]
     _, first, _ = run(capsys, argv)

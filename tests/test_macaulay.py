@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenhrt import macaulay
 from greenhrt.macaulay import (
     MacaulayRep,
     binomial,
@@ -186,6 +187,22 @@ def test_greedy_core_matches_definitions():
             for b in others:
                 expected = (pad(a) > pad(b)) - (pad(a) < pad(b))
                 assert rep_compare(a, b, d) == expected, (a, b, d)
+
+    # Degree 2 is closed form: no cached row, however large a is. Inputs sit
+    # on and beside C(m, 2) boundaries, where an integer square root that is
+    # off by one would pick the wrong numerator. Degrees 3 and 4 still bisect
+    # cached rows, so their a stays where those rows are small. A degree-2
+    # row for a = 10^30 would need ~1.4 * 10^15 entries; check before that.
+    assert 2 not in macaulay._BINOM_ROWS
+    tops = {2: 10**30, 3: 10**15, 4: 10**18}
+    for d, top in tops.items():
+        draws = [rng.randrange(top) for _ in range(200)] + [top]
+        edges = [comb(m, 2) + e for m in (2, 3, 10**6, 10**15) for e in (-1, 0, 1)]
+        for a in draws + [x for x in edges if 0 <= x <= top]:
+            rep = macaulay_rep(a, d)
+            assert rep_value(rep) == a, (a, d)
+            assert kappa(a, d) == sum(comb(a_i - 1, i) for a_i, i in rep.terms()), (a, d)
+    assert 2 not in macaulay._BINOM_ROWS
 
 
 @pytest.mark.parametrize("call", [kappa, lambda a, d: rep_compare(a, 0, d), macaulay_rep])

@@ -1,11 +1,15 @@
 """Verification sweeps: zero counterexamples, honest bookkeeping."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from greenhrt import monomials, oracle, verifiers
-from greenhrt.bounds import rank2_bound
+from greenhrt.bounds import FreeModuleShape, rank2_bound
 from greenhrt.macaulay import binomial, kappa
 from greenhrt.verifiers import (
     VerificationOutcome,
@@ -170,15 +174,10 @@ def test_lex_restriction_matches_segment_by_segment_reference(monkeypatch):
                     assert outcome.counterexamples
 
 
-def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
-    # A deliberately non-superadditive stand-in for kappa; the counterexamples
-    # must be those of the index-array formulation rhs = table[a + b].
-    def wobbly(a, d):
-        return (a * a * (d + 1)) % 17 + a // (d + 1)
-
-    a_max, d_max = 60, 3
+def _kappa_lemma_pair_sums_reference(a_max, d_max, kappa_fn):
+    # Reference formulation: gather rhs = table[a + b] through an index array.
     tables = {
-        d: np.array([wobbly(a, d) for a in range(2 * a_max + 1)], dtype=np.int64)
+        d: np.array([kappa_fn(a, d) for a in range(2 * a_max + 1)], dtype=np.int64)
         for d in range(1, d_max + 2)
     }
     idx = np.arange(a_max + 1)
@@ -190,13 +189,116 @@ def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
         for a, b in np.argwhere(head[:, None] + head[None, :] > table[pair_sums]):
             a, b = int(a), int(b)
             expected.append({"a": a, "b": b, "d": d, "part": "superadditive",
-                             "lhs": wobbly(a, d) + wobbly(b, d), "rhs": wobbly(a + b, d)})
+                             "lhs": kappa_fn(a, d) + kappa_fn(b, d),
+                             "rhs": kappa_fn(a + b, d)})
         for (a,) in np.argwhere(tables[d + 1][: a_max + 1] > head):
             a = int(a)
             expected.append({"a": a, "d": d, "part": "degree-monotone",
-                             "lhs": wobbly(a, d + 1), "rhs": wobbly(a, d)})
+                             "lhs": kappa_fn(a, d + 1), "rhs": kappa_fn(a, d)})
+    return expected
+
+
+def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
+    # A deliberately non-superadditive stand-in for kappa; the counterexamples
+    # must be those of the index-array formulation, in the same order. The
+    # a_max around the row-block size pin the block edges.
+    def wobbly(a, d):
+        return (a * a * (d + 1)) % 17 + a // (d + 1)
+
+    block = verifiers._LEMMA_BLOCK_ROWS
     monkeypatch.setattr(verifiers, "kappa", wobbly)
-    outcome = check_kappa_lemma(a_max, d_max)
-    assert len(expected) > 100
-    assert outcome.counterexamples == expected
-    assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
+    for a_max, d_max in ((60, 3), (block - 1, 1), (block, 1), (block + 1, 1),
+                         (2 * block + 7, 1)):
+        expected = _kappa_lemma_pair_sums_reference(a_max, d_max, wobbly)
+        outcome = check_kappa_lemma(a_max, d_max)
+        assert len(expected) > 100
+        assert outcome.counterexamples == expected, (a_max, d_max)
+        assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
+
+
+def _higher_reference(n, degree_tuples, samples, seed):
+    # Reference formulation: every case calls kappa r times and the bound once.
+    cases, bad = 0, []
+    rng = random.Random(seed)
+    for degrees in degree_tuples:
+        caps = [binomial(n + d - 1, d) for d in degrees]
+        m = degrees[0]
+        shape = FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
+        corner_values = itertools.product(*[(0, c) for c in caps])
+        sampled = (tuple(rng.randint(0, c) for c in caps) for _ in range(samples))
+        for values in itertools.chain(corner_values, sampled):
+            lhs = sum(verifiers.kappa(a, d) for a, d in zip(values, degrees))
+            rhs = verifiers.module_bound(sum(values), m, shape).total
+            if lhs > rhs:
+                bad.append({"values": list(values), "degrees": list(degrees), "n": n,
+                            "lhs": lhs, "rhs": rhs})
+            cases += 1
+    return cases, bad
+
+
+def test_higher_memos_match_per_case_reference(monkeypatch):
+    # The under-reporting bound makes counterexamples, so a kappa memo keyed
+    # by a alone or a bound memo shared across tuples changes a recorded side.
+    real_bound = verifiers.module_bound
+
+    def low_bound(h, m, shape):
+        bb = real_bound(h, m, shape)
+        return dataclasses.replace(bb, total=bb.total - (h + shape.r) % 3)
+
+    for bound in (real_bound, low_bound):
+        monkeypatch.setattr(verifiers, "module_bound", bound)
+        for n in (1, 2, 3):
+            for d_max, r_max in ((2, 3), (4, 2), (3, 3)):
+                tuples = [t for r in range(1, r_max + 1)
+                          for t in nonincreasing_tuples(d_max, r)]
+                for seed in (0, 5, 11):
+                    expected = _higher_reference(n, tuples, 12, seed)
+                    outcome = check_higher(n, tuples, 12, seed=seed)
+                    assert (outcome.cases, outcome.counterexamples) == expected, (
+                        n, d_max, r_max, seed)
+                    assert bool(outcome.counterexamples) == (bound is low_bound)
+
+
+def test_rank2_hoisted_kappa_matches_per_case_reference(monkeypatch):
+    def skewed(a, d):
+        return kappa(a, d) + (a + d) % 3
+
+    monkeypatch.setattr(verifiers, "kappa", skewed)
+    for n, d1, d2 in ((1, 2, 1), (2, 3, 2), (3, 3, 3), (3, 4, 2)):
+        expected = []
+        n1, n2 = binomial(n + d1 - 1, d1), binomial(n + d2 - 1, d2)
+        for a in range(n1 + 1):
+            for b in range(n2 + 1):
+                lhs = skewed(a, d1) + skewed(b, d2)
+                rhs = rank2_bound(a, b, d1, d2, n)
+                if lhs > rhs:
+                    expected.append({"a": a, "b": b, "d1": d1, "d2": d2, "n": n,
+                                     "lhs": lhs, "rhs": rhs})
+        outcome = check_rank2(n, d1, d2)
+        assert outcome.cases == (n1 + 1) * (n2 + 1)
+        assert outcome.counterexamples == expected and expected, (n, d1, d2)
+
+
+def test_higher_work_is_bounded_by_cases(monkeypatch):
+    # At n = 40, d = 5, N_i is about 1.09M: tabulating kappa over [0, N_i]
+    # would cost far more than the cases drawn.
+    calls = {"kappa": 0, "bound": 0}
+    real_kappa, real_bound = verifiers.kappa, verifiers.module_bound
+
+    def counting_kappa(a, d):
+        calls["kappa"] += 1
+        return real_kappa(a, d)
+
+    def counting_bound(h, m, shape):
+        calls["bound"] += 1
+        return real_bound(h, m, shape)
+
+    monkeypatch.setattr(verifiers, "kappa", counting_kappa)
+    monkeypatch.setattr(verifiers, "module_bound", counting_bound)
+    tuples = [t for r in (1, 2) for t in nonincreasing_tuples(5, r)]
+    outcome = check_higher(40, tuples, samples=5, seed=2)
+    per_case_kappa = sum(len(t) * (2 ** len(t) + 5) for t in tuples)
+    assert outcome.ok and outcome.cases == sum(2 ** len(t) + 5 for t in tuples)
+    # Corners repeat a_i in {0, N_i} across tuples, so the memo saves calls.
+    assert calls["kappa"] < per_case_kappa
+    assert calls["bound"] <= outcome.cases
