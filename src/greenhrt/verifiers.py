@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import FreeModuleShape, module_bound, rank2_bound, scaled_bound
-from .macaulay import binomial, kappa, macaulay_rep
+from .macaulay import _greedy, _kappa_tables, binomial, kappa
 from .monomials import (
     MonomialModule,
     enumerate_monomials,
@@ -50,8 +50,8 @@ def _record(outcome: VerificationOutcome, inputs: dict, lhs, rhs) -> None:
     outcome.counterexamples.append({**inputs, "lhs": lhs, "rhs": rhs})
 
 
-# Rows of the superadditivity comparison per block: a block's lhs is
-# _LEMMA_BLOCK_ROWS x (a_max + 1) int64 instead of the full square.
+# Rows of the superadditivity comparison per block: a block's lhs and mask
+# are _LEMMA_BLOCK_ROWS x (a_max + 1) instead of the full square.
 _LEMMA_BLOCK_ROWS = 256
 
 
@@ -62,21 +62,29 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     if a_max < 1 or d_max < 1:
         raise ValueError("a_max and d_max must be positive")
     out = VerificationOutcome("kappa-lemma", {"a_max": a_max, "d_max": d_max})
-    tables = {
-        d: np.array([kappa(a, d) for a in range(2 * a_max + 1)], dtype=np.int64)
-        for d in range(1, d_max + 2)
-    }
+    tables = _kappa_tables(2 * a_max, d_max + 1)
+    # The narrowest unsigned dtype that holds every pair sum of table
+    # entries: uint16 at a_max <= 2000, since 0 <= kappa(a, d) <= a.
+    hi = max(int(tables[d].max()) for d in range(1, d_max + 1))
+    dtype = np.min_scalar_type(2 * hi)
+    rows = min(_LEMMA_BLOCK_ROWS, a_max + 1)
+    lhs = np.empty((rows, a_max + 1), dtype=dtype)
+    mask = np.empty((rows, a_max + 1), dtype=bool)
     for d in range(1, d_max + 1):
-        table = tables[d]
+        table = tables[d].astype(dtype)
         head = table[: a_max + 1]
         # Row a of the window view is table[a : a + a_max + 1], so
         # rhs[a, b] = kappa(a + b, d) without gathering an index array.
         rhs = np.lib.stride_tricks.sliding_window_view(table, a_max + 1)
         # Blocks of rows in order keep the counterexamples row-major.
-        for start in range(0, a_max + 1, _LEMMA_BLOCK_ROWS):
-            stop = min(start + _LEMMA_BLOCK_ROWS, a_max + 1)
-            lhs = head[start:stop, None] + head[None, :]
-            for a, b in np.argwhere(lhs > rhs[start:stop]):
+        for start in range(0, a_max + 1, rows):
+            stop = min(start + rows, a_max + 1)
+            block, hits = lhs[: stop - start], mask[: stop - start]
+            np.add(head[start:stop, None], head[None, :], out=block)
+            np.greater(block, rhs[start:stop], out=hits)
+            if not hits.any():
+                continue
+            for a, b in np.argwhere(hits):
                 a = start + int(a)
                 _record(
                     out,
@@ -103,16 +111,18 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max})
+    tables = _kappa_tables(a_max, d_max)
     for d in range(1, d_max + 1):
-        prev = kappa(0, d)
+        # The stall side comes from the table, the tail side from the
+        # numerators of one greedy pass: two independent formulations.
+        values = tables[d].tolist()
         for a in range(1, a_max + 1):
-            cur = kappa(a, d)
-            stalls = prev == cur
-            tail_hits = macaulay_rep(a, d).ends_at_delta()
-            if stalls != tail_hits:
+            prev, cur = values[a - 1], values[a]
+            nums = _greedy(a, d)[0]
+            tail_hits = nums[-1] == d - len(nums) + 1
+            if (prev == cur) != tail_hits:
                 _record(out, {"a": a, "d": d, "ends_at_delta": tail_hits}, prev, cur)
-            prev = cur
-            out.cases += 1
+        out.cases += a_max
     return out
 
 
@@ -244,6 +254,17 @@ def check_scaled_corollary(
 ) -> VerificationOutcome:
     """Sampled restriction of F/M stays under (n-1)/(n+d-1) of its dimension
     for modules presented over free modules generated in degree zero."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
+    if d_max < 0:
+        raise ValueError(f"d_max must be non-negative, got {d_max}")
+    if n_max + d_max < 2:
+        # n = 1, d = 0 has no ambient ring to restrict to: no case at all.
+        raise ValueError("d_max must be at least 1 when n_max is 1")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     out = VerificationOutcome(
         "scaled",
         {

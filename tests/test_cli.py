@@ -208,6 +208,11 @@ def test_usage_errors_exit_two():
         (["verify", "higher", "--samples", "-1"], "samples"),
         (["verify", "higher", "--d-max", "0"], "d_max"),
         (["verify", "higher", "--r-max", "0"], "r_max"),
+        (["verify", "scaled", "--n-max", "0"], "n_max"),
+        (["verify", "scaled", "--r-max", "0"], "r_max"),
+        (["verify", "scaled", "--samples", "-2"], "samples"),
+        (["verify", "scaled", "--d-max", "-1"], "d_max"),
+        (["verify", "scaled", "--n-max", "1", "--d-max", "0"], "d_max"),
     ],
 )
 def test_vacuous_sweeps_are_input_errors(capsys, argv, field):

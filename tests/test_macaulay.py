@@ -5,6 +5,7 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,3 +212,37 @@ def test_entry_points_keep_error_messages(call):
         call(5, 0)
     with pytest.raises(ValueError, match=r"^cannot represent negative integer -1$"):
         call(-1, 3)
+
+
+def test_kappa_tables_match_scalar_kappa():
+    # The block recurrence is a second formulation of kappa: every entry
+    # must equal the greedy pass's value, and kappa(a, e) <= a keeps int64
+    # exact.
+    tables = macaulay._kappa_tables(4000, 7)
+    assert sorted(tables) == list(range(1, 8))
+    for e, table in tables.items():
+        assert table.dtype == np.int64 and table.shape == (4001,)
+        assert table.tolist() == [kappa(a, e) for a in range(4001)], e
+        assert (table >= 0).all() and (table <= np.arange(4001)).all(), e
+
+
+def test_kappa_tables_block_edges_and_large_range():
+    A = 10**6
+    tables = macaulay._kappa_tables(A, 5)
+    for e in range(2, 6):
+        table = tables[e]
+        assert (table <= np.arange(A + 1)).all(), e
+        # Every block starts at C(m, e); check both sides of each edge.
+        m = e
+        while comb(m, e) - 1 <= A:
+            for a in (comb(m, e) - 1, comb(m, e), comb(m, e) + 1):
+                if a <= A:
+                    assert table[a] == kappa(a, e), (a, e)
+            m += 1
+        rng = random.Random(e)
+        for a in [rng.randrange(A + 1) for _ in range(2000)] + [A]:
+            assert table[a] == kappa(a, e), (a, e)
+    for A in (0, 1, 2):
+        small = macaulay._kappa_tables(A, 4)
+        for e in range(1, 5):
+            assert small[e].tolist() == [kappa(a, e) for a in range(A + 1)]

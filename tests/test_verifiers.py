@@ -10,7 +10,7 @@ import pytest
 
 from greenhrt import monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, rank2_bound
-from greenhrt.macaulay import binomial, kappa
+from greenhrt.macaulay import binomial, kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
     _higher_rhs,
@@ -198,6 +198,17 @@ def _kappa_lemma_pair_sums_reference(a_max, d_max, kappa_fn):
     return expected
 
 
+def _tables_of(kappa_fn):
+    # Stand-in for verifiers._kappa_tables that tabulates kappa_fn.
+    def tables(A, d_max):
+        return {
+            d: np.array([kappa_fn(a, d) for a in range(A + 1)], dtype=np.int64)
+            for d in range(1, d_max + 1)
+        }
+
+    return tables
+
+
 def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
     # A deliberately non-superadditive stand-in for kappa; the counterexamples
     # must be those of the index-array formulation, in the same order. The
@@ -206,6 +217,7 @@ def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
         return (a * a * (d + 1)) % 17 + a // (d + 1)
 
     block = verifiers._LEMMA_BLOCK_ROWS
+    monkeypatch.setattr(verifiers, "_kappa_tables", _tables_of(wobbly))
     monkeypatch.setattr(verifiers, "kappa", wobbly)
     for a_max, d_max in ((60, 3), (block - 1, 1), (block, 1), (block + 1, 1),
                          (2 * block + 7, 1)):
@@ -214,6 +226,60 @@ def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
         assert len(expected) > 100
         assert outcome.counterexamples == expected, (a_max, d_max)
         assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_kappa_lemma_pair_sums_cross_dtype_limits(monkeypatch, bits):
+    # Head entries reach just over 2^(bits-1), so every table entry fits in
+    # `bits` bits but the largest pair sums do not: a dtype chosen for the
+    # entries rather than their pair sums wraps and loses counterexamples.
+    a_max, d_max = 120, 2
+    half = 2 ** (bits - 1)
+
+    def saturating(a, d):
+        return half * min(a, a_max) // a_max + (a * a * (d + 1)) % 17
+
+    monkeypatch.setattr(verifiers, "_kappa_tables", _tables_of(saturating))
+    monkeypatch.setattr(verifiers, "kappa", saturating)
+    head_sums = [saturating(a, 1) + saturating(b, 1)
+                 for a in range(a_max + 1) for b in range(a_max + 1)]
+    assert min(head_sums) < 2 ** bits < max(head_sums)
+    assert max(saturating(a, 1) for a in range(2 * a_max + 1)) < 2 ** bits
+    expected = _kappa_lemma_pair_sums_reference(a_max, d_max, saturating)
+    outcome = check_kappa_lemma(a_max, d_max)
+    assert len(expected) > 100
+    assert outcome.counterexamples == expected
+
+
+def _herz_reference(a_max, d_max, kappa_fn):
+    # Reference formulation: the stall side from kappa_fn, one call per case,
+    # and the tail side from the validated representation object.
+    cases, bad = 0, []
+    for d in range(1, d_max + 1):
+        for a in range(1, a_max + 1):
+            prev, cur = kappa_fn(a - 1, d), kappa_fn(a, d)
+            tail_hits = macaulay_rep(a, d).ends_at_delta()
+            if (prev == cur) != tail_hits:
+                bad.append({"a": a, "d": d, "ends_at_delta": tail_hits,
+                            "lhs": prev, "rhs": cur})
+            cases += 1
+    return cases, bad
+
+
+def test_herz_matches_per_case_reference(monkeypatch):
+    # With skewed tables the stall side moves and the tail side must not, so
+    # counterexamples exist; reading both sides from the table would hide
+    # them.
+    def skewed(a, d):
+        return kappa(a, d) + (a + d) % 2
+
+    for kappa_fn in (kappa, skewed):
+        monkeypatch.setattr(verifiers, "_kappa_tables", _tables_of(kappa_fn))
+        for a_max, d_max in ((2, 1), (2, 4), (61, 3), (400, 7)):
+            expected = _herz_reference(a_max, d_max, kappa_fn)
+            outcome = check_herz_tail(a_max, d_max)
+            assert (outcome.cases, outcome.counterexamples) == expected, (a_max, d_max)
+            assert bool(outcome.counterexamples) == (kappa_fn is skewed), (a_max, d_max)
 
 
 def _higher_reference(n, degree_tuples, samples, seed):
