@@ -8,7 +8,6 @@ verifiers for every inequality, and the level-algebra bound comparison.
 """
 
 from .bounds import (
-    BoundBreakdown,
     CapacityError,
     FreeModuleShape,
     braced_bound,
@@ -18,10 +17,7 @@ from .bounds import (
     scaled_bound,
 )
 from .level import (
-    LevelComparison,
     LevelHilbert,
-    PropositionCheck,
-    TheoremViolation,
     compare_bounds,
     compute_hG,
     compute_hGM,
@@ -31,7 +27,6 @@ from .level import (
 )
 from .macaulay import MacaulayRep, binomial, kappa, macaulay_rep, rep_compare, rep_value
 from .monomials import (
-    DegreeSlice,
     ModuleMonomial,
     MonomialIdeal,
     MonomialModule,
@@ -49,13 +44,11 @@ from .monomials import (
 )
 from .oracle import (
     PrimeFieldMatrix,
-    RestrictionReport,
     certify_main_theorem,
     generic_restriction_dim,
     restricted_quotient_dim,
 )
 from .verifiers import (
-    VerificationOutcome,
     check_herz_tail,
     check_higher,
     check_kappa_lemma,
@@ -68,21 +61,14 @@ from .verifiers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundBreakdown",
     "CapacityError",
-    "DegreeSlice",
     "FreeModuleShape",
-    "LevelComparison",
     "LevelHilbert",
     "MacaulayRep",
     "ModuleMonomial",
     "MonomialIdeal",
     "MonomialModule",
     "PrimeFieldMatrix",
-    "PropositionCheck",
-    "RestrictionReport",
-    "TheoremViolation",
-    "VerificationOutcome",
     "binomial",
     "braced_bound",
     "certify_main_theorem",

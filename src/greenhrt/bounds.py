@@ -190,6 +190,8 @@ def scaled_bound(h: int, n: int, d: int) -> Fraction:
         raise ValueError(f"need at least one variable, got n={n}")
     if d < 0:
         raise ValueError(f"degree must be non-negative, got d={d}")
+    if n + d < 2:
+        raise ValueError("d must be at least 1 when n is 1")
     if h < 0:
         raise ValueError(f"dimension must be non-negative, got h={h}")
     return Fraction(n - 1, n + d - 1) * h

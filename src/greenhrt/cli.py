@@ -1,5 +1,9 @@
 """Command-line surface: bound computation, verification sweeps, oracle runs.
 
+The parser is built from one table, ``COMMANDS``: a ``Group`` holds its
+help, its argparse ``dest`` and its children; a ``Leaf`` holds its help,
+its argument specs and its handler. Every leaf also takes ``--format``.
+
 Exit codes: 0 on success or verified, 1 when a counterexample or bound
 violation was found, 2 on usage or input errors. JSON output is stable for
 identical invocations (fixed key order, no timestamps).
@@ -9,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from functools import cache
+from typing import NamedTuple
 
 from . import bounds, level, macaulay, monomials, oracle, verifiers
 
@@ -179,47 +185,29 @@ def _emit_outcome(args, outcome: verifiers.VerificationOutcome) -> int:
     return 0 if outcome.ok else 1
 
 
-def cmd_verify(args) -> int:
-    if args.statement == "kappa-lemma":
-        outcome = verifiers.check_kappa_lemma(args.a_max, args.d_max)
-    elif args.statement == "herz":
-        outcome = verifiers.check_herz_tail(args.a_max, args.d_max)
-    elif args.statement == "rank2":
-        outcome = verifiers.check_rank2(args.n, args.d1, args.d2)
-    elif args.statement == "higher":
-        # Empty tuple lists would pass with 0 cases; name the field instead.
-        if args.d_max < 1:
-            raise InputError(f"d_max must be at least 1, got {args.d_max}")
-        if not args.r and args.r_max < 1:
-            raise InputError(f"r_max must be at least 1 when r is 0, got {args.r_max}")
-        tuples = verifiers.nonincreasing_tuples(args.d_max, args.r) if args.r else [
-            tup
-            for r in range(1, args.r_max + 1)
-            for tup in verifiers.nonincreasing_tuples(args.d_max, r)
-        ]
-        outcome = verifiers.check_higher(args.n, tuples, args.samples, seed=args.seed)
-    elif args.statement == "lex-restriction":
-        outcome = verifiers.check_lex_restriction(args.n, args.d)
-    elif args.statement == "scaled":
-        outcome = verifiers.check_scaled_corollary(
-            n_max=args.n_max,
-            r_max=args.r_max,
-            d_max=args.d_max,
-            samples=args.samples,
-            p=args.p,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown statement {args.statement}")
-    return _emit_outcome(args, outcome)
+def _sweep(check: Callable[[argparse.Namespace], verifiers.VerificationOutcome]):
+    """Handler that runs one verification sweep and emits its outcome."""
+    return lambda args: _emit_outcome(args, check(args))
+
+
+def _check_higher(args) -> verifiers.VerificationOutcome:
+    # Empty tuple lists would pass with 0 cases; name the field instead.
+    if args.d_max < 1:
+        raise InputError(f"d_max must be at least 1, got {args.d_max}")
+    if args.r_max < 1:
+        raise InputError(f"r_max must be at least 1, got {args.r_max}")
+    tuples = [tup for r in range(1, args.r_max + 1)
+              for tup in verifiers.nonincreasing_tuples(args.d_max, r)]
+    return verifiers.check_higher(args.n, tuples, args.samples, seed=args.seed)
+
+
+def _sample(args, run) -> oracle.RestrictionReport:
+    module = _load_module(args.module)
+    return run(module, args.m, p=args.p, trials=args.trials, seed=args.seed)
 
 
 def cmd_oracle_restrict(args) -> int:
-    module = _load_module(args.module)
-    report = oracle.generic_restriction_dim(
-        module, args.m, p=args.p, trials=args.trials, seed=args.seed
-    )
+    report = _sample(args, oracle.generic_restriction_dim)
     human = (
         f"generic restriction dim = {report.generic_dim} (trials {list(report.dims)}), "
         f"bound = {report.bound}, holds = {report.holds}, equality = {report.equality}"
@@ -229,10 +217,7 @@ def cmd_oracle_restrict(args) -> int:
 
 
 def cmd_oracle_certify(args) -> int:
-    module = _load_module(args.module)
-    report = oracle.certify_main_theorem(
-        module, args.m, p=args.p, trials=args.trials, seed=args.seed
-    )
+    report = _sample(args, oracle.certify_main_theorem)
     verdict = "certified" if report.certified else "VIOLATED"
     human = (
         f"{verdict}: generic dim {report.generic_dim} vs bound {report.bound}"
@@ -242,144 +227,114 @@ def cmd_oracle_certify(args) -> int:
     return 0 if report.certified else 1
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+class Leaf(NamedTuple):
+    """A subcommand: its help, its handler and its (name, kwargs) argument specs."""
+
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    args: tuple
+
+
+class Group(NamedTuple):
+    """Subcommands parsed into one argparse ``dest``."""
+
+    help: str
+    dest: str
+    children: dict
+
+
+def _arg(name: str, **kwargs) -> tuple[str, dict]:
+    """An add_argument spec; the value is an int unless ``type`` says otherwise."""
+    return name, {"type": int, **kwargs}
+
+
+_A_D = (_arg("a"), _arg("d"))
+_TABLE_RANGES = (_arg("--a-max", default=2000), _arg("--d-max", default=6))
+_SAMPLING = (_arg("--p", default=oracle.DEFAULT_PRIME),
+             _arg("--trials", default=oracle.DEFAULT_TRIALS), _arg("--seed", default=0))
+_ORACLE_ARGS = (_arg("--module", type=str, required=True, help="module description JSON file"),
+                _arg("--m", required=True), *_SAMPLING)
+
+# Handlers reach library functions through their modules at call time, so a
+# rebound module attribute (a monkeypatch, a profiling hook) takes effect.
+COMMANDS = Group(
+    "Hyperplane restriction bounds for graded modules: "
+    "Macaulay representations, lexicographic slices, verifiers and a "
+    "prime-field restriction oracle.",
+    "command",
+    {
+        "rep": Leaf("Macaulay representation of a in base d", cmd_rep, _A_D),
+        "kappa": Leaf("numerator-decremented value of a in base d", cmd_kappa, _A_D),
+        "bound": Group("closed-form restriction bounds", "bound_kind", {
+            "green": Leaf("single-component restriction bound", cmd_bound_green,
+                          (_arg("h"), _arg("d"))),
+            "module": Leaf("piecewise bound with full breakdown", cmd_bound_module, (
+                _arg("--n", required=True), _arg("--degrees", type=str, required=True,
+                                                 help="comma-separated generator degrees"),
+                _arg("--m", required=True), _arg("--h", required=True))),
+            "scaled": Leaf("exact rational linear bound", cmd_bound_scaled, (
+                _arg("--n", required=True), _arg("--d", required=True),
+                _arg("--h", required=True))),
+        }),
+        "level": Group("level-algebra bound comparison", "level_kind", {
+            "analyze": Leaf("compare both bounds for one Hilbert function", cmd_level_analyze, (
+                _arg("--h", type=str, required=True, help="comma-separated h_0,...,h_c"),
+                _arg("--n", default=3))),
+            "table": Leaf("re-derive the bundled comparison dataset", cmd_level_table, (
+                _arg("--data", type=str, default=None, help="path to an alternative dataset"),)),
+        }),
+        "verify": Group("brute-force verification sweeps", "statement", {
+            "kappa-lemma": Leaf("superadditivity and degree monotonicity", _sweep(
+                lambda a: verifiers.check_kappa_lemma(a.a_max, a.d_max)), _TABLE_RANGES),
+            "herz": Leaf("kappa stall iff representation tail hits its degree", _sweep(
+                lambda a: verifiers.check_herz_tail(a.a_max, a.d_max)), _TABLE_RANGES),
+            "rank2": Leaf("two-summand inequality, exhaustive", _sweep(
+                lambda a: verifiers.check_rank2(a.n, a.d1, a.d2)), (
+                _arg("--n", required=True), _arg("--d1", required=True),
+                _arg("--d2", required=True))),
+            "higher": Leaf("r-summand inequality, sampled plus corners", _sweep(_check_higher), (
+                _arg("--n", default=3), _arg("--d-max", default=5), _arg("--r-max", default=4),
+                _arg("--samples", default=100, help="random draws per degree tuple"),
+                _arg("--seed", default=0))),
+            "lex-restriction": Leaf("lex-segment specialization identity", _sweep(
+                lambda a: verifiers.check_lex_restriction(a.n, a.d)), (
+                _arg("--n", required=True), _arg("--d", required=True))),
+            "scaled": Leaf("linear bound over sampled degree-zero modules", _sweep(
+                lambda a: verifiers.check_scaled_corollary(
+                    a.n_max, a.r_max, a.d_max, a.samples, a.p, a.trials, a.seed)), (
+                _arg("--n-max", default=3), _arg("--r-max", default=3),
+                _arg("--d-max", default=5), _arg("--samples", default=3), *_SAMPLING)),
+        }),
+        "oracle": Group("prime-field generic restriction", "oracle_kind", {
+            "restrict": Leaf("sampled restriction dimension of a module",
+                             cmd_oracle_restrict, _ORACLE_ARGS),
+            "certify": Leaf("check the sampled dimension against the bound",
+                            cmd_oracle_certify, _ORACLE_ARGS),
+        }),
+    },
+)
+
+
+def _add(parser: argparse.ArgumentParser, node: Group | Leaf) -> None:
+    if isinstance(node, Group):
+        sub = parser.add_subparsers(dest=node.dest, required=True)
+        for name, child in node.children.items():
+            _add(sub.add_parser(name, help=child.help), child)
+        return
+    for name, kwargs in node.args:
+        parser.add_argument(name, **kwargs)
     parser.add_argument(
         "--format", choices=("human", "json"), default="human", help="output format"
     )
+    parser.set_defaults(func=node.run)
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args keeps no state between calls, and
     # every call gets a fresh namespace.
-    parser = argparse.ArgumentParser(
-        prog="greenhrt",
-        description="Hyperplane restriction bounds for graded modules: "
-        "Macaulay representations, lexicographic slices, verifiers and a "
-        "prime-field restriction oracle.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rep", help="Macaulay representation of a in base d")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
-    _add_format(p)
-    p.set_defaults(func=cmd_rep)
-
-    p = sub.add_parser("kappa", help="numerator-decremented value of a in base d")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
-    _add_format(p)
-    p.set_defaults(func=cmd_kappa)
-
-    p = sub.add_parser("bound", help="closed-form restriction bounds")
-    bsub = p.add_subparsers(dest="bound_kind", required=True)
-
-    b = bsub.add_parser("green", help="single-component restriction bound")
-    b.add_argument("h", type=int)
-    b.add_argument("d", type=int)
-    _add_format(b)
-    b.set_defaults(func=cmd_bound_green)
-
-    b = bsub.add_parser("module", help="piecewise bound with full breakdown")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--degrees", required=True, help="comma-separated generator degrees")
-    b.add_argument("--m", type=int, required=True)
-    b.add_argument("--h", type=int, required=True)
-    _add_format(b)
-    b.set_defaults(func=cmd_bound_module)
-
-    b = bsub.add_parser("scaled", help="exact rational linear bound")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--h", type=int, required=True)
-    _add_format(b)
-    b.set_defaults(func=cmd_bound_scaled)
-
-    p = sub.add_parser("level", help="level-algebra bound comparison")
-    lsub = p.add_subparsers(dest="level_kind", required=True)
-
-    l = lsub.add_parser("analyze", help="compare both bounds for one Hilbert function")
-    l.add_argument("--h", required=True, help="comma-separated h_0,...,h_c")
-    l.add_argument("--n", type=int, default=3)
-    _add_format(l)
-    l.set_defaults(func=cmd_level_analyze)
-
-    l = lsub.add_parser("table", help="re-derive the bundled comparison dataset")
-    l.add_argument("--data", default=None, help="path to an alternative dataset")
-    _add_format(l)
-    l.set_defaults(func=cmd_level_table)
-
-    p = sub.add_parser("verify", help="brute-force verification sweeps")
-    vsub = p.add_subparsers(dest="statement", required=True)
-
-    v = vsub.add_parser("kappa-lemma", help="superadditivity and degree monotonicity")
-    v.add_argument("--a-max", type=int, default=2000)
-    v.add_argument("--d-max", type=int, default=6)
-    _add_format(v)
-    v.set_defaults(func=cmd_verify)
-
-    v = vsub.add_parser("herz", help="kappa stall iff representation tail hits its degree")
-    v.add_argument("--a-max", type=int, default=2000)
-    v.add_argument("--d-max", type=int, default=6)
-    _add_format(v)
-    v.set_defaults(func=cmd_verify)
-
-    v = vsub.add_parser("rank2", help="two-summand inequality, exhaustive")
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--d1", type=int, required=True)
-    v.add_argument("--d2", type=int, required=True)
-    _add_format(v)
-    v.set_defaults(func=cmd_verify)
-
-    v = vsub.add_parser("higher", help="r-summand inequality, sampled plus corners")
-    v.add_argument("--n", type=int, default=3)
-    v.add_argument("--d-max", type=int, default=5)
-    v.add_argument("--r", type=int, default=0, help="fixed tuple length (0 = all up to --r-max)")
-    v.add_argument("--r-max", type=int, default=4)
-    v.add_argument("--samples", type=int, default=100, help="random draws per degree tuple")
-    v.add_argument("--seed", type=int, default=0)
-    _add_format(v)
-    v.set_defaults(func=cmd_verify)
-
-    v = vsub.add_parser("lex-restriction", help="lex-segment specialization identity")
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--d", type=int, required=True)
-    _add_format(v)
-    v.set_defaults(func=cmd_verify)
-
-    v = vsub.add_parser("scaled", help="linear bound over sampled degree-zero modules")
-    v.add_argument("--n-max", type=int, default=3)
-    v.add_argument("--r-max", type=int, default=3)
-    v.add_argument("--d-max", type=int, default=5)
-    v.add_argument("--samples", type=int, default=3)
-    v.add_argument("--p", type=int, default=oracle.DEFAULT_PRIME)
-    v.add_argument("--trials", type=int, default=oracle.DEFAULT_TRIALS)
-    v.add_argument("--seed", type=int, default=0)
-    _add_format(v)
-    v.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="prime-field generic restriction")
-    osub = p.add_subparsers(dest="oracle_kind", required=True)
-
-    o = osub.add_parser("restrict", help="sampled restriction dimension of a module")
-    o.add_argument("--module", required=True, help="module description JSON file")
-    o.add_argument("--m", type=int, required=True)
-    o.add_argument("--p", type=int, default=oracle.DEFAULT_PRIME)
-    o.add_argument("--trials", type=int, default=oracle.DEFAULT_TRIALS)
-    o.add_argument("--seed", type=int, default=0)
-    _add_format(o)
-    o.set_defaults(func=cmd_oracle_restrict)
-
-    o = osub.add_parser("certify", help="check the sampled dimension against the bound")
-    o.add_argument("--module", required=True, help="module description JSON file")
-    o.add_argument("--m", type=int, required=True)
-    o.add_argument("--p", type=int, default=oracle.DEFAULT_PRIME)
-    o.add_argument("--trials", type=int, default=oracle.DEFAULT_TRIALS)
-    o.add_argument("--seed", type=int, default=0)
-    _add_format(o)
-    o.set_defaults(func=cmd_oracle_certify)
-
+    parser = argparse.ArgumentParser(prog="greenhrt", description=COMMANDS.help)
+    _add(parser, COMMANDS)
     return parser
 
 

@@ -174,10 +174,16 @@ def parse_level_table(text: str) -> list[TableRow]:
         parts = line.split(";")
         if len(parts) != 4:
             raise ValueError(f"{where}: expected 4 fields, got {len(parts)}")
+        h = _parse_int_list(parts[1], where)
+        try:
+            position = int(parts[0])
+            LevelHilbert(h=h)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
         rows.append(
             TableRow(
-                position=int(parts[0]),
-                h=_parse_int_list(parts[1], where),
+                position=position,
+                h=h,
                 hGM=_parse_int_list(parts[2], where),
                 hG=_parse_int_list(parts[3], where),
             )

@@ -90,10 +90,6 @@ class MonomialIdeal:
     def contains(self, mono: Monomial) -> bool:
         return any(divides(g, mono) for g in self.gens)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
 
 @dataclass(frozen=True)
 class MonomialModule:

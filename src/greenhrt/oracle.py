@@ -30,7 +30,6 @@ from .monomials import (
     MonomialModule,
     degree_slice,
     enumerate_monomials,
-    module_to_data,
 )
 
 DEFAULT_PRIME = 32003
@@ -112,7 +111,6 @@ class RestrictionReport:
     monomials form the top slice, where the bound is attained.
     """
 
-    module_data: dict
     m: int
     p: int
     trials: int
@@ -294,7 +292,6 @@ def _sampled_report(
     generic = min(dims)
     bound = module_bound(sl.quotient_dim, m, shape).total
     return RestrictionReport(
-        module_data=module_to_data(module),
         m=m,
         p=p,
         trials=trials,
@@ -323,12 +320,6 @@ def generic_restriction_dim(
     can only overestimate the generic dimension, never undershoot it.
     """
     return _sampled_report(module, m, p, trials, seed, certify=False)
-
-
-def is_top_slice(module: MonomialModule, m: int) -> bool:
-    """True when the module's degree-m monomials are exactly the largest
-    dim M_m module monomials of F_m."""
-    return degree_slice(module, m).is_top
 
 
 def certify_main_theorem(

@@ -179,7 +179,7 @@ def test_scaled_examples():
     assert scaled_bound(0, 4, 3) == 0
     assert scaled_bound(7, 5, 0) == 7  # factor is exactly 1 at d = 0
     assert scaled_bound(5, 3, 3) == Fraction(2, 5) * 5
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="^d must be at least 1 when n is 1$"):
         scaled_bound(1, 1, 0)
 
 

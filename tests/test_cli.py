@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from greenhrt.cli import main
+from greenhrt.cli import COMMANDS, Group, main
 
 
 def run(capsys, argv):
@@ -213,10 +213,12 @@ def test_usage_errors_exit_two():
         (["verify", "scaled", "--samples", "-2"], "samples"),
         (["verify", "scaled", "--d-max", "-1"], "d_max"),
         (["verify", "scaled", "--n-max", "1", "--d-max", "0"], "d_max"),
+        (["bound", "scaled", "--n", "1", "--d", "0", "--h", "1"], "d"),
     ],
 )
 def test_vacuous_sweeps_are_input_errors(capsys, argv, field):
-    # Each of these once passed with 0 cases or echoed a negative count.
+    # Each of these once passed with 0 cases, echoed a negative count or
+    # (bound scaled at n = 1, d = 0) ended in a ZeroDivisionError traceback.
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {field} ")
@@ -229,25 +231,45 @@ def test_json_output_is_byte_stable(capsys):
     assert first == second
 
 
-def test_every_subcommand_has_json_path(capsys):
-    json_invocations = [
-        ["rep", "5", "2", "--format", "json"],
-        ["kappa", "5", "2", "--format", "json"],
-        ["bound", "green", "3", "2", "--format", "json"],
-        ["bound", "module", "--n", "2", "--degrees", "0", "--m", "2", "--h", "1",
-         "--format", "json"],
-        ["bound", "scaled", "--n", "2", "--d", "1", "--h", "2", "--format", "json"],
-        ["level", "analyze", "--h", "1,2", "--format", "json"],
-        ["level", "table", "--format", "json"],
-        ["verify", "herz", "--a-max", "20", "--d-max", "2", "--format", "json"],
-        ["verify", "rank2", "--n", "2", "--d1", "2", "--d2", "1", "--format", "json"],
-        ["verify", "lex-restriction", "--n", "2", "--d", "2", "--format", "json"],
-    ]
-    for argv in json_invocations:
-        code = main(argv)
+def _leaf_paths(node, path=()):
+    if isinstance(node, Group):
+        for name, child in node.children.items():
+            yield from _leaf_paths(child, path + (name,))
+    else:
+        yield path
+
+
+def test_every_subcommand_has_json_path(capsys, tmp_path):
+    module_file = tmp_path / "module.json"
+    module_file.write_text(
+        json.dumps({"n": 3, "degrees": [0], "components": [[[2, 0, 0]]]})
+    )
+    module = ["--module", str(module_file), "--m", "2"]
+    cases = {
+        ("rep",): ["5", "2"],
+        ("kappa",): ["5", "2"],
+        ("bound", "green"): ["3", "2"],
+        ("bound", "module"): ["--n", "2", "--degrees", "0", "--m", "2", "--h", "1"],
+        ("bound", "scaled"): ["--n", "2", "--d", "1", "--h", "2"],
+        ("level", "analyze"): ["--h", "1,2"],
+        ("level", "table"): [],
+        ("verify", "kappa-lemma"): ["--a-max", "20", "--d-max", "2"],
+        ("verify", "herz"): ["--a-max", "20", "--d-max", "2"],
+        ("verify", "rank2"): ["--n", "2", "--d1", "2", "--d2", "1"],
+        ("verify", "higher"): ["--n", "2", "--d-max", "2", "--r-max", "2", "--samples", "2"],
+        ("verify", "lex-restriction"): ["--n", "2", "--d", "2"],
+        ("verify", "scaled"): ["--n-max", "2", "--r-max", "1", "--d-max", "1",
+                               "--samples", "1"],
+        ("oracle", "restrict"): module,
+        ("oracle", "certify"): module,
+    }
+    # Read from the command table, so a new leaf without a case fails here.
+    assert sorted(cases) == sorted(_leaf_paths(COMMANDS))
+    for path, argv in cases.items():
+        code = main([*path, *argv, "--format", "json"])
         out = capsys.readouterr().out
         json.loads(out)  # must parse
-        assert code == 0, argv
+        assert code == 0, path
 
 
 def test_repeated_main_calls_share_no_state(capsys):

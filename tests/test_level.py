@@ -105,6 +105,11 @@ def test_table_parser_rejects_malformed():
         parse_level_table("2;1,3;1\n")
     with pytest.raises(ValueError, match="bad integer"):
         parse_level_table("2;1,x;1;1\n")
+    with pytest.raises(ValueError, match="^line 3: invalid literal for int.*'x'$"):
+        parse_level_table("# c\n\nx;1,3;1;1\n")
+    # Caught here, not later in reproduce_table where no line is known.
+    with pytest.raises(ValueError, match=r"^line 2: .* entries must be >= 1: \(1, 0, 3\)$"):
+        parse_level_table("2;1,3,3,3,2;1,3,2,1;1,2,3,2\n2;1,0,3;1,3;1,2\n")
     assert parse_level_table("# comment only\n\n") == []
 
 

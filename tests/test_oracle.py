@@ -24,7 +24,6 @@ from greenhrt.oracle import (
     certify_main_theorem,
     generic_restriction_dim,
     is_prime,
-    is_top_slice,
     restricted_quotient_dim,
 )
 
@@ -198,7 +197,7 @@ def test_substitution_matches_dense_elimination():
 def test_certify_flags_lex_slices():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
     slice_module = module_from_slice(shape, lex_module_slice(shape, 2, 2))
-    assert is_top_slice(slice_module, 2)
+    assert degree_slice(slice_module, 2).is_top
     report = certify_main_theorem(slice_module, 2, seed=9)
     assert report.expect_equality and report.certified and report.equality
 
@@ -209,7 +208,7 @@ def test_certify_flags_lex_slices():
             MonomialIdeal.from_generators(2, []),
         ),
     )
-    assert not is_top_slice(other, 2)
+    assert not degree_slice(other, 2).is_top
     report = certify_main_theorem(other, 2, seed=9)
     assert not report.expect_equality
     assert report.holds
