@@ -43,7 +43,6 @@ from .monomials import (
     restrict_xn_count,
 )
 from .oracle import (
-    PrimeFieldMatrix,
     certify_main_theorem,
     generic_restriction_dim,
     restricted_quotient_dim,
@@ -68,7 +67,6 @@ __all__ = [
     "ModuleMonomial",
     "MonomialIdeal",
     "MonomialModule",
-    "PrimeFieldMatrix",
     "binomial",
     "braced_bound",
     "certify_main_theorem",

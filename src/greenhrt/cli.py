@@ -3,6 +3,7 @@
 The parser is built from one table, ``COMMANDS``: a ``Group`` holds its
 help, its argparse ``dest`` and its children; a ``Leaf`` holds its help,
 its argument specs and its handler. Every leaf also takes ``--format``.
+Long flags must be spelled in full: no parser accepts a unique prefix.
 
 Exit codes: 0 on success or verified, 1 when a counterexample or bound
 violation was found, 2 on usage or input errors. JSON output is stable for
@@ -20,10 +21,6 @@ from typing import NamedTuple
 from . import bounds, level, macaulay, monomials, oracle, verifiers
 
 
-class InputError(ValueError):
-    """Bad file, malformed JSON or out-of-range value supplied by the user."""
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.format == "json":
         print(json.dumps(payload))
@@ -36,13 +33,13 @@ def _load_module(path: str) -> monomials.MonomialModule:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read module file {path}: {exc}")
+        raise ValueError(f"cannot read module file {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise InputError(f"module file {path} is not valid JSON: {exc}")
+        raise ValueError(f"module file {path} is not valid JSON: {exc}")
     try:
         return monomials.module_from_data(data)
     except ValueError as exc:
-        raise InputError(f"module file {path}: {exc}")
+        raise ValueError(f"module file {path}: {exc}")
 
 
 def cmd_rep(args) -> int:
@@ -144,7 +141,7 @@ def cmd_level_table(args) -> int:
     try:
         rows = level.load_level_table(args.data)
     except (OSError, ValueError) as exc:
-        raise InputError(f"level table dataset: {exc}")
+        raise ValueError(f"level table dataset: {exc}")
     results = level.reproduce_table(rows)
     all_ok = all(r.ok for r in results)
     payload = {
@@ -193,9 +190,9 @@ def _sweep(check: Callable[[argparse.Namespace], verifiers.VerificationOutcome])
 def _check_higher(args) -> verifiers.VerificationOutcome:
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if args.d_max < 1:
-        raise InputError(f"d_max must be at least 1, got {args.d_max}")
+        raise ValueError(f"d_max must be at least 1, got {args.d_max}")
     if args.r_max < 1:
-        raise InputError(f"r_max must be at least 1, got {args.r_max}")
+        raise ValueError(f"r_max must be at least 1, got {args.r_max}")
     tuples = [tup for r in range(1, args.r_max + 1)
               for tup in verifiers.nonincreasing_tuples(args.d_max, r)]
     return verifiers.check_higher(args.n, tuples, args.samples, seed=args.seed)
@@ -319,7 +316,7 @@ def _add(parser: argparse.ArgumentParser, node: Group | Leaf) -> None:
     if isinstance(node, Group):
         sub = parser.add_subparsers(dest=node.dest, required=True)
         for name, child in node.children.items():
-            _add(sub.add_parser(name, help=child.help), child)
+            _add(sub.add_parser(name, help=child.help, allow_abbrev=False), child)
         return
     for name, kwargs in node.args:
         parser.add_argument(name, **kwargs)
@@ -333,7 +330,9 @@ def _add(parser: argparse.ArgumentParser, node: Group | Leaf) -> None:
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args keeps no state between calls, and
     # every call gets a fresh namespace.
-    parser = argparse.ArgumentParser(prog="greenhrt", description=COMMANDS.help)
+    parser = argparse.ArgumentParser(
+        prog="greenhrt", description=COMMANDS.help, allow_abbrev=False
+    )
     _add(parser, COMMANDS)
     return parser
 

@@ -50,7 +50,7 @@ def is_prime(p: int) -> bool:
 @lru_cache(maxsize=8)
 def _check_modulus(p: int) -> None:
     # The size test comes first: trial division of a huge p would not end.
-    # Cached, so the oracle's per-block matrices test a modulus once; a
+    # Cached, so a run's trials test its modulus once between them; a
     # rejected p raises and is not cached.
     if p >= 2**31:
         raise ValueError(f"modulus {p} too large for int64 arithmetic")
@@ -58,45 +58,32 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
-class PrimeFieldMatrix:
-    """Dense matrix over F_p with rank by Gaussian elimination mod p.
+def rank_mod_p(block: np.ndarray, p: int) -> int:
+    """Rank over F_p of a 2-D int64 block by Gaussian elimination mod p.
 
-    Entries are reduced into [0, p); p must stay below 2**31 so products
-    of two entries fit in int64.
+    Entries must already lie in [0, p), and p must be a prime below 2**31,
+    checked by the caller, so products of two entries fit in int64. The
+    block is not modified.
     """
-
-    def __init__(self, rows: np.ndarray, p: int):
-        _check_modulus(p)
-        self.p = p
-        self.rows = np.asarray(rows, dtype=np.int64) % p
-        if self.rows.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
-
-    def rank(self) -> int:
-        p = self.p
-        mat = self.rows.copy()
-        nrows, ncols = mat.shape
-        rank = 0
-        for col in range(ncols):
-            if rank == nrows:
-                break
-            nz = np.nonzero(mat[rank:, col])[0]
-            if nz.size == 0:
-                continue
-            pivot = nz[0] + rank
-            if pivot != rank:
-                mat[[rank, pivot]] = mat[[pivot, rank]]
-            inv = pow(int(mat[rank, col]), -1, p)
-            mat[rank] = (mat[rank] * inv) % p
-            below = np.nonzero(mat[rank + 1 :, col])[0] + rank + 1
-            if below.size:
-                mat[below] = (mat[below] - mat[below, col][:, None] * mat[rank]) % p
-            rank += 1
-        return rank
+    mat = block.copy()
+    nrows, ncols = mat.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.nonzero(mat[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot = nz[0] + rank
+        if pivot != rank:
+            mat[[rank, pivot]] = mat[[pivot, rank]]
+        inv = pow(int(mat[rank, col]), -1, p)
+        mat[rank] = (mat[rank] * inv) % p
+        below = np.nonzero(mat[rank + 1 :, col])[0] + rank + 1
+        if below.size:
+            mat[below] = (mat[below] - mat[below, col][:, None] * mat[rank]) % p
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)
@@ -183,8 +170,10 @@ def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) ->
     A member with a_j = 0 maps to the unit vector of x'^a', and distinct
     members give distinct units: those rows are counted, their columns
     dropped, and only the other rows are ranked, on the columns left. The
-    zero form gives dim (F/M)_m; for n = 1, S' is the field.
+    zero form gives dim (F/M)_m; for n = 1, S' is the field. p must be a
+    prime below 2**31; it is checked here, before any block is built.
     """
+    _check_modulus(p)
     shape = sl.shape
     if len(coeffs) != shape.n:
         raise ValueError(f"need {shape.n} coefficients, got {len(coeffs)}")
@@ -270,7 +259,7 @@ def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) ->
         hit = cells >= 0
         block = np.zeros((aj.size, int(keep.sum())), dtype=np.int64)
         block[row_of[hit], cells[hit]] = power[listed[hit]]
-        total -= PrimeFieldMatrix(block, p).rank()
+        total -= rank_mod_p(block, p)
     return total
 
 

@@ -59,8 +59,10 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     """Superadditivity kappa(a,d)+kappa(b,d) <= kappa(a+b,d) and degree
     monotonicity kappa(a,d+1) <= kappa(a,d), exhaustively for a,b <= a_max
     and d <= d_max."""
-    if a_max < 1 or d_max < 1:
-        raise ValueError("a_max and d_max must be positive")
+    if a_max < 1:
+        raise ValueError(f"a_max must be at least 1, got {a_max}")
+    if d_max < 1:
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
     out = VerificationOutcome("kappa-lemma", {"a_max": a_max, "d_max": d_max})
     tables = _kappa_tables(2 * a_max, d_max + 1)
     # The narrowest unsigned dtype that holds every pair sum of table

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from greenhrt import verifiers
 from greenhrt.cli import COMMANDS, Group, main
 
 
@@ -87,6 +88,37 @@ def test_level_table_custom_data_failure(capsys, tmp_path):
     code, out, _ = run(capsys, ["level", "table", "--data", str(bad), "--format", "json"])
     assert code == 1
     assert not json.loads(out)["all_ok"]
+
+
+def test_level_table_bad_data_is_input_error(capsys, tmp_path):
+    missing = tmp_path / "nope.csv"
+    code, out, err = run(capsys, ["level", "table", "--data", str(missing)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: level table dataset: ") and str(missing) in err
+
+    malformed = tmp_path / "rows.csv"
+    malformed.write_text("# header\n2;1,3,3,3,2;1,3,2,1;1,2,3,2\n2;1,3;1\n")
+    code, out, err = run(capsys, ["level", "table", "--data", str(malformed)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: level table dataset: line 3: expected 4 fields")
+
+
+def test_sweep_counterexamples_exit_one_and_print_at_most_ten(capsys, monkeypatch):
+    found = [{"h": h, "lhs": h + 1, "rhs": h} for h in range(12)]
+
+    def failing_rank2(n, d1, d2):
+        return verifiers.VerificationOutcome("rank2", {"n": n}, cases=12, counterexamples=found)
+
+    monkeypatch.setattr(verifiers, "check_rank2", failing_rank2)
+    code, out, _ = run(capsys, ["verify", "rank2", "--n", "2", "--d1", "1", "--d2", "1"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "rank2: 12 cases, 12 counterexamples"
+    assert lines[1:] == [str(c) for c in found[:10]]
+
+    code, out, _ = run(capsys, ["verify", "rank2", "--n", "2", "--d1", "1", "--d2", "1",
+                                "--format", "json"])
+    assert code == 1 and len(json.loads(out)["counterexamples"]) == 12
 
 
 def test_verify_rank2(capsys):
@@ -198,6 +230,13 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # A long flag binds only when spelled in full, never by a unique prefix.
+    for argv in (["verify", "higher", "--r", "2"],
+                 ["verify", "kappa-lemma", "--a-m", "10", "--d-m", "2"],
+                 ["kappa", "8", "3", "--form", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize(
@@ -214,6 +253,8 @@ def test_usage_errors_exit_two():
         (["verify", "scaled", "--d-max", "-1"], "d_max"),
         (["verify", "scaled", "--n-max", "1", "--d-max", "0"], "d_max"),
         (["bound", "scaled", "--n", "1", "--d", "0", "--h", "1"], "d"),
+        (["verify", "kappa-lemma", "--d-max", "0"], "d_max"),
+        (["verify", "kappa-lemma", "--a-max", "0"], "a_max"),
     ],
 )
 def test_vacuous_sweeps_are_input_errors(capsys, argv, field):

@@ -19,11 +19,11 @@ from greenhrt.monomials import (
     restrict_xn_count,
 )
 from greenhrt.oracle import (
-    PrimeFieldMatrix,
     _trial_coefficients,
     certify_main_theorem,
     generic_restriction_dim,
     is_prime,
+    rank_mod_p,
     restricted_quotient_dim,
 )
 
@@ -34,22 +34,22 @@ def test_is_prime():
 
 
 def test_modulus_is_tested_once_per_certify(monkeypatch):
-    # Every block the oracle ranks is a PrimeFieldMatrix, which checks its
-    # modulus; trial division of p must still run only once.
+    # Every trial checks its modulus on entry and ranks blocks through
+    # rank_mod_p; trial division of p must still run only once.
     divisions, blocks = [], []
-    original_is_prime, original_rank = oracle.is_prime, PrimeFieldMatrix.rank
+    original_is_prime, original_rank = oracle.is_prime, oracle.rank_mod_p
 
     def counting_is_prime(p):
         divisions.append(p)
         return original_is_prime(p)
 
-    def counting_rank(self):
-        blocks.append(self.shape)
-        return original_rank(self)
+    def counting_rank(block, p):
+        blocks.append(block.shape)
+        return original_rank(block, p)
 
     oracle._check_modulus.cache_clear()
     monkeypatch.setattr(oracle, "is_prime", counting_is_prime)
-    monkeypatch.setattr(PrimeFieldMatrix, "rank", counting_rank)
+    monkeypatch.setattr(oracle, "rank_mod_p", counting_rank)
     shape = FreeModuleShape(n=3, degrees=(0, 0, 1, 1))
     module = MonomialModule(
         shape=shape,
@@ -63,17 +63,23 @@ def test_modulus_is_tested_once_per_certify(monkeypatch):
 
 def test_matrix_rank_known_cases():
     p = 101
-    eye = PrimeFieldMatrix(np.eye(4, dtype=np.int64), p)
-    assert eye.rank() == 4
-    dependent = PrimeFieldMatrix(
-        np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64), p
-    )
-    assert dependent.rank() == 2
-    # rows collapsing only mod p
-    modp = PrimeFieldMatrix(np.array([[1, 1], [1 + p, 1 - p]], dtype=np.int64), p)
-    assert modp.rank() == 1
-    with pytest.raises(ValueError):
-        PrimeFieldMatrix(np.eye(2, dtype=np.int64), 10)
+    assert rank_mod_p(np.eye(4, dtype=np.int64), p) == 4
+    dependent = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
+    assert rank_mod_p(dependent, p) == 2
+    # rows collapsing only mod p, passed reduced as the oracle passes them
+    modp = np.array([[1, 1], [1 + p, 1 - p]], dtype=np.int64) % p
+    before = modp.copy()
+    assert rank_mod_p(modp, p) == 1
+    assert np.array_equal(modp, before)  # the argument is not modified
+
+
+def test_restriction_checks_the_modulus_without_a_block_to_rank():
+    # The zero module has no member to rank, so no block would test p.
+    sl = degree_slice(MonomialModule.zero(FreeModuleShape(n=2, degrees=(0,))), 2)
+    for p, message in ((10, "is not prime"), (2**31, "too large"), (2**40, "too large")):
+        with pytest.raises(ValueError, match=f"modulus {p} {message}"):
+            restricted_quotient_dim(sl, p, (1, 1))
+    assert restricted_quotient_dim(sl, 32003, (1, 1)) == 1
 
 
 def test_free_module_restriction_dimension():
@@ -153,7 +159,7 @@ def _dense_quotient_dim(sl, p, coeffs):
         rows.append(row)
     if not rows:
         return ncols
-    return ncols - PrimeFieldMatrix(np.array(rows, dtype=np.int64), p).rank()
+    return ncols - rank_mod_p(np.array(rows, dtype=np.int64), p)
 
 
 def test_substitution_matches_dense_elimination():
