@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, combinations
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .bounds import CapacityError, FreeModuleShape
 
@@ -31,22 +35,40 @@ def divides(g: Monomial, mono: Monomial) -> bool:
     return all(e >= ge for e, ge in zip(mono, g))
 
 
+def _exponent_rows(n: int, d: int) -> np.ndarray:
+    """Every degree-d exponent vector in n variables, one per row, lex-decreasing.
+
+    Stars and bars: a row is d stars and n - 1 bars in d + n - 1 slots, and
+    ``combinations`` lists the bar positions in lex-increasing order of the
+    exponents they cut, so the rows are read in reverse. For n = 1 the one
+    row holds d as a Python int, since d is unbounded there; for n >= 2 the
+    C(n+d-1, d) rows keep d far inside int64.
+    """
+    if n == 1:
+        return np.array([[d]], dtype=object)
+    count = comb(n + d - 1, d)
+    # Bar positions, between sentinel bars at -1 and d + n - 1.
+    bars = np.empty((count, n + 1), dtype=np.int64)
+    bars[:, 0] = -1
+    bars[:, n] = d + n - 1
+    bars[::-1, 1:n] = np.fromiter(
+        chain.from_iterable(combinations(range(d + n - 1), n - 1)),
+        dtype=np.int64,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
+    return np.diff(bars, axis=1) - 1
+
+
 def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     """All monomials of degree d in n variables, lex-decreasing.
 
-    Emits the order directly by descending over the first exponent, so no
-    sort is needed. Length is C(n+d-1, d).
+    Length is C(n+d-1, d).
     """
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if d < 0:
         raise ValueError(f"degree must be non-negative, got d={d}")
-    if n == 1:
-        return [(d,)]
-    out: list[Monomial] = []
-    for e in range(d, -1, -1):
-        out.extend((e,) + rest for rest in enumerate_monomials(n - 1, d - e))
-    return out
+    return list(map(tuple, _exponent_rows(n, d).tolist()))
 
 
 def _check_over_shape(u: ModuleMonomial, shape: FreeModuleShape) -> None:
@@ -151,35 +173,60 @@ def module_from_slice(shape: FreeModuleShape, members: Sequence[ModuleMonomial])
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeSlice:
-    """The degree-m parts of F and of a submodule M.
+    """The degree-m parts of F and of a submodule M, one component at a time.
 
-    ``basis`` is the monomial basis of F_m in decreasing position-over-term
-    order; ``in_module[k]`` records whether ``basis[k]`` lies in M.
+    ``exps[i]`` holds the exponent vectors of S_{m - f_i}, one per row,
+    lex-decreasing (no rows when m < f_i), so the components in order list
+    the monomial basis of F_m in decreasing position-over-term order.
+    ``member[i][k]`` records whether row k of component i lies in M. Both
+    arrays are read-only; the exponents are int64, or Python ints at n = 1.
     """
 
     shape: FreeModuleShape
     m: int
-    basis: list[ModuleMonomial]
-    in_module: list[bool]
+    exps: tuple[np.ndarray, ...]
+    member: tuple[np.ndarray, ...]
 
     @property
     def quotient_dim(self) -> int:
         """dim (F/M)_m."""
-        return self.in_module.count(False)
+        return sum(mask.size - int(np.count_nonzero(mask)) for mask in self.member)
 
     @property
     def is_top(self) -> bool:
         """M_m is spanned by the largest dim M_m monomials of F_m: the flags
         are all on, then all off."""
-        return all(self.in_module[: self.in_module.count(True)])
+        flags = np.concatenate(self.member)
+        return bool(flags[: np.count_nonzero(flags)].all())
+
+    @property
+    def xn_free_quotient_dim(self) -> int:
+        """The basis monomials outside M that x_n does not divide."""
+        return sum(
+            int(np.count_nonzero(~inside & (rows[:, -1] == 0)))
+            for rows, inside in zip(self.exps, self.member)
+        )
 
 
 def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
-    """Enumerate F_m once and test each basis monomial for membership in M."""
-    basis = enumerate_module_monomials(module.shape, m)
-    return DegreeSlice(module.shape, m, basis, [module.contains(u) for u in basis])
+    """Enumerate F_m once and mark the basis monomials that lie in M."""
+    n = module.shape.n
+    exps, member = [], []
+    for ideal, f in zip(module.components, module.shape.degrees):
+        d = m - f
+        rows = _exponent_rows(n, d) if d >= 0 else np.empty((0, n), dtype=np.int64)
+        mask = np.zeros(len(rows), dtype=bool)
+        for g in ideal.gens:
+            # A generator above degree d divides nothing there; dropping it
+            # first also keeps its exponents out of the int64 compare.
+            if monomial_degree(g) <= d:
+                mask |= (rows >= np.array(g, dtype=rows.dtype)).all(axis=1)
+        rows.flags.writeable = mask.flags.writeable = False
+        exps.append(rows)
+        member.append(mask)
+    return DegreeSlice(module.shape, m, tuple(exps), tuple(member))
 
 
 def hilbert_value_module(module: MonomialModule, m: int) -> int:
@@ -194,10 +241,7 @@ def restrict_xn_count(module: MonomialModule, m: int) -> int:
     each component the degree-m survivors are precisely the x_n-free
     monomials outside the ideal.
     """
-    sl = degree_slice(module, m)
-    return sum(
-        1 for u, inside in zip(sl.basis, sl.in_module) if not inside and u.monomial[-1] == 0
-    )
+    return degree_slice(module, m).xn_free_quotient_dim
 
 
 def module_to_data(module: MonomialModule) -> dict:

@@ -13,7 +13,9 @@ ring S' of the other n - 1 variables (Green 1989, restriction to a
 hyperplane), and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d) holds
 exactly for every form. Members of (I_i)_d free of x_j map to distinct
 unit vectors, so only the other members are ranked, on the columns those
-units leave: one |(I_i)_d| x dim S'_d block at most per component.
+units leave: one |(I_i)_d| x dim S'_d block at most per component. Which
+rows, columns and entries the blocks have depends on the slice and the
+pivot only, so a report plans them once and fills them for each trial.
 """
 from __future__ import annotations
 
@@ -21,16 +23,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import module_bound
-from .monomials import (
-    DegreeSlice,
-    MonomialModule,
-    degree_slice,
-    enumerate_monomials,
-)
+from .monomials import DegreeSlice, MonomialModule, _exponent_rows, degree_slice
 
 DEFAULT_PRIME = 32003
 DEFAULT_TRIALS = 3
@@ -156,6 +154,107 @@ def _lex_index(sums: np.ndarray, table: np.ndarray) -> np.ndarray:
     return index
 
 
+class _Plan(NamedTuple):
+    """The coefficient-free part of restricted_quotient_dim for one slice and
+    one pivot variable x_j.
+
+    ``free`` is the dimension before any block is ranked: dim S'_d summed
+    over the components, less the unit rows.
+    S'_0, ..., S'_top are listed one after the other, each lex-decreasing,
+    S'_e from ``starts[e]``; ``shift[g, k]`` is the listed position of
+    monomial g times x'_k. Each block is (rows, columns, listed positions,
+    shape): its entry at (row, column) is the coefficient of L^(a_j) at
+    that listed monomial.
+    """
+
+    j: int
+    free: int
+    starts: list[int]
+    shift: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]], ...]
+
+
+def _restriction_plan(sl: DegreeSlice, j: int) -> _Plan:
+    shape = sl.shape
+    if shape.n == 1:
+        # S'_d is the field for d = 0 and zero above it.
+        return _Plan(j, sl.xn_free_quotient_dim, [], np.empty(0), ())
+    nvars = shape.n - 1
+    big = max(sl.m - min(shape.degrees), 0)
+    # Lex positions in S'_d for every d <= big, as _lex_index reads them.
+    table = np.array(
+        [[comb(nvars - k - 2 + s, nvars - k - 1) for s in range(big + 1)]
+         for k in range(nvars - 1)],
+        dtype=np.int64,
+    ).reshape(nvars - 1, big + 1)
+
+    free = 0
+    ranked = []  # (a_j, suffix sums of a', kept columns) of the rows left to rank
+    for f, rows, inside in zip(shape.degrees, sl.exps, sl.member):
+        d = sl.m - f
+        if d < 0:
+            continue
+        width = comb(nvars - 1 + d, nvars - 1)
+        exps = rows[inside]
+        pivot = exps[:, j]
+        rest_sums = _suffix_sums(np.delete(exps, j, axis=1))
+        unit = pivot == 0
+        keep = np.ones(width, dtype=bool)
+        keep[_lex_index(rest_sums[unit], table)] = False
+        free += width - int(unit.sum())
+        if keep.any() and not unit.all():
+            ranked.append((pivot[~unit], rest_sums[~unit], keep))
+    if not ranked:
+        return _Plan(j, free, [], np.empty(0), ())
+
+    top = max(int(aj.max()) for aj, _, _ in ranked)
+    offset = np.array([comb(nvars - 1 + e, nvars) for e in range(top + 2)], dtype=np.int64)
+    listed_sums = _suffix_sums(_exponent_rows(nvars + 1, top)[:, 1:])
+    degree = np.repeat(np.arange(top), np.diff(offset[: top + 1]))
+    earlier = np.triu(np.ones((nvars, nvars), dtype=np.int64), 1)  # [t, k] = t < k
+    shift = offset[degree + 1, None] + _lex_index(
+        listed_sums[: offset[top], None, :] + earlier.T, table
+    )
+
+    blocks = []
+    for aj, rest_sums, keep in ranked:
+        # Row r is x'^a' * L^(a_j): one entry per monomial b of S'_(a_j), at
+        # the column of x'^a' * x'^b unless a unit row dropped that column.
+        column = np.cumsum(keep) - 1
+        column[~keep] = -1
+        counts = offset[aj + 1] - offset[aj]
+        row_of = np.repeat(np.arange(aj.size), counts)
+        first = np.cumsum(counts) - counts
+        listed = np.arange(counts.sum()) + np.repeat(offset[aj] - first, counts)
+        cells = column[_lex_index(rest_sums[row_of] + listed_sums[listed], table)]
+        hit = cells >= 0
+        blocks.append((row_of[hit], cells[hit], listed[hit], (aj.size, int(keep.sum()))))
+    return _Plan(j, free, offset.tolist(), shift, tuple(blocks))
+
+
+def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
+    """Fill the plan's blocks for the form with these coefficients, whose
+    c_j is nonzero mod p, and rank them."""
+    total = plan.free
+    if not plan.blocks:
+        return total
+    # Coefficients of L^e on S'_e for every e <= top: L^(e+1) = L^e * L.
+    j, starts = plan.j, plan.starts
+    inv = pow(coeffs[j], -1, p)
+    lam = np.array([-c * inv % p for k, c in enumerate(coeffs) if k != j], dtype=np.int64)
+    power = np.zeros(starts[-1], dtype=np.int64)
+    power[0] = 1
+    for e in range(len(starts) - 2):
+        lo, mid, hi = starts[e : e + 3]
+        np.add.at(power, plan.shift[lo:mid], power[lo:mid, None] * lam % p)
+        power[mid:hi] %= p
+    for rows, columns, listed, size in plan.blocks:
+        block = np.zeros(size, dtype=np.int64)
+        block[rows, columns] = power[listed]
+        total -= rank_mod_p(block, p)
+    return total
+
+
 def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) -> int:
     """dim (F/(M + l F))_m for the specific linear form l = sum c_i x_i.
 
@@ -169,98 +268,19 @@ def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) ->
 
     A member with a_j = 0 maps to the unit vector of x'^a', and distinct
     members give distinct units: those rows are counted, their columns
-    dropped, and only the other rows are ranked, on the columns left. The
-    zero form gives dim (F/M)_m; for n = 1, S' is the field. p must be a
-    prime below 2**31; it is checked here, before any block is built.
+    dropped, and only the other rows are ranked, on the columns left. All
+    of that depends on the slice and j only, and is planned before the
+    form's coefficients fill the blocks. The zero form gives dim (F/M)_m;
+    for n = 1, S' is the field. p must be a prime below 2**31; it is
+    checked here, before any block is built.
     """
     _check_modulus(p)
-    shape = sl.shape
-    if len(coeffs) != shape.n:
-        raise ValueError(f"need {shape.n} coefficients, got {len(coeffs)}")
+    if len(coeffs) != sl.shape.n:
+        raise ValueError(f"need {sl.shape.n} coefficients, got {len(coeffs)}")
     live = [k for k, c in enumerate(coeffs) if c % p]
     if not live:
         return sl.quotient_dim
-    if shape.n == 1:
-        # S'_d is the field for d = 0 and zero above it.
-        return sum(
-            1 for u, inside in zip(sl.basis, sl.in_module) if not inside and u.monomial == (0,)
-        )
-    j = live[-1]
-    nvars = shape.n - 1
-    big = max(sl.m - min(shape.degrees), 0)
-    # Lex positions in S'_d for every d <= big, as _lex_index reads them.
-    table = np.array(
-        [[comb(nvars - k - 2 + s, nvars - k - 1) for s in range(big + 1)]
-         for k in range(nvars - 1)],
-        dtype=np.int64,
-    ).reshape(nvars - 1, big + 1)
-
-    members: dict[int, list[tuple[int, ...]]] = {}
-    for u, inside in zip(sl.basis, sl.in_module):
-        if inside:
-            members.setdefault(u.component, []).append(u.monomial)
-    total = 0
-    blocks = []  # (a_j, suffix sums of a', kept columns) of the rows left to rank
-    for i, f in enumerate(shape.degrees, start=1):
-        d = sl.m - f
-        if d < 0:
-            continue
-        width = comb(nvars - 1 + d, nvars - 1)
-        if i not in members:
-            total += width
-            continue
-        exps = np.array(members[i], dtype=np.int64)
-        pivot = exps[:, j]
-        rest_sums = _suffix_sums(np.delete(exps, j, axis=1))
-        unit = pivot == 0
-        keep = np.ones(width, dtype=bool)
-        keep[_lex_index(rest_sums[unit], table)] = False
-        total += width - int(unit.sum())
-        if keep.any() and not unit.all():
-            blocks.append((pivot[~unit], rest_sums[~unit], keep))
-    if not blocks:
-        return total
-
-    # Coefficient-free tables. S'_0, ..., S'_top are listed one after the
-    # other, each lex-decreasing, S'_e from offset[e] = C(nvars - 1 + e, nvars);
-    # shift[g, k] is the listed position of monomial g times x'_k.
-    top = max(int(aj.max()) for aj, _, _ in blocks)
-    offset = np.array([comb(nvars - 1 + e, nvars) for e in range(top + 2)], dtype=np.int64)
-    listed_sums = _suffix_sums(
-        np.array(enumerate_monomials(nvars + 1, top), dtype=np.int64)[:, 1:]
-    )
-    degree = np.repeat(np.arange(top), np.diff(offset[: top + 1]))
-    earlier = np.triu(np.ones((nvars, nvars), dtype=np.int64), 1)  # [t, k] = t < k
-    shift = offset[degree + 1, None] + _lex_index(
-        listed_sums[: offset[top], None, :] + earlier.T, table
-    )
-
-    # Coefficients of L^e on S'_e for every e <= top: L^(e+1) = L^e * L.
-    inv = pow(coeffs[j], -1, p)
-    lam = np.array([-c * inv % p for k, c in enumerate(coeffs) if k != j], dtype=np.int64)
-    power = np.zeros(offset[top + 1], dtype=np.int64)
-    power[0] = 1
-    starts = offset.tolist()
-    for e in range(top):
-        lo, mid, hi = starts[e : e + 3]
-        np.add.at(power, shift[lo:mid], power[lo:mid, None] * lam % p)
-        power[mid:hi] %= p
-
-    for aj, rest_sums, keep in blocks:
-        # Row r is x'^a' * L^(a_j): one entry per monomial b of S'_(a_j), at
-        # the column of x'^a' * x'^b unless a unit row dropped that column.
-        column = np.cumsum(keep) - 1
-        column[~keep] = -1
-        counts = offset[aj + 1] - offset[aj]
-        row_of = np.repeat(np.arange(aj.size), counts)
-        first = np.cumsum(counts) - counts
-        listed = np.arange(counts.sum()) + np.repeat(offset[aj] - first, counts)
-        cells = column[_lex_index(rest_sums[row_of] + listed_sums[listed], table)]
-        hit = cells >= 0
-        block = np.zeros((aj.size, int(keep.sum())), dtype=np.int64)
-        block[row_of[hit], cells[hit]] = power[listed[hit]]
-        total -= rank_mod_p(block, p)
-    return total
+    return _evaluate(_restriction_plan(sl, live[-1]), p, coeffs)
 
 
 def _sampled_report(
@@ -274,9 +294,10 @@ def _sampled_report(
     if p <= 2 * dim_fm:
         raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
     sl = degree_slice(module, m)
+    # Every sampled form has c_n != 0 mod p, so each trial pivots on x_n.
+    plan = _restriction_plan(sl, shape.n - 1)
     dims = tuple(
-        restricted_quotient_dim(sl, p, _trial_coefficients(shape.n, p, seed, t))
-        for t in range(trials)
+        _evaluate(plan, p, _trial_coefficients(shape.n, p, seed, t)) for t in range(trials)
     )
     generic = min(dims)
     bound = module_bound(sl.quotient_dim, m, shape).total

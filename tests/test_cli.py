@@ -189,6 +189,30 @@ def test_oracle_commands(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "module,m,expected",
+    [
+        # A generator far above degree m divides nothing there.
+        ({"n": 2, "degrees": [0], "components": [[[10**30, 0], [0, 1]]]}, 3,
+         {"dims": [0, 0, 0], "generic_dim": 0, "bound": 0}),
+        # One variable: the degree m - f_i is unbounded.
+        ({"n": 1, "degrees": [0, 0, 2], "components": [[[3]], [[10**30]], []]}, 10**20,
+         {"dims": [0, 0, 0], "generic_dim": 0, "bound": 0}),
+    ],
+)
+def test_oracle_keeps_wide_integers_exact(capsys, tmp_path, module, m, expected):
+    module_file = tmp_path / "module.json"
+    module_file.write_text(json.dumps(module))
+    for kind in ("restrict", "certify"):
+        code, out, _ = run(
+            capsys, ["oracle", kind, "--module", str(module_file), "--m", str(m),
+                     "--format", "json"]
+        )
+        assert code == 0, kind
+        assert json.loads(out) == {"m": m, "p": 32003, "trials": 3, "seed": 0, **expected,
+                                   "holds": True, "equality": True}, kind
+
+
 def test_oracle_bad_file_and_json(capsys, tmp_path):
     code, _, err = run(
         capsys, ["oracle", "restrict", "--module", str(tmp_path / "nope.json"), "--m", "2"]

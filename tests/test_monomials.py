@@ -1,6 +1,7 @@
 """Monomial enumeration, slices and specialization counts."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from greenhrt.monomials import (
     module_from_data,
     module_from_slice,
     module_to_data,
+    random_monomial_ideal,
     random_monomial_module,
     restrict_xn_count,
 )
@@ -33,14 +35,27 @@ def test_enumeration_examples():
     assert enumerate_monomials(4, 0) == [(0, 0, 0, 0)]
 
 
-def test_enumeration_counts_and_order():
+def test_enumeration_matches_brute_force():
+    # Reference: filter all exponent vectors in the box, sort lex-decreasing.
     for n in range(1, 6):
+        for d in range(7):
+            brute = sorted(
+                (t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d),
+                reverse=True,
+            )
+            assert enumerate_monomials(n, d) == brute, (n, d)
+
+
+def test_enumeration_counts_and_order():
+    for n in range(1, 9):
         for d in range(9):
             monos = enumerate_monomials(n, d)
             assert len(monos) == binomial(n + d - 1, d)
             assert all(sum(m) == d for m in monos)
             # lex-decreasing, no duplicates
             assert all(a > b for a, b in zip(monos, monos[1:]))
+    # n = 1 keeps any degree exact
+    assert enumerate_monomials(1, 10**30) == [(10**30,)]
 
 
 def test_lex_segment_is_downset():
@@ -126,33 +141,87 @@ def test_restrict_xn_examples():
 
 
 def _slice_modules():
-    """Seeded random modules, zero modules and lex top slices, n = 1..4."""
+    """240 seeded modules, n = 1..4: random, zero, lex top slices and mixes
+    of unit and random component ideals. Generator degrees run past m, so
+    some components have m < f_i."""
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randint(1, 4)
         r = rng.randint(1, 3)
-        shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(r))))
+        shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 3) for _ in range(r))))
         m = rng.randint(0, 4)
         yield random_monomial_module(rng, shape, max_gens=3, max_degree=4), m
         yield MonomialModule.zero(shape), m
         k = rng.randint(0, shape.dim(m))
         yield module_from_slice(shape, lex_module_slice(shape, m, k)), m
+        unit = MonomialIdeal(n=n, gens=((0,) * n,))
+        mixed = tuple(
+            unit if rng.random() < 0.5 else random_monomial_ideal(rng, n, 3, 4)
+            for _ in range(r)
+        )
+        yield MonomialModule(shape=shape, components=mixed), m
 
 
 def test_slice_readers_match_direct_formulations():
-    seen_top = seen_not_top = 0
+    # The references read the module through enumerate_module_monomials and
+    # MonomialModule.contains, not through the slice's arrays.
+    seen = {"top": 0, "not top": 0, "n = 1": 0, "m < f_i": 0, "unit": 0}
     for module, m in _slice_modules():
         basis = enumerate_module_monomials(module.shape, m)
-        members = [u for u in basis if module.contains(u)]
+        inside = [module.contains(u) for u in basis]
+        members = [u for u, flag in zip(basis, inside) if flag]
         expected_top = members == lex_module_slice(module.shape, m, len(members))
         sl = degree_slice(module, m)
+        rows = [
+            ModuleMonomial(i, tuple(row))
+            for i, exps in enumerate(sl.exps, start=1)
+            for row in exps.tolist()
+        ]
+        assert rows == basis
+        assert [bool(flag) for mask in sl.member for flag in mask] == inside
         assert sl.is_top == expected_top
-        assert hilbert_value_module(module, m) == len(basis) - len(members)
-        assert sl.basis == basis
-        assert [u for u, inside in zip(sl.basis, sl.in_module) if inside] == members
-        seen_top += expected_top
-        seen_not_top += not expected_top
-    assert seen_top and seen_not_top
+        assert sl.quotient_dim == hilbert_value_module(module, m) == len(basis) - len(members)
+        assert restrict_xn_count(module, m) == sum(
+            1 for u, flag in zip(basis, inside) if not flag and u.monomial[-1] == 0
+        )
+        seen["top" if expected_top else "not top"] += 1
+        seen["n = 1"] += module.shape.n == 1
+        seen["m < f_i"] += m < module.shape.degrees[-1]
+        seen["unit"] += any(ideal.gens == ((0,) * module.shape.n,)
+                            for ideal in module.components)
+    assert all(seen.values()), seen
+
+
+def test_slice_arrays_are_read_only():
+    shape = FreeModuleShape(n=2, degrees=(0, 1))
+    module = module_from_slice(shape, lex_module_slice(shape, 2, 2))
+    for sl in (degree_slice(module, 2), degree_slice(module, 0)):
+        for array in sl.exps + sl.member:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_slice_drops_generators_above_the_component_degree():
+    # A huge generator divides nothing in a low degree and must not reach
+    # the int64 compare; at n = 1 the degree itself may be huge.
+    shape = FreeModuleShape(n=2, degrees=(0,))
+    big = MonomialModule(
+        shape=shape, components=(MonomialIdeal.from_generators(2, [(10**30, 0), (0, 1)]),)
+    )
+    assert [mask.tolist() for mask in degree_slice(big, 3).member] == [[False, True, True, True]]
+    line = FreeModuleShape(n=1, degrees=(0, 0, 2))
+    module = MonomialModule(
+        shape=line,
+        components=(
+            MonomialIdeal.from_generators(1, [(3,)]),
+            MonomialIdeal.from_generators(1, [(10**30,)]),
+            MonomialIdeal.from_generators(1, []),
+        ),
+    )
+    sl = degree_slice(module, 10**20)
+    assert [mask.tolist() for mask in sl.member] == [[True], [False], [False]]
+    assert sl.quotient_dim == 2 and restrict_xn_count(module, 10**20) == 0
+    assert degree_slice(module, 1).quotient_dim == 2
 
 
 def test_lex_segment_restriction_identity_small():

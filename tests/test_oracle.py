@@ -135,20 +135,22 @@ def test_xn_form_reproduces_combinatorial_count():
         ) == restrict_xn_count(module, m)
 
 
-def _dense_quotient_dim(sl, p, coeffs):
+def _dense_quotient_dim(module, m, p, coeffs):
     """Reference: dim F_m minus the rank over F_p of M_m stacked on l * F_{m-1},
-    in the monomial basis of F_m."""
-    col = {u: idx for idx, u in enumerate(sl.basis)}
-    ncols = len(sl.basis)
+    in the monomial basis of F_m, read from the module itself rather than
+    from its degree slice."""
+    basis = enumerate_module_monomials(module.shape, m)
+    col = {u: idx for idx, u in enumerate(basis)}
+    ncols = len(basis)
     if ncols == 0:
         return 0
     rows = []
-    for idx, inside in enumerate(sl.in_module):
-        if inside:
+    for idx, u in enumerate(basis):
+        if module.contains(u):
             row = np.zeros(ncols, dtype=np.int64)
             row[idx] = 1
             rows.append(row)
-    for u in enumerate_module_monomials(sl.shape, sl.m - 1):
+    for u in enumerate_module_monomials(module.shape, m - 1):
         row = np.zeros(ncols, dtype=np.int64)
         for var, c in enumerate(coeffs):
             if c == 0:
@@ -193,11 +195,39 @@ def test_substitution_matches_dense_elimination():
         ]
         xn_free = restrict_xn_count(module, m)
         for coeffs in forms:
-            expected = _dense_quotient_dim(sl, p, coeffs)
+            expected = _dense_quotient_dim(module, m, p, coeffs)
             assert restricted_quotient_dim(sl, p, coeffs) == expected, (module, m, p, coeffs)
             differs_from_xn += expected != xn_free
     # Substituting x_n -> 0 instead of L would miss these.
     assert differs_from_xn > 100
+
+
+def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(monkeypatch):
+    plans = []
+    original = oracle._restriction_plan
+
+    def counting(sl, j):
+        plans.append(j)
+        return original(sl, j)
+
+    monkeypatch.setattr(oracle, "_restriction_plan", counting)
+    rng = random.Random(17)
+    ranked = 0
+    for case in range(60):
+        n = rng.randint(1, 4)
+        shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(2))))
+        m = rng.randint(2, 5)
+        module = random_monomial_module(rng, shape, max_gens=5, max_degree=m)
+        plans.clear()
+        report = certify_main_theorem(module, m, trials=3, seed=case)
+        assert plans == [n - 1]
+        sl = degree_slice(module, m)
+        ranked += bool(original(sl, n - 1).blocks)
+        assert report.dims == tuple(
+            restricted_quotient_dim(sl, 32003, _trial_coefficients(n, 32003, case, t))
+            for t in range(3)
+        )
+    assert ranked >= 20  # the plans shared between trials hold blocks to fill
 
 
 def test_certify_flags_lex_slices():
