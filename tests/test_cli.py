@@ -188,6 +188,33 @@ def test_oracle_commands(capsys, tmp_path):
     )
     assert code == 0
 
+    # Full stdout and exit code of both commands, byte for byte, on a lex
+    # top slice, a non-top module, a zero module and a one-variable module.
+    pinned = [
+        ({"n": 2, "degrees": [0, 1], "components": [[[1, 1], [2, 0]], []]}, 2,
+         [1, 1, 1], 1, True),
+        ({"n": 2, "degrees": [0, 1], "components": [[[0, 2]], []]}, 2, [1, 1, 1], 1, False),
+        ({"n": 3, "degrees": [0, 1, 1], "components": [[], [], []]}, 3,
+         [10, 10, 10], 10, True),
+        ({"n": 1, "degrees": [0, 3], "components": [[[3]], []]}, 3, [1, 1, 1], 1, True),
+    ]
+    for data, m, dims, dim, top in pinned:
+        module_file.write_text(json.dumps(data))
+        json_line = (
+            f'{{"m": {m}, "p": 32003, "trials": 3, "seed": 0, "dims": {dims}, '
+            f'"generic_dim": {dim}, "bound": {dim}, "holds": true, "equality": true}}\n'
+        )
+        human = {
+            "restrict": f"generic restriction dim = {dim} (trials {dims}), bound = {dim},"
+                        f" holds = True, equality = True\n",
+            "certify": f"certified: generic dim {dim} vs bound {dim}"
+                       f" (top-slice equality expected: {top})\n",
+        }
+        for kind in ("restrict", "certify"):
+            argv = ["oracle", kind, "--module", str(module_file), "--m", str(m)]
+            assert run(capsys, argv) == (0, human[kind], ""), (data, kind)
+            assert run(capsys, [*argv, "--format", "json"]) == (0, json_line, ""), (data, kind)
+
 
 @pytest.mark.parametrize(
     "module,m,expected",
