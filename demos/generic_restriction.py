@@ -10,7 +10,6 @@ import random
 
 from greenhrt import (
     FreeModuleShape,
-    certify_main_theorem,
     generic_restriction_dim,
     hilbert_value_module,
     module_from_data,
@@ -33,7 +32,7 @@ data = {
     "components": [[[2, 0]], []],
 }
 module = module_from_data(data)
-report = certify_main_theorem(module, 2, seed=4)
+report = generic_restriction_dim(module, 2, seed=4)
 print(f"  H(F/M, 2) = {hilbert_value_module(module, 2)}")
 print(f"  generic dim {report.generic_dim} vs bound {report.bound}; "
       f"top-slice: {report.expect_equality}, certified: {report.certified}")
@@ -47,7 +46,7 @@ for trial in range(6):
     shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(r))))
     module = random_monomial_module(rng, shape, max_gens=3, max_degree=4)
     m = rng.randint(1, 4)
-    report = certify_main_theorem(module, m, seed=trial)
+    report = generic_restriction_dim(module, m, seed=trial)
     print(f"  n={n} degrees={shape.degrees} m={m}: "
           f"generic {report.generic_dim} <= bound {report.bound}  "
           f"({'tight' if report.equality else 'strict'})")

@@ -42,11 +42,7 @@ from .monomials import (
     random_monomial_module,
     restrict_xn_count,
 )
-from .oracle import (
-    certify_main_theorem,
-    generic_restriction_dim,
-    restricted_quotient_dim,
-)
+from .oracle import generic_restriction_dim
 from .verifiers import (
     check_herz_tail,
     check_higher,
@@ -69,7 +65,6 @@ __all__ = [
     "MonomialModule",
     "binomial",
     "braced_bound",
-    "certify_main_theorem",
     "check_herz_tail",
     "check_higher",
     "check_kappa_lemma",
@@ -102,6 +97,5 @@ __all__ = [
     "rep_value",
     "reproduce_table",
     "restrict_xn_count",
-    "restricted_quotient_dim",
     "scaled_bound",
 ]

@@ -30,12 +30,16 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _load_module(path: str) -> monomials.MonomialModule:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read module file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"module file {path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"module file {path}: {exc}")
+    except RecursionError:
+        raise ValueError(f"module file {path}: nested too deeply to parse")
     try:
         return monomials.module_from_data(data)
     except ValueError as exc:
@@ -198,13 +202,15 @@ def _check_higher(args) -> verifiers.VerificationOutcome:
     return verifiers.check_higher(args.n, tuples, args.samples, seed=args.seed)
 
 
-def _sample(args, run) -> oracle.RestrictionReport:
+def _sample(args) -> oracle.RestrictionReport:
     module = _load_module(args.module)
-    return run(module, args.m, p=args.p, trials=args.trials, seed=args.seed)
+    return oracle.generic_restriction_dim(
+        module, args.m, p=args.p, trials=args.trials, seed=args.seed
+    )
 
 
 def cmd_oracle_restrict(args) -> int:
-    report = _sample(args, oracle.generic_restriction_dim)
+    report = _sample(args)
     human = (
         f"generic restriction dim = {report.generic_dim} (trials {list(report.dims)}), "
         f"bound = {report.bound}, holds = {report.holds}, equality = {report.equality}"
@@ -214,7 +220,7 @@ def cmd_oracle_restrict(args) -> int:
 
 
 def cmd_oracle_certify(args) -> int:
-    report = _sample(args, oracle.certify_main_theorem)
+    report = _sample(args)
     verdict = "certified" if report.certified else "VIOLATED"
     human = (
         f"{verdict}: generic dim {report.generic_dim} vs bound {report.bound}"

@@ -7,15 +7,16 @@ minimum over a Zariski-open set, so every sampled trial can only
 overestimate it; the minimum over trials is reported.
 
 One trial restricts component by component. M is monomial, so
-F/(M + lF) is the sum of S/(I_i + l) in degree d = m - f_i. Substituting
-for the last variable x_j with c_j != 0 (mod p) identifies S/(l) with the
-ring S' of the other n - 1 variables (Green 1989, restriction to a
-hyperplane), and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d) holds
-exactly for every form. Members of (I_i)_d free of x_j map to distinct
-unit vectors, so only the other members are ranked, on the columns those
-units leave: one |(I_i)_d| x dim S'_d block at most per component. Which
-rows, columns and entries the blocks have depends on the slice and the
-pivot only, so a report plans them once and fills them for each trial.
+F/(M + lF) is the sum of S/(I_i + l) in degree d = m - f_i. Every sampled
+form has c_n != 0 (mod p), and substituting for x_n identifies S/(l) with
+the ring S' = k[x_1, ..., x_(n-1)] (Green 1989, restriction to a
+hyperplane): phi(x^a) = x'^a' * L^(a_n) with L = -sum_(k<n) (c_k / c_n) x_k,
+and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d) holds exactly for
+every such form. Members of (I_i)_d free of x_n map to distinct unit
+vectors, so only the other members are ranked, on the columns those units
+leave: one |(I_i)_d| x dim S'_d block at most per component. Which rows,
+columns and entries the blocks have depends on the slice only, so a report
+plans them once and fills them for each trial. For n = 1, S' is the field.
 """
 from __future__ import annotations
 
@@ -48,8 +49,10 @@ def is_prime(p: int) -> bool:
 @lru_cache(maxsize=8)
 def _check_modulus(p: int) -> None:
     # The size test comes first: trial division of a huge p would not end.
-    # Cached, so a run's trials test its modulus once between them; a
-    # rejected p raises and is not cached.
+    # Cached, so a sweep's reports test their shared modulus once: verify
+    # scaled makes ~200 reports with one p and takes ~0.08 s in all, while
+    # each uncached is_prime(2147483647) costs ~2 ms. A rejected p raises
+    # and is not cached.
     if p >= 2**31:
         raise ValueError(f"modulus {p} too large for int64 arithmetic")
     if not is_prime(p):
@@ -92,8 +95,8 @@ class RestrictionReport:
     ``quotient_dim`` is dim (F/M)_m, the value the bound is taken at; it is
     not part of the JSON payload.
     ``holds`` records generic_dim <= bound; ``equality`` records equality.
-    ``expect_equality`` is set by the certifier when the module's degree-m
-    monomials form the top slice, where the bound is attained.
+    ``expect_equality`` records that the module's degree-m monomials form
+    the top slice, where the bound is attained.
     """
 
     m: int
@@ -106,7 +109,7 @@ class RestrictionReport:
     bound: int
     holds: bool
     equality: bool
-    expect_equality: bool = False
+    expect_equality: bool
 
     @property
     def certified(self) -> bool:
@@ -155,30 +158,28 @@ def _lex_index(sums: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """The coefficient-free part of restricted_quotient_dim for one slice and
-    one pivot variable x_j.
+    """The coefficient-free part of one trial for one slice, pivoting on x_n.
 
     ``free`` is the dimension before any block is ranked: dim S'_d summed
     over the components, less the unit rows.
     S'_0, ..., S'_top are listed one after the other, each lex-decreasing,
     S'_e from ``starts[e]``; ``shift[g, k]`` is the listed position of
     monomial g times x'_k. Each block is (rows, columns, listed positions,
-    shape): its entry at (row, column) is the coefficient of L^(a_j) at
+    shape): its entry at (row, column) is the coefficient of L^(a_n) at
     that listed monomial.
     """
 
-    j: int
     free: int
     starts: list[int]
     shift: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]], ...]
 
 
-def _restriction_plan(sl: DegreeSlice, j: int) -> _Plan:
+def _restriction_plan(sl: DegreeSlice) -> _Plan:
     shape = sl.shape
     if shape.n == 1:
         # S'_d is the field for d = 0 and zero above it.
-        return _Plan(j, sl.xn_free_quotient_dim, [], np.empty(0), ())
+        return _Plan(sl.xn_free_quotient_dim, [], np.empty(0), ())
     nvars = shape.n - 1
     big = max(sl.m - min(shape.degrees), 0)
     # Lex positions in S'_d for every d <= big, as _lex_index reads them.
@@ -189,15 +190,15 @@ def _restriction_plan(sl: DegreeSlice, j: int) -> _Plan:
     ).reshape(nvars - 1, big + 1)
 
     free = 0
-    ranked = []  # (a_j, suffix sums of a', kept columns) of the rows left to rank
+    ranked = []  # (a_n, suffix sums of a', kept columns) of the rows left to rank
     for f, rows, inside in zip(shape.degrees, sl.exps, sl.member):
         d = sl.m - f
         if d < 0:
             continue
         width = comb(nvars - 1 + d, nvars - 1)
         exps = rows[inside]
-        pivot = exps[:, j]
-        rest_sums = _suffix_sums(np.delete(exps, j, axis=1))
+        pivot = exps[:, -1]
+        rest_sums = _suffix_sums(exps[:, :-1])
         unit = pivot == 0
         keep = np.ones(width, dtype=bool)
         keep[_lex_index(rest_sums[unit], table)] = False
@@ -205,9 +206,9 @@ def _restriction_plan(sl: DegreeSlice, j: int) -> _Plan:
         if keep.any() and not unit.all():
             ranked.append((pivot[~unit], rest_sums[~unit], keep))
     if not ranked:
-        return _Plan(j, free, [], np.empty(0), ())
+        return _Plan(free, [], np.empty(0), ())
 
-    top = max(int(aj.max()) for aj, _, _ in ranked)
+    top = max(int(a_n.max()) for a_n, _, _ in ranked)
     offset = np.array([comb(nvars - 1 + e, nvars) for e in range(top + 2)], dtype=np.int64)
     listed_sums = _suffix_sums(_exponent_rows(nvars + 1, top)[:, 1:])
     degree = np.repeat(np.arange(top), np.diff(offset[: top + 1]))
@@ -217,31 +218,31 @@ def _restriction_plan(sl: DegreeSlice, j: int) -> _Plan:
     )
 
     blocks = []
-    for aj, rest_sums, keep in ranked:
-        # Row r is x'^a' * L^(a_j): one entry per monomial b of S'_(a_j), at
+    for a_n, rest_sums, keep in ranked:
+        # Row r is x'^a' * L^(a_n): one entry per monomial b of S'_(a_n), at
         # the column of x'^a' * x'^b unless a unit row dropped that column.
         column = np.cumsum(keep) - 1
         column[~keep] = -1
-        counts = offset[aj + 1] - offset[aj]
-        row_of = np.repeat(np.arange(aj.size), counts)
+        counts = offset[a_n + 1] - offset[a_n]
+        row_of = np.repeat(np.arange(a_n.size), counts)
         first = np.cumsum(counts) - counts
-        listed = np.arange(counts.sum()) + np.repeat(offset[aj] - first, counts)
+        listed = np.arange(counts.sum()) + np.repeat(offset[a_n] - first, counts)
         cells = column[_lex_index(rest_sums[row_of] + listed_sums[listed], table)]
         hit = cells >= 0
-        blocks.append((row_of[hit], cells[hit], listed[hit], (aj.size, int(keep.sum()))))
-    return _Plan(j, free, offset.tolist(), shift, tuple(blocks))
+        blocks.append((row_of[hit], cells[hit], listed[hit], (a_n.size, int(keep.sum()))))
+    return _Plan(free, offset.tolist(), shift, tuple(blocks))
 
 
 def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
     """Fill the plan's blocks for the form with these coefficients, whose
-    c_j is nonzero mod p, and rank them."""
+    c_n is nonzero mod p, and rank them."""
     total = plan.free
     if not plan.blocks:
         return total
     # Coefficients of L^e on S'_e for every e <= top: L^(e+1) = L^e * L.
-    j, starts = plan.j, plan.starts
-    inv = pow(coeffs[j], -1, p)
-    lam = np.array([-c * inv % p for k, c in enumerate(coeffs) if k != j], dtype=np.int64)
+    starts = plan.starts
+    inv = pow(coeffs[-1], -1, p)
+    lam = np.array([-c * inv % p for c in coeffs[:-1]], dtype=np.int64)
     power = np.zeros(starts[-1], dtype=np.int64)
     power[0] = 1
     for e in range(len(starts) - 2):
@@ -255,37 +256,23 @@ def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
     return total
 
 
-def restricted_quotient_dim(sl: DegreeSlice, p: int, coeffs: tuple[int, ...]) -> int:
-    """dim (F/(M + l F))_m for the specific linear form l = sum c_i x_i.
-
-    M is monomial, so the quotient is the sum over components i of
-    (S/(I_i + l))_d with d = m - f_i. Pivot on the last variable x_j with
-    c_j != 0 mod p: S/(l) is the ring S' of the other n - 1 variables, by
-    phi(x^a) = x'^a' * L^(a_j) with L = -sum_{k != j} (c_k / c_j) x_k. So,
-    exactly and for every l,
-
-        dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d).
-
-    A member with a_j = 0 maps to the unit vector of x'^a', and distinct
-    members give distinct units: those rows are counted, their columns
-    dropped, and only the other rows are ranked, on the columns left. All
-    of that depends on the slice and j only, and is planned before the
-    form's coefficients fill the blocks. The zero form gives dim (F/M)_m;
-    for n = 1, S' is the field. p must be a prime below 2**31; it is
-    checked here, before any block is built.
-    """
-    _check_modulus(p)
-    if len(coeffs) != sl.shape.n:
-        raise ValueError(f"need {sl.shape.n} coefficients, got {len(coeffs)}")
-    live = [k for k, c in enumerate(coeffs) if c % p]
-    if not live:
-        return sl.quotient_dim
-    return _evaluate(_restriction_plan(sl, live[-1]), p, coeffs)
-
-
-def _sampled_report(
-    module: MonomialModule, m: int, p: int, trials: int, seed: int, certify: bool
+def generic_restriction_dim(
+    module: MonomialModule,
+    m: int,
+    p: int = DEFAULT_PRIME,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
 ) -> RestrictionReport:
+    """Sample random linear forms and report the minimal restricted dimension.
+
+    The theoretical bound for dim (F/M)_m is computed alongside so the
+    report carries its own verdict: the bound must dominate in every case,
+    and when the degree-m part of the module is a top slice it is attained,
+    so equality is expected as well. Certification is probabilistic: a
+    trial can only overestimate the generic dimension, never undershoot it.
+    A failed check is reported in the verdict flags, not raised. p must be
+    a prime below 2**31 and above 2 dim F_m.
+    """
     _check_modulus(p)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -294,8 +281,7 @@ def _sampled_report(
     if p <= 2 * dim_fm:
         raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
     sl = degree_slice(module, m)
-    # Every sampled form has c_n != 0 mod p, so each trial pivots on x_n.
-    plan = _restriction_plan(sl, shape.n - 1)
+    plan = _restriction_plan(sl)
     dims = tuple(
         _evaluate(plan, p, _trial_coefficients(shape.n, p, seed, t)) for t in range(trials)
     )
@@ -312,38 +298,5 @@ def _sampled_report(
         bound=bound,
         holds=generic <= bound,
         equality=generic == bound,
-        expect_equality=certify and sl.is_top,
+        expect_equality=sl.is_top,
     )
-
-
-def generic_restriction_dim(
-    module: MonomialModule,
-    m: int,
-    p: int = DEFAULT_PRIME,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> RestrictionReport:
-    """Sample random linear forms and report the minimal restricted dimension.
-
-    The theoretical bound for dim (F/M)_m is computed alongside so the
-    report carries its own verdict. Certification is probabilistic: a trial
-    can only overestimate the generic dimension, never undershoot it.
-    """
-    return _sampled_report(module, m, p, trials, seed, certify=False)
-
-
-def certify_main_theorem(
-    module: MonomialModule,
-    m: int,
-    p: int = DEFAULT_PRIME,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> RestrictionReport:
-    """Check the sampled restriction against the piecewise bound.
-
-    The bound must dominate in every case; when the degree-m part of the
-    module is a top slice the bound is attained, so equality is demanded
-    as well. A failed check is reported in the returned verdict flags, not
-    raised.
-    """
-    return _sampled_report(module, m, p, trials, seed, certify=True)

@@ -31,7 +31,7 @@ from greenhrt.monomials import (
     random_monomial_module,
     restrict_xn_count,
 )
-from greenhrt.oracle import certify_main_theorem
+from greenhrt.oracle import generic_restriction_dim
 from greenhrt.verifiers import (
     _higher_rhs,
     check_herz_tail,
@@ -208,7 +208,7 @@ def test_criterion_7_and_8_randomized_certification(capsys):
             module = MonomialModule.zero(shape)
         else:
             module = random_monomial_module(rng, shape, max_gens=4, max_degree=m + 1)
-        report = certify_main_theorem(module, m, seed=rng.randrange(2**30))
+        report = generic_restriction_dim(module, m, seed=rng.randrange(2**30))
         total += 1
         if not report.holds:
             violations.append((shape, m, report))
@@ -230,7 +230,7 @@ def test_criterion_7_and_8_randomized_certification(capsys):
             for m in range(6):
                 if n + m - 1 < 1:
                     continue
-                report = certify_main_theorem(MonomialModule.zero(shape), m, seed=7)
+                report = generic_restriction_dim(MonomialModule.zero(shape), m, seed=7)
                 rhs = scaled_bound(hilbert_value_module(MonomialModule.zero(shape), m), n, m)
                 if report.generic_dim == rhs:
                     zero_equalities += 1

@@ -262,6 +262,24 @@ def test_oracle_bad_file_and_json(capsys, tmp_path):
     assert code == 2 and "'n'" in err
 
 
+@pytest.mark.parametrize("kind", ["restrict", "certify"])
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+    ],
+    ids=["deep", "not-utf8"],
+)
+def test_oracle_unreadable_module_file_names_it(capsys, tmp_path, kind, content, message):
+    module_file = tmp_path / "module.json"
+    module_file.write_bytes(content)
+    code, out, err = run(capsys, ["oracle", kind, "--module", str(module_file), "--m", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: module file {module_file}: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_oracle_modulus_too_large_is_input_error(capsys, tmp_path):
     # Checked before any work, also where no block would need a rank.
     zero = tmp_path / "zero.json"

@@ -19,12 +19,12 @@ from greenhrt.monomials import (
     restrict_xn_count,
 )
 from greenhrt.oracle import (
+    _evaluate,
+    _restriction_plan,
     _trial_coefficients,
-    certify_main_theorem,
     generic_restriction_dim,
     is_prime,
     rank_mod_p,
-    restricted_quotient_dim,
 )
 
 
@@ -34,8 +34,8 @@ def test_is_prime():
 
 
 def test_modulus_is_tested_once_per_certify(monkeypatch):
-    # Every trial checks its modulus on entry and ranks blocks through
-    # rank_mod_p; trial division of p must still run only once.
+    # The report checks its modulus on entry and ranks every trial's blocks
+    # through rank_mod_p; trial division of p must run only once.
     divisions, blocks = [], []
     original_is_prime, original_rank = oracle.is_prime, oracle.rank_mod_p
 
@@ -55,7 +55,7 @@ def test_modulus_is_tested_once_per_certify(monkeypatch):
         shape=shape,
         components=tuple(MonomialIdeal.from_generators(3, [(0, 0, 1)]) for _ in range(4)),
     )
-    report = certify_main_theorem(module, 2, p=2147483647, trials=3, seed=1)
+    report = generic_restriction_dim(module, 2, p=2147483647, trials=3, seed=1)
     assert report.certified
     assert len(blocks) >= 3 and all(rows > 0 for rows, _ in blocks)
     assert divisions == [2147483647]
@@ -75,11 +75,11 @@ def test_matrix_rank_known_cases():
 
 def test_restriction_checks_the_modulus_without_a_block_to_rank():
     # The zero module has no member to rank, so no block would test p.
-    sl = degree_slice(MonomialModule.zero(FreeModuleShape(n=2, degrees=(0,))), 2)
+    module = MonomialModule.zero(FreeModuleShape(n=2, degrees=(0,)))
     for p, message in ((10, "is not prime"), (2**31, "too large"), (2**40, "too large")):
         with pytest.raises(ValueError, match=f"modulus {p} {message}"):
-            restricted_quotient_dim(sl, p, (1, 1))
-    assert restricted_quotient_dim(sl, 32003, (1, 1)) == 1
+            generic_restriction_dim(module, 2, p=p)
+    assert generic_restriction_dim(module, 2).generic_dim == 1
 
 
 def test_free_module_restriction_dimension():
@@ -130,9 +130,8 @@ def test_xn_form_reproduces_combinatorial_count():
         module = random_monomial_module(rng, shape, max_gens=3, max_degree=4)
         m = rng.randint(0, 4)
         coeffs = (0,) * (n - 1) + (1,)
-        assert restricted_quotient_dim(
-            degree_slice(module, m), 32003, coeffs
-        ) == restrict_xn_count(module, m)
+        plan = _restriction_plan(degree_slice(module, m))
+        assert _evaluate(plan, 32003, coeffs) == restrict_xn_count(module, m)
 
 
 def _dense_quotient_dim(module, m, p, coeffs):
@@ -166,7 +165,8 @@ def _dense_quotient_dim(module, m, p, coeffs):
 
 def test_substitution_matches_dense_elimination():
     # The per-component substitution and the dense elimination compute the
-    # same dimension for every form, not just for generic ones.
+    # same dimension for every form with c_n != 0 mod p, not just for
+    # generic ones.
     rng = random.Random(31)
     differs_from_xn = 0
     for case in range(320):
@@ -181,22 +181,24 @@ def test_substitution_matches_dense_elimination():
             module = module_from_slice(shape, lex_module_slice(shape, m, k))
         else:
             module = random_monomial_module(rng, shape, max_gens=4, max_degree=m)
-        sl = degree_slice(module, m)
+        plan = _restriction_plan(degree_slice(module, m))
         p = (7, 101, 32003)[case % 3]
         head = [rng.randrange(p) for _ in range(n - 1)]
+        last = rng.randrange(1, p)
         forms = [
             _trial_coefficients(n, p, case, 0),
             _trial_coefficients(n, p, case, 1),
-            tuple(rng.choice((0, rng.randrange(p))) for _ in range(n)),
-            tuple(head) + (0,),  # pivot is not x_n
-            tuple(head) + (p,),  # zero mod p only
-            (0,) * n,
+            tuple(rng.choice((0, rng.randrange(p), p * rng.randint(1, 3)))
+                  for _ in range(n - 1)) + (last,),
+            tuple(head) + (last + p,),  # c_n reduced mod p only
+            (p,) * (n - 1) + (last,),  # only x_n survives mod p
+            tuple(-c for c in head) + (-last,),
             (0,) * (n - 1) + (1,),
         ]
         xn_free = restrict_xn_count(module, m)
         for coeffs in forms:
             expected = _dense_quotient_dim(module, m, p, coeffs)
-            assert restricted_quotient_dim(sl, p, coeffs) == expected, (module, m, p, coeffs)
+            assert _evaluate(plan, p, coeffs) == expected, (module, m, p, coeffs)
             differs_from_xn += expected != xn_free
     # Substituting x_n -> 0 instead of L would miss these.
     assert differs_from_xn > 100
@@ -206,9 +208,9 @@ def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(mon
     plans = []
     original = oracle._restriction_plan
 
-    def counting(sl, j):
-        plans.append(j)
-        return original(sl, j)
+    def counting(sl):
+        plans.append(sl)
+        return original(sl)
 
     monkeypatch.setattr(oracle, "_restriction_plan", counting)
     rng = random.Random(17)
@@ -219,12 +221,11 @@ def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(mon
         m = rng.randint(2, 5)
         module = random_monomial_module(rng, shape, max_gens=5, max_degree=m)
         plans.clear()
-        report = certify_main_theorem(module, m, trials=3, seed=case)
-        assert plans == [n - 1]
-        sl = degree_slice(module, m)
-        ranked += bool(original(sl, n - 1).blocks)
+        report = generic_restriction_dim(module, m, trials=3, seed=case)
+        assert len(plans) == 1
+        ranked += bool(original(plans[0]).blocks)
         assert report.dims == tuple(
-            restricted_quotient_dim(sl, 32003, _trial_coefficients(n, 32003, case, t))
+            _dense_quotient_dim(module, m, 32003, _trial_coefficients(n, 32003, case, t))
             for t in range(3)
         )
     assert ranked >= 20  # the plans shared between trials hold blocks to fill
@@ -234,7 +235,7 @@ def test_certify_flags_lex_slices():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
     slice_module = module_from_slice(shape, lex_module_slice(shape, 2, 2))
     assert degree_slice(slice_module, 2).is_top
-    report = certify_main_theorem(slice_module, 2, seed=9)
+    report = generic_restriction_dim(slice_module, 2, seed=9)
     assert report.expect_equality and report.certified and report.equality
 
     other = MonomialModule(
@@ -245,14 +246,14 @@ def test_certify_flags_lex_slices():
         ),
     )
     assert not degree_slice(other, 2).is_top
-    report = certify_main_theorem(other, 2, seed=9)
+    report = generic_restriction_dim(other, 2, seed=9)
     assert not report.expect_equality
     assert report.holds
 
 
 def test_zero_module_certifies_with_equality():
     shape = FreeModuleShape(n=3, degrees=(0, 1, 1))
-    report = certify_main_theorem(MonomialModule.zero(shape), 3, seed=2)
+    report = generic_restriction_dim(MonomialModule.zero(shape), 3, seed=2)
     # the zero module's empty degree-m part is trivially a top slice
     assert report.expect_equality and report.certified
 
