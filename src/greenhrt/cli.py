@@ -34,10 +34,10 @@ def _load_module(path: str) -> monomials.MonomialModule:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read module file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"module file {path} is not valid JSON: {exc}")
     except UnicodeDecodeError as exc:
         raise ValueError(f"module file {path}: {exc}")
+    except ValueError as exc:  # JSONDecodeError, or an int of over 4300 digits
+        raise ValueError(f"module file {path} is not valid JSON: {exc}")
     except RecursionError:
         raise ValueError(f"module file {path}: nested too deeply to parse")
     try:

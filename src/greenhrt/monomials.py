@@ -8,6 +8,7 @@ e_1 > e_2 > ... > e_r, lexicographic within a component.
 from __future__ import annotations
 
 import random
+import reprlib
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -267,10 +268,11 @@ def module_from_data(data: dict) -> MonomialModule:
             raise ValueError(f"module description missing field '{field}'")
     n = data["n"]
     if not _is_int(n) or n < 1:
-        raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
+        got = reprlib.repr(n) if _is_int(n) else type(n).__name__  # never the whole input
+        raise ValueError(f"field 'n' must be a positive integer, got {got}")
     degrees = data["degrees"]
-    if not isinstance(degrees, list) or not all(_is_int(f) for f in degrees):
-        raise ValueError("field 'degrees' must be a list of integers")
+    if not isinstance(degrees, list) or not all(map(_is_int, degrees)) or degrees != sorted(degrees):
+        raise ValueError("field 'degrees' must be a non-decreasing list of integers")
     shape = FreeModuleShape(n=n, degrees=tuple(degrees))
     raw = data["components"]
     if not isinstance(raw, list) or len(raw) != len(degrees):
@@ -279,14 +281,12 @@ def module_from_data(data: dict) -> MonomialModule:
     for idx, gens in enumerate(raw):
         if not isinstance(gens, list):
             raise ValueError(f"field 'components[{idx}]' must be a list of exponent vectors")
-        for g in gens:
-            if (
-                not isinstance(g, list)
-                or len(g) != n
-                or not all(_is_int(e) and e >= 0 for e in g)
-            ):
+        for j, g in enumerate(gens):
+            if not isinstance(g, list) or len(g) != n or not all(_is_int(e) and e >= 0 for e in g):
+                size = f" of length {len(g)}" if isinstance(g, list) else ""
                 raise ValueError(
-                    f"field 'components[{idx}]' has a malformed exponent vector: {g!r}"
+                    f"field 'components[{idx}][{j}]' must list {n} non-negative integers, "
+                    f"got {type(g).__name__}{size}"
                 )
         ideals.append(MonomialIdeal.from_generators(n, [tuple(g) for g in gens]))
     return MonomialModule(shape=shape, components=tuple(ideals))

@@ -10,19 +10,20 @@ One trial restricts component by component. M is monomial, so
 F/(M + lF) is the sum of S/(I_i + l) in degree d = m - f_i. Every sampled
 form has c_n != 0 (mod p), and substituting for x_n identifies S/(l) with
 the ring S' = k[x_1, ..., x_(n-1)] (Green 1989, restriction to a
-hyperplane): phi(x^a) = x'^a' * L^(a_n) with L = -sum_(k<n) (c_k / c_n) x_k,
-and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d) holds exactly for
-every such form. Members of (I_i)_d free of x_n map to distinct unit
-vectors, so only the other members are ranked, on the columns those units
-leave: one |(I_i)_d| x dim S'_d block at most per component. Which rows,
-columns and entries the blocks have depends on the slice only, so a report
-plans them once and fills them for each trial. For n = 1, S' is the field.
+hyperplane): phi(x^a) = x'^a' * L^(a_n) with L = sum_(k<n) lambda_k x_k,
+lambda_k = -c_k / c_n, and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d)
+holds exactly for every such form. Members of (I_i)_d free of x_n map to
+distinct unit vectors, so only the others are ranked, on the columns those
+units leave: one |(I_i)_d| x dim S'_d block at most per component. Their
+rows, columns and entry multinomials depend on the slice and p only, so a
+report plans them once and fills them for each trial. S' = k when n = 1.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, isqrt
 from typing import NamedTuple
 
@@ -161,25 +162,24 @@ class _Plan(NamedTuple):
     """The coefficient-free part of one trial for one slice, pivoting on x_n.
 
     ``free`` is the dimension before any block is ranked: dim S'_d summed
-    over the components, less the unit rows.
-    S'_0, ..., S'_top are listed one after the other, each lex-decreasing,
-    S'_e from ``starts[e]``; ``shift[g, k]`` is the listed position of
-    monomial g times x'_k. Each block is (rows, columns, listed positions,
-    shape): its entry at (row, column) is the coefficient of L^(a_n) at
-    that listed monomial.
+    over the components, less the unit rows. ``exps`` lists the exponents b
+    of S'_0, ..., S'_top in turn, each lex-decreasing; L^|b| has weight[b] *
+    prod_k lambda_k^(b_k) at x'^b, ``weight[b]`` = |b|!/(b_1!...b_(n-1)!) mod p.
+    Each block is (rows, columns, listed positions, shape): its entry at
+    (row, column) is the coefficient of L^(a_n) at that listed monomial.
     """
 
     free: int
-    starts: list[int]
-    shift: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]], ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]], ...] = ()
+    exps: np.ndarray | None = None
+    weight: np.ndarray | None = None
 
 
-def _restriction_plan(sl: DegreeSlice) -> _Plan:
+def _restriction_plan(sl: DegreeSlice, p: int) -> _Plan:
     shape = sl.shape
     if shape.n == 1:
         # S'_d is the field for d = 0 and zero above it.
-        return _Plan(sl.xn_free_quotient_dim, [], np.empty(0), ())
+        return _Plan(sl.xn_free_quotient_dim)
     nvars = shape.n - 1
     big = max(sl.m - min(shape.degrees), 0)
     # Lex positions in S'_d for every d <= big, as _lex_index reads them.
@@ -206,16 +206,18 @@ def _restriction_plan(sl: DegreeSlice) -> _Plan:
         if keep.any() and not unit.all():
             ranked.append((pivot[~unit], rest_sums[~unit], keep))
     if not ranked:
-        return _Plan(free, [], np.empty(0), ())
+        return _Plan(free)
 
     top = max(int(a_n.max()) for a_n, _, _ in ranked)
     offset = np.array([comb(nvars - 1 + e, nvars) for e in range(top + 2)], dtype=np.int64)
-    listed_sums = _suffix_sums(_exponent_rows(nvars + 1, top)[:, 1:])
-    degree = np.repeat(np.arange(top), np.diff(offset[: top + 1]))
-    earlier = np.triu(np.ones((nvars, nvars), dtype=np.int64), 1)  # [t, k] = t < k
-    shift = offset[degree + 1, None] + _lex_index(
-        listed_sums[: offset[top], None, :] + earlier.T, table
-    )
+    listed_exps = _exponent_rows(nvars + 1, top)[:, 1:]
+    listed_sums = _suffix_sums(listed_exps)
+    # n >= 2, so top <= m - min(f) < dim F_m < p: every factorial is a unit mod p.
+    factorial = list(accumulate(range(1, top + 1), lambda f, k: f * k % p, initial=1))
+    inverse = np.array([pow(f, -1, p) for f in factorial], dtype=np.int64)
+    weight = np.array(factorial, dtype=np.int64)[listed_exps.sum(axis=1)]
+    for column in listed_exps.T:
+        weight = weight * inverse[column] % p
 
     blocks = []
     for a_n, rest_sums, keep in ranked:
@@ -230,7 +232,7 @@ def _restriction_plan(sl: DegreeSlice) -> _Plan:
         cells = column[_lex_index(rest_sums[row_of] + listed_sums[listed], table)]
         hit = cells >= 0
         blocks.append((row_of[hit], cells[hit], listed[hit], (a_n.size, int(keep.sum()))))
-    return _Plan(free, offset.tolist(), shift, tuple(blocks))
+    return _Plan(free, tuple(blocks), listed_exps, weight)
 
 
 def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
@@ -239,16 +241,14 @@ def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
     total = plan.free
     if not plan.blocks:
         return total
-    # Coefficients of L^e on S'_e for every e <= top: L^(e+1) = L^e * L.
-    starts = plan.starts
     inv = pow(coeffs[-1], -1, p)
     lam = np.array([-c * inv % p for c in coeffs[:-1]], dtype=np.int64)
-    power = np.zeros(starts[-1], dtype=np.int64)
-    power[0] = 1
-    for e in range(len(starts) - 2):
-        lo, mid, hi = starts[e : e + 3]
-        np.add.at(power, plan.shift[lo:mid], power[lo:mid, None] * lam % p)
-        power[mid:hi] %= p
+    powers = np.ones((1, lam.size), dtype=np.int64)  # powers[e, k] = lambda_k^e
+    while len(powers) <= plan.exps[-1, -1]:  # top, as x'_(n-1)^top is listed last
+        powers = np.concatenate((powers, powers * (powers[-1] * lam % p) % p))
+    power = plan.weight
+    for k, column in enumerate(plan.exps.T):
+        power = power * powers[column, k] % p
     for rows, columns, listed, size in plan.blocks:
         block = np.zeros(size, dtype=np.int64)
         block[rows, columns] = power[listed]
@@ -281,7 +281,7 @@ def generic_restriction_dim(
     if p <= 2 * dim_fm:
         raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
     sl = degree_slice(module, m)
-    plan = _restriction_plan(sl)
+    plan = _restriction_plan(sl, p)
     dims = tuple(
         _evaluate(plan, p, _trial_coefficients(shape.n, p, seed, t)) for t in range(trials)
     )

@@ -251,6 +251,11 @@ def test_oracle_bad_file_and_json(capsys, tmp_path):
     code, _, err = run(capsys, ["oracle", "restrict", "--module", str(bad), "--m", "2"])
     assert code == 2 and "not valid JSON" in err
 
+    wide = tmp_path / "wide.json"  # an exponent past Python's int parsing limit
+    wide.write_text('{"n": 1, "degrees": [0], "components": [[[1' + "0" * 5000 + "]]]}")
+    code, _, err = run(capsys, ["oracle", "certify", "--module", str(wide), "--m", "2"])
+    assert code == 2 and err.startswith(f"error: module file {wide} is not valid JSON: ")
+
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"n": 2, "degrees": [0]}))
     code, _, err = run(capsys, ["oracle", "restrict", "--module", str(missing), "--m", "2"])
@@ -278,6 +283,27 @@ def test_oracle_unreadable_module_file_names_it(capsys, tmp_path, kind, content,
     assert code == 2 and out == ""
     assert err.startswith(f"error: module file {module_file}: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: {"n": [0] * 10**6, "degrees": [0], "components": [[]]}, "'n'"),
+        (lambda: {"n": 2, "degrees": [0], "components": [[[1, 0], [0] * 10**6]]},
+         "'components[0][1]'"),
+        (lambda: {"n": 2, "degrees": list(range(10**5, 0, -1)), "components": [[]] * 10**5},
+         "'degrees'"),
+    ],
+    ids=["n-list", "long-vector", "unsorted-degrees"],
+)
+def test_oversized_module_field_is_named_not_echoed(capsys, tmp_path, make, field):
+    # Each of these once wrote the whole offending value to stderr: 3 MB
+    # for the two 10^6-entry lists.
+    module_file = tmp_path / "module.json"
+    module_file.write_text(json.dumps(make()))
+    code, out, err = run(capsys, ["oracle", "certify", "--module", str(module_file), "--m", "2"])
+    assert code == 2 and out == ""
+    assert f"field {field}" in err and len(err.encode()) < 1024, err[:200]
 
 
 def test_oracle_modulus_too_large_is_input_error(capsys, tmp_path):

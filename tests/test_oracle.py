@@ -130,7 +130,7 @@ def test_xn_form_reproduces_combinatorial_count():
         module = random_monomial_module(rng, shape, max_gens=3, max_degree=4)
         m = rng.randint(0, 4)
         coeffs = (0,) * (n - 1) + (1,)
-        plan = _restriction_plan(degree_slice(module, m))
+        plan = _restriction_plan(degree_slice(module, m), 32003)
         assert _evaluate(plan, 32003, coeffs) == restrict_xn_count(module, m)
 
 
@@ -181,8 +181,8 @@ def test_substitution_matches_dense_elimination():
             module = module_from_slice(shape, lex_module_slice(shape, m, k))
         else:
             module = random_monomial_module(rng, shape, max_gens=4, max_degree=m)
-        plan = _restriction_plan(degree_slice(module, m))
         p = (7, 101, 32003)[case % 3]
+        plan = _restriction_plan(degree_slice(module, m), p)
         head = [rng.randrange(p) for _ in range(n - 1)]
         last = rng.randrange(1, p)
         forms = [
@@ -204,13 +204,118 @@ def test_substitution_matches_dense_elimination():
     assert differs_from_xn > 100
 
 
+def test_substitution_matches_dense_elimination_at_high_powers():
+    # The cases above stop at m = 6, so no block entry there comes from L^e
+    # with e >= 7. These reach L^e up to e = 200 (n = 2) and check the
+    # closed-form powers against the dense elimination; m - min(f) < p keeps
+    # every factorial up to top a unit mod p.
+    rng = random.Random(47)
+    high = 0
+    for n, m_max in ((2, 200), (3, 20), (4, 10), (5, 7)):
+        for case in range(28):
+            degrees = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 2))))
+            shape = FreeModuleShape(n=n, degrees=degrees)
+            m = rng.randint(7, m_max)
+            module = random_monomial_module(rng, shape, max_gens=4, max_degree=m)
+            p = 101 if case % 2 and m - shape.degrees[0] < 101 else 32003
+            plan = _restriction_plan(degree_slice(module, m), p)
+            high += bool(plan.blocks) and plan.exps[-1, -1] >= 7
+            for t in range(2):
+                coeffs = _trial_coefficients(n, p, case, t)
+                expected = _dense_quotient_dim(module, m, p, coeffs)
+                assert _evaluate(plan, p, coeffs) == expected, (module, m, p, coeffs)
+    assert high >= 45  # plans whose blocks read some L^e with e >= 7
+
+
+def test_two_variable_restriction_at_the_largest_pool_power():
+    # The shape of the largest certify op: n = 2, powers of L up to ~2200.
+    # S'_d = k x_1^d, so a component adds 0 when x_1^d is in I_d, 0 when
+    # lambda = -c_1 / c_2 is nonzero and I_d is not 0, and 1 otherwise.
+    p, m = 32003, 2213
+    shape = FreeModuleShape(n=2, degrees=(0, 0, 1, 2))
+    gens = ([(5, 0)], [(0, 1100)], [], [(1, 1000), (3, 900)])
+    module = MonomialModule(
+        shape=shape, components=tuple(MonomialIdeal.from_generators(2, g) for g in gens)
+    )
+    plan = _restriction_plan(degree_slice(module, m), p)
+    assert plan.blocks and plan.exps[-1, -1] >= 1000
+    for coeffs in ((0, 1), (p, 7), (1, 1), (5, 31999), (-3, 2)):
+        zero_lambda = coeffs[0] % p == 0
+        expected = 0
+        for f, g in zip(shape.degrees, gens):
+            d = m - f
+            if not any(b == 0 and a <= d for a, b in g):  # x_1^d is not in I_d
+                expected += zero_lambda or not any(a + b <= d for a, b in g)
+        assert _evaluate(plan, p, coeffs) == expected, coeffs
+
+
+def _strongly_stable_ideal(rng, n, max_gens, max_degree):
+    """A random ideal in which x_j * u in I implies x_i * u in I for i < j.
+
+    It is generated by the closure of random monomials under the moves
+    x_j -> x_(j-1), which compose to every move x_j -> x_i with i < j.
+    """
+    todo, closed = [], set()
+    for _ in range(rng.randint(0, max_gens)):
+        mono = [0] * n
+        for _ in range(rng.randint(1, max_degree)):
+            mono[rng.randrange(n)] += 1
+        todo.append(tuple(mono))
+    while todo:
+        g = todo.pop()
+        if g not in closed:
+            closed.add(g)
+            todo.extend(g[: j - 1] + (g[j - 1] + 1, g[j] - 1) + g[j + 1 :]
+                        for j in range(1, n) if g[j])
+    return MonomialIdeal.from_generators(n, closed)
+
+
+def test_strongly_stable_modules_restrict_like_x_n():
+    # For a strongly stable ideal, x_n -> x_n + sum_(k<n) (c_k / c_n) x_k
+    # maps I onto itself in any characteristic, so every trial equals the
+    # x_n-free count. In the plan, x'^a' * L^(a_n) only reaches monomials
+    # that strong stability puts in I free of x_n: every block entry lands
+    # on a column that a unit row dropped. So this pins the plan's rows,
+    # columns and unit-row handling at and beyond the certify pool's sizes
+    # (n <= 5, dim F_m up to 3640); the dense comparisons pin the values of
+    # the powers of L.
+    rng = random.Random(5)
+    ranked = large = differs = biggest = 0
+    for case in range(300):
+        p = (7, 101, 32003)[case % 3]
+        n = rng.randint(2, 5)
+        r = rng.randint(1, 3)
+        shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(r))))
+        span = 6 if p == 7 else {2: 60, 3: 30, 4: 16, 5: 12}[n]
+        m = shape.degrees[0] + rng.randint(0, span)
+        max_degree = max(min(m, 5), 1)
+        stable = MonomialModule(
+            shape=shape,
+            components=tuple(_strongly_stable_ideal(rng, n, 3, max_degree) for _ in range(r)),
+        )
+        sl = degree_slice(stable, m)
+        plan = _restriction_plan(sl, p)
+        ranked += bool(plan.blocks)
+        large += shape.dim(m) >= 1000
+        biggest = max(biggest, shape.dim(m))
+        for t in range(3):
+            coeffs = _trial_coefficients(n, p, case, t)
+            assert _evaluate(plan, p, coeffs) == sl.xn_free_quotient_dim, (stable, m, p, t)
+        # Control: random modules, mostly not stable, often restrict otherwise.
+        other = random_monomial_module(rng, shape, max_gens=3, max_degree=max_degree)
+        other = degree_slice(other, m)
+        coeffs = _trial_coefficients(n, p, case, 0)
+        differs += _evaluate(_restriction_plan(other, p), p, coeffs) != other.xn_free_quotient_dim
+    assert ranked >= 100 and large >= 20 and differs >= 100 and biggest >= 3640
+
+
 def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(monkeypatch):
     plans = []
     original = oracle._restriction_plan
 
-    def counting(sl):
+    def counting(sl, p):
         plans.append(sl)
-        return original(sl)
+        return original(sl, p)
 
     monkeypatch.setattr(oracle, "_restriction_plan", counting)
     rng = random.Random(17)
@@ -223,7 +328,7 @@ def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(mon
         plans.clear()
         report = generic_restriction_dim(module, m, trials=3, seed=case)
         assert len(plans) == 1
-        ranked += bool(original(plans[0]).blocks)
+        ranked += bool(original(plans[0], 32003).blocks)
         assert report.dims == tuple(
             _dense_quotient_dim(module, m, 32003, _trial_coefficients(n, 32003, case, t))
             for t in range(3)
