@@ -1,7 +1,7 @@
 """Monomials, monomial ideals and monomial submodules of graded free modules.
 
-Monomials are dense exponent tuples. A monomial submodule of
-F = S e_1 + ... + S e_r is stored as one monomial ideal per component.
+Monomials are exponent tuples; one array compare decides divisibility. A
+monomial submodule of F = S e_1 + ... + S e_r is one ideal per component.
 The module order used for lexicographic slices is position-over-term:
 e_1 > e_2 > ... > e_r, lexicographic within a component.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import reprlib
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,12 +28,18 @@ class ModuleMonomial(NamedTuple):
     monomial: Monomial
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
+_DIVISOR_BLOCK_CELLS = 1 << 20  # rows x generators x variables per compare: ~1 MB
 
 
-def divides(g: Monomial, mono: Monomial) -> bool:
-    return all(e >= ge for e, ge in zip(mono, g))
+def _divisor_counts(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """For each exponent row, how many generator rows divide it (both arrays
+    int64, or both object when an exponent does not fit in int64)."""
+    counts = np.zeros(len(rows), dtype=np.int64)
+    step = max(1, _DIVISOR_BLOCK_CELLS // max(1, gens.size))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step, None, :] >= gens
+        counts[lo : lo + step] = np.logical_and.reduce(block, axis=2).sum(axis=1)
+    return counts
 
 
 def _exponent_rows(n: int, d: int) -> np.ndarray:
@@ -72,13 +78,6 @@ def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     return list(map(tuple, _exponent_rows(n, d).tolist()))
 
 
-def _check_over_shape(u: ModuleMonomial, shape: FreeModuleShape) -> None:
-    if not 1 <= u.component <= shape.r:
-        raise ValueError(f"component {u.component} outside 1..{shape.r}")
-    if len(u.monomial) != shape.n:
-        raise ValueError(f"exponent vector {u.monomial} not in {shape.n} variables")
-
-
 def lex_segment(n: int, d: int, k: int) -> list[Monomial]:
     """The k lex-largest monomials of degree d, largest first."""
     all_monomials = enumerate_monomials(n, d)
@@ -103,15 +102,15 @@ class MonomialIdeal:
 
     @classmethod
     def from_generators(cls, n: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
-        """Build from any generating set; redundant generators are dropped."""
-        minimal: list[Monomial] = []
-        for g in sorted(set(tuple(g) for g in gens), key=monomial_degree):
-            if not any(divides(m, g) for m in minimal):
-                minimal.append(g)
-        return cls(n=n, gens=tuple(sorted(minimal)))
-
-    def contains(self, mono: Monomial) -> bool:
-        return any(divides(g, mono) for g in self.gens)
+        """Build from any generating set, keeping the distinct generators that
+        no other generator divides."""
+        unique = cls(n=n, gens=tuple(sorted(set(map(tuple, gens)))))
+        try:
+            exps = np.array(unique.gens, dtype=np.int64).reshape(len(unique.gens), n)
+        except OverflowError:  # not numpy's float64, where 2**63 == 2**63 + 1
+            exps = np.array(unique.gens, dtype=object).reshape(len(unique.gens), n)
+        minimal = _divisor_counts(exps, exps) == 1
+        return unique if minimal.all() else cls(n=n, gens=tuple(compress(unique.gens, minimal)))
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,6 @@ class MonomialModule:
     def zero(cls, shape: FreeModuleShape) -> "MonomialModule":
         empty = MonomialIdeal(n=shape.n, gens=())
         return cls(shape=shape, components=(empty,) * shape.r)
-
-    def contains(self, u: ModuleMonomial) -> bool:
-        _check_over_shape(u, self.shape)
-        return self.components[u.component - 1].contains(u.monomial)
 
 
 def enumerate_module_monomials(shape: FreeModuleShape, m: int) -> list[ModuleMonomial]:
@@ -166,7 +161,10 @@ def module_from_slice(shape: FreeModuleShape, members: Sequence[ModuleMonomial])
     """Monomial module generated by the given single-degree monomial set."""
     per: list[list[Monomial]] = [[] for _ in range(shape.r)]
     for u in members:
-        _check_over_shape(u, shape)
+        if not 1 <= u.component <= shape.r:
+            raise ValueError(f"component {u.component} outside 1..{shape.r}")
+        if len(u.monomial) != shape.n:
+            raise ValueError(f"exponent vector {u.monomial} not in {shape.n} variables")
         per[u.component - 1].append(u.monomial)
     return MonomialModule(
         shape=shape,
@@ -218,12 +216,9 @@ def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
     for ideal, f in zip(module.components, module.shape.degrees):
         d = m - f
         rows = _exponent_rows(n, d) if d >= 0 else np.empty((0, n), dtype=np.int64)
-        mask = np.zeros(len(rows), dtype=bool)
-        for g in ideal.gens:
-            # A generator above degree d divides nothing there; dropping it
-            # first also keeps its exponents out of the int64 compare.
-            if monomial_degree(g) <= d:
-                mask |= (rows >= np.array(g, dtype=rows.dtype)).all(axis=1)
+        # Generators above degree d divide nothing there and may not fit int64.
+        gens = list(compress(ideal.gens, map(d.__ge__, map(sum, ideal.gens))))
+        mask = _divisor_counts(rows, np.array(gens, dtype=rows.dtype).reshape(len(gens), n)) > 0
         rows.flags.writeable = mask.flags.writeable = False
         exps.append(rows)
         member.append(mask)

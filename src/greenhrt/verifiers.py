@@ -131,6 +131,8 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
 def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     """kappa(a,d1)+kappa(b,d2) <= rank2_bound(a,b,d1,d2,n), exhaustively over
     all admissible a, b."""
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
     if d1 < d2 or d2 < 1:
         raise ValueError(f"need d1 >= d2 >= 1, got d1={d1}, d2={d2}")
     out = VerificationOutcome("rank2", {"n": n, "d1": d1, "d2": d2})
@@ -172,6 +174,8 @@ def check_higher(
     piecewise formulas break at boundaries, so uniform sampling alone
     would under-test them.
     """
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     out = VerificationOutcome(

@@ -360,6 +360,21 @@ def test_vacuous_sweeps_are_input_errors(capsys, argv, field):
     assert err.startswith(f"error: {field} ")
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["verify", "higher", "--n", "-1", "--d-max", "1", "--r-max", "1"], -1),
+        (["verify", "rank2", "--n", "-3", "--d1", "2", "--d2", "1"], -3),
+    ],
+    ids=["higher", "rank2"],
+)
+def test_negative_variable_count_is_named(capsys, argv, n):
+    # Both once ended with math.comb's "n must be a non-negative integer",
+    # which also suggested that n = 0 was allowed.
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: need at least one variable, got n={n}\n")
+
+
 def test_json_output_is_byte_stable(capsys):
     argv = ["level", "analyze", "--h", "1,3,3,3,2", "--format", "json"]
     _, first, _ = run(capsys, argv)

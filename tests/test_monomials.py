@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenhrt import monomials
 from greenhrt.bounds import CapacityError, FreeModuleShape, module_bound
 from greenhrt.macaulay import binomial, kappa
 from greenhrt.monomials import (
@@ -27,6 +28,25 @@ from greenhrt.monomials import (
     random_monomial_module,
     restrict_xn_count,
 )
+
+
+def _divides(g, mono):
+    return all(e >= ge for e, ge in zip(mono, g))
+
+
+def _in_ideal(ideal, mono):
+    """Scalar membership reference: some generator divides mono."""
+    return any(_divides(g, mono) for g in ideal.gens)
+
+
+def _minimal_reference(n, gens):
+    """The pairwise reference: visit distinct generators by degree and keep
+    each one that no generator kept so far divides."""
+    minimal = []
+    for g in sorted(set(map(tuple, gens)), key=sum):
+        if not any(_divides(m, g) for m in minimal):
+            minimal.append(g)
+    return MonomialIdeal(n=n, gens=tuple(sorted(minimal)))
 
 
 def test_enumeration_examples():
@@ -106,10 +126,77 @@ def test_ideal_minimality_and_membership():
         3, [(2, 0, 0), (2, 1, 0), (0, 1, 1), (0, 1, 1)]
     )
     assert ideal.gens == ((0, 1, 1), (2, 0, 0))
-    assert ideal.contains((2, 2, 0))
-    assert ideal.contains((0, 1, 1))
-    assert not ideal.contains((1, 1, 0))
+    assert _in_ideal(ideal, (2, 2, 0))
+    assert _in_ideal(ideal, (0, 1, 1))
+    assert not _in_ideal(ideal, (1, 1, 0))
     assert MonomialIdeal.from_generators(2, []).gens == ()
+    # As floats, 2**63 and 2**63 + 1 would divide each other and both drop.
+    wide = MonomialIdeal.from_generators(2, [(2**63 + 1, 0), (2**63, 0), (10**30, 1)])
+    assert wide.gens == ((2**63, 0),)
+    apart = MonomialIdeal.from_generators(2, [(2**63 + 1, 0), (2**63, 1)])
+    assert apart.gens == ((2**63, 1), (2**63 + 1, 0))
+    line = MonomialIdeal.from_generators(1, [(10**30 + 1,), (10**30,), (10**30,)])
+    assert line.gens == ((10**30,),)
+
+
+def _generator_sets():
+    """3000 seeded generating sets, n = 1..6, with duplicates, the zero
+    vector, empty sets and exponents on both sides of 2**63."""
+    rng = random.Random(12)
+    for case in range(3000):
+        n = case % 6 + 1
+        top = rng.choice((1, 3, 6))
+        gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 12))]
+        gens += rng.sample(gens, min(len(gens), rng.randint(0, 3)))
+        if rng.random() < 0.1:
+            gens.append((0,) * n)
+        if rng.random() < 0.2:
+            # 2**63 - 2 .. 2**63 + 1 are one float64; alone, nothing small divides them.
+            base = rng.choice((2**63 - 2, 10**30))
+            wide = [
+                tuple(rng.choice((0, rng.randint(0, 2), base + rng.randint(0, 3))) for _ in range(n))
+                for _ in range(rng.randint(1, 4))
+            ]
+            gens = wide if rng.random() < 0.5 else gens + wide
+        rng.shuffle(gens)
+        yield n, gens
+
+
+def test_minimal_generators_match_pairwise_reference():
+    seen = {"empty": 0, "duplicates": 0, "zero vector": 0, "wide": 0, "redundant": 0}
+    for n, gens in _generator_sets():
+        ideal = MonomialIdeal.from_generators(n, gens)
+        assert ideal == _minimal_reference(n, gens), (n, gens)
+        seen["empty"] += not gens
+        seen["duplicates"] += len(set(gens)) < len(gens)
+        seen["zero vector"] += (0,) * n in gens
+        seen["wide"] += any(e >= 2**63 for g in ideal.gens for e in g)
+        seen["redundant"] += len(ideal.gens) < len(set(gens))
+    assert all(seen.values()), seen
+
+
+def test_divisibility_blocks_straddle_the_cell_count(monkeypatch):
+    # Compare blocks of 1, 2, 3, all but one and all rows, each with a cell
+    # count one below, at and one above the block, so a block that skips,
+    # repeats or shifts a row shows up in the minimal generators or in the
+    # slice members.
+    rng = random.Random(13)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 16))]
+        expected = _minimal_reference(n, gens)
+        shape = FreeModuleShape(n=n, degrees=(0,))
+        m = rng.randint(0, 6 if n < 4 else 4)
+        basis = enumerate_monomials(n, m)
+        unique = len(set(gens))
+        for rows in {1, 2, 3, max(1, unique - 1), unique}:
+            for cells in (rows * unique * n - 1, rows * unique * n, rows * unique * n + 1):
+                monkeypatch.setattr(monomials, "_DIVISOR_BLOCK_CELLS", cells)
+                ideal = MonomialIdeal.from_generators(n, gens)
+                assert ideal == expected, (n, gens, cells)
+                module = MonomialModule(shape=shape, components=(ideal,))
+                member = degree_slice(module, m).member[0].tolist()
+                assert member == [_in_ideal(expected, mono) for mono in basis], (n, gens, m, cells)
 
 
 def test_hilbert_value_examples():
@@ -164,11 +251,11 @@ def _slice_modules():
 
 def test_slice_readers_match_direct_formulations():
     # The references read the module through enumerate_module_monomials and
-    # MonomialModule.contains, not through the slice's arrays.
+    # scalar membership, not through the slice's arrays.
     seen = {"top": 0, "not top": 0, "n = 1": 0, "m < f_i": 0, "unit": 0}
     for module, m in _slice_modules():
         basis = enumerate_module_monomials(module.shape, m)
-        inside = [module.contains(u) for u in basis]
+        inside = [_in_ideal(module.components[u.component - 1], u.monomial) for u in basis]
         members = [u for u, flag in zip(basis, inside) if flag]
         expected_top = members == lex_module_slice(module.shape, m, len(members))
         sl = degree_slice(module, m)

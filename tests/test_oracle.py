@@ -134,6 +134,10 @@ def test_xn_form_reproduces_combinatorial_count():
         assert _evaluate(plan, 32003, coeffs) == restrict_xn_count(module, m)
 
 
+def _divides(g, mono):
+    return all(e >= ge for e, ge in zip(mono, g))
+
+
 def _dense_quotient_dim(module, m, p, coeffs):
     """Reference: dim F_m minus the rank over F_p of M_m stacked on l * F_{m-1},
     in the monomial basis of F_m, read from the module itself rather than
@@ -145,7 +149,7 @@ def _dense_quotient_dim(module, m, p, coeffs):
         return 0
     rows = []
     for idx, u in enumerate(basis):
-        if module.contains(u):
+        if any(_divides(g, u.monomial) for g in module.components[u.component - 1].gens):
             row = np.zeros(ncols, dtype=np.int64)
             row[idx] = 1
             rows.append(row)
