@@ -266,8 +266,9 @@ def module_from_data(data: dict) -> MonomialModule:
         got = reprlib.repr(n) if _is_int(n) else type(n).__name__  # never the whole input
         raise ValueError(f"field 'n' must be a positive integer, got {got}")
     degrees = data["degrees"]
-    if not isinstance(degrees, list) or not all(map(_is_int, degrees)) or degrees != sorted(degrees):
-        raise ValueError("field 'degrees' must be a non-decreasing list of integers")
+    if (not isinstance(degrees, list) or not degrees or not all(map(_is_int, degrees))
+            or degrees != sorted(degrees)):
+        raise ValueError("field 'degrees' must be a non-empty, non-decreasing list of integers")
     shape = FreeModuleShape(n=n, degrees=tuple(degrees))
     raw = data["components"]
     if not isinstance(raw, list) or len(raw) != len(degrees):

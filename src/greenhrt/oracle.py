@@ -14,9 +14,11 @@ hyperplane): phi(x^a) = x'^a' * L^(a_n) with L = sum_(k<n) lambda_k x_k,
 lambda_k = -c_k / c_n, and dim (S/(I_i + l))_d = dim S'_d - rank phi((I_i)_d)
 holds exactly for every such form. Members of (I_i)_d free of x_n map to
 distinct unit vectors, so only the others are ranked, on the columns those
-units leave: one |(I_i)_d| x dim S'_d block at most per component. Their
-rows, columns and entry multinomials depend on the slice and p only, so a
-report plans them once and fills them for each trial. S' = k when n = 1.
+units leave: the x_n-free non-members x'^c. Row x'^a' * L^(a_n) has an
+entry at x'^c exactly where a' divides c, the coefficient of x'^(c - a')
+in L^(a_n). That is one block at most per component. Its rows, columns,
+entry positions and multinomials depend on the slice and p only, so a
+report plans them once and fills them for each trial.
 """
 from __future__ import annotations
 
@@ -24,13 +26,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, isqrt
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import module_bound
-from .monomials import DegreeSlice, MonomialModule, _exponent_rows, degree_slice
+from .monomials import DegreeSlice, MonomialModule, degree_slice
 
 DEFAULT_PRIME = 32003
 DEFAULT_TRIALS = 3
@@ -139,100 +141,55 @@ def _trial_coefficients(n: int, p: int, seed: int, trial: int) -> tuple[int, ...
     return tuple(coeffs)
 
 
-def _suffix_sums(exps: np.ndarray) -> np.ndarray:
-    """s[..., k]: the sum of the exponents after position k."""
-    return exps.sum(axis=-1, keepdims=True) - np.cumsum(exps, axis=-1)
-
-
-def _lex_index(sums: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Positions of monomials in the lex-decreasing list of their degree.
-
-    ``sums`` holds the monomials' suffix sums. ``table[k, s]`` counts the
-    monomials that agree with one before position k and have a larger
-    exponent at k, when its exponents after k add up to s:
-    C(N - k - 2 + s, N - k - 1) in N variables.
-    """
-    index = np.zeros(sums.shape[:-1], dtype=np.int64)
-    for k, row in enumerate(table):
-        index += row[sums[..., k]]
-    return index
-
-
 class _Plan(NamedTuple):
     """The coefficient-free part of one trial for one slice, pivoting on x_n.
 
-    ``free`` is the dimension before any block is ranked: dim S'_d summed
-    over the components, less the unit rows. ``exps`` lists the exponents b
-    of S'_0, ..., S'_top in turn, each lex-decreasing; L^|b| has weight[b] *
-    prod_k lambda_k^(b_k) at x'^b, ``weight[b]`` = |b|!/(b_1!...b_(n-1)!) mod p.
-    Each block is (rows, columns, listed positions, shape): its entry at
-    (row, column) is the coefficient of L^(a_n) at that listed monomial.
+    ``free`` is the dimension before any block is ranked: the x_n-free
+    basis monomials outside M. Each block is (rows, columns, cells, shape):
+    row r is a member x'^a' * x_n^(a_n) of the slice, column c one of the
+    x_n-free non-members x'^c, and an entry exists where a' divides c.
+    ``exps`` holds b = c - a' per entry, the entries of all blocks in turn,
+    and ``cells`` slices a block's entries out of them; the entry is
+    weight * prod_k lambda_k^(b_k), the coefficient of x'^b in L^(a_n), with
+    ``weight`` = a_n!/(b_1!...b_(n-1)!) mod p.
     """
 
     free: int
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]], ...] = ()
+    blocks: tuple[tuple[np.ndarray, np.ndarray, slice, tuple[int, int]], ...] = ()
     exps: np.ndarray | None = None
     weight: np.ndarray | None = None
 
 
 def _restriction_plan(sl: DegreeSlice, p: int) -> _Plan:
-    shape = sl.shape
-    if shape.n == 1:
-        # S'_d is the field for d = 0 and zero above it.
+    blocks, pivots, exps = [], [], []
+    cells = 0
+    for rows, inside in zip(sl.exps, sl.member):
+        xn_free = rows[:, -1] == 0
+        ranked = rows[inside & ~xn_free]
+        columns = rows[~inside & xn_free, :-1]
+        if not (len(ranked) and len(columns)):
+            continue  # always so at n = 1, where only degree 0 is free of x_n
+        fits = np.ones((len(ranked), len(columns)), dtype=bool)
+        for k in range(columns.shape[1]):
+            fits &= ranked[:, k, None] <= columns[:, k]
+        row, column = np.nonzero(fits)
+        blocks.append((row, column, slice(cells, cells + row.size), fits.shape))
+        cells += row.size
+        pivots.append(ranked[row, -1])
+        exps.append(columns[column] - ranked[row, :-1])
+    if not blocks:
         return _Plan(sl.xn_free_quotient_dim)
-    nvars = shape.n - 1
-    big = max(sl.m - min(shape.degrees), 0)
-    # Lex positions in S'_d for every d <= big, as _lex_index reads them.
-    table = np.array(
-        [[comb(nvars - k - 2 + s, nvars - k - 1) for s in range(big + 1)]
-         for k in range(nvars - 1)],
-        dtype=np.int64,
-    ).reshape(nvars - 1, big + 1)
 
-    free = 0
-    ranked = []  # (a_n, suffix sums of a', kept columns) of the rows left to rank
-    for f, rows, inside in zip(shape.degrees, sl.exps, sl.member):
-        d = sl.m - f
-        if d < 0:
-            continue
-        width = comb(nvars - 1 + d, nvars - 1)
-        exps = rows[inside]
-        pivot = exps[:, -1]
-        rest_sums = _suffix_sums(exps[:, :-1])
-        unit = pivot == 0
-        keep = np.ones(width, dtype=bool)
-        keep[_lex_index(rest_sums[unit], table)] = False
-        free += width - int(unit.sum())
-        if keep.any() and not unit.all():
-            ranked.append((pivot[~unit], rest_sums[~unit], keep))
-    if not ranked:
-        return _Plan(free)
-
-    top = max(int(a_n.max()) for a_n, _, _ in ranked)
-    offset = np.array([comb(nvars - 1 + e, nvars) for e in range(top + 2)], dtype=np.int64)
-    listed_exps = _exponent_rows(nvars + 1, top)[:, 1:]
-    listed_sums = _suffix_sums(listed_exps)
-    # n >= 2, so top <= m - min(f) < dim F_m < p: every factorial is a unit mod p.
-    factorial = list(accumulate(range(1, top + 1), lambda f, k: f * k % p, initial=1))
+    pivot = np.concatenate(pivots)
+    exps = np.concatenate(exps)
+    # n >= 2 here, so a_n <= m - min(f) < dim F_m < p: every factorial is a unit mod p.
+    factorial = list(accumulate(range(1, int(pivot.max(initial=0)) + 1),
+                                lambda f, k: f * k % p, initial=1))
     inverse = np.array([pow(f, -1, p) for f in factorial], dtype=np.int64)
-    weight = np.array(factorial, dtype=np.int64)[listed_exps.sum(axis=1)]
-    for column in listed_exps.T:
+    weight = np.array(factorial, dtype=np.int64)[pivot]
+    for column in exps.T:
         weight = weight * inverse[column] % p
-
-    blocks = []
-    for a_n, rest_sums, keep in ranked:
-        # Row r is x'^a' * L^(a_n): one entry per monomial b of S'_(a_n), at
-        # the column of x'^a' * x'^b unless a unit row dropped that column.
-        column = np.cumsum(keep) - 1
-        column[~keep] = -1
-        counts = offset[a_n + 1] - offset[a_n]
-        row_of = np.repeat(np.arange(a_n.size), counts)
-        first = np.cumsum(counts) - counts
-        listed = np.arange(counts.sum()) + np.repeat(offset[a_n] - first, counts)
-        cells = column[_lex_index(rest_sums[row_of] + listed_sums[listed], table)]
-        hit = cells >= 0
-        blocks.append((row_of[hit], cells[hit], listed[hit], (a_n.size, int(keep.sum()))))
-    return _Plan(free, tuple(blocks), listed_exps, weight)
+    return _Plan(sl.xn_free_quotient_dim, tuple(blocks), exps, weight)
 
 
 def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
@@ -244,14 +201,14 @@ def _evaluate(plan: _Plan, p: int, coeffs: tuple[int, ...]) -> int:
     inv = pow(coeffs[-1], -1, p)
     lam = np.array([-c * inv % p for c in coeffs[:-1]], dtype=np.int64)
     powers = np.ones((1, lam.size), dtype=np.int64)  # powers[e, k] = lambda_k^e
-    while len(powers) <= plan.exps[-1, -1]:  # top, as x'_(n-1)^top is listed last
+    while len(powers) <= plan.exps.max(initial=0):
         powers = np.concatenate((powers, powers * (powers[-1] * lam % p) % p))
     power = plan.weight
     for k, column in enumerate(plan.exps.T):
         power = power * powers[column, k] % p
-    for rows, columns, listed, size in plan.blocks:
+    for rows, columns, cells, size in plan.blocks:
         block = np.zeros(size, dtype=np.int64)
-        block[rows, columns] = power[listed]
+        block[rows, columns] = power[cells]
         total -= rank_mod_p(block, p)
     return total
 

@@ -293,8 +293,9 @@ def test_oracle_unreadable_module_file_names_it(capsys, tmp_path, kind, content,
          "'components[0][1]'"),
         (lambda: {"n": 2, "degrees": list(range(10**5, 0, -1)), "components": [[]] * 10**5},
          "'degrees'"),
+        (lambda: {"n": 2, "degrees": [], "components": []}, "'degrees'"),
     ],
-    ids=["n-list", "long-vector", "unsorted-degrees"],
+    ids=["n-list", "long-vector", "unsorted-degrees", "empty-degrees"],
 )
 def test_oversized_module_field_is_named_not_echoed(capsys, tmp_path, make, field):
     # Each of these once wrote the whole offending value to stderr: 3 MB

@@ -210,20 +210,21 @@ def test_substitution_matches_dense_elimination():
 
 def test_substitution_matches_dense_elimination_at_high_powers():
     # The cases above stop at m = 6, so no block entry there comes from L^e
-    # with e >= 7. These reach L^e up to e = 200 (n = 2) and check the
-    # closed-form powers against the dense elimination; m - min(f) < p keeps
-    # every factorial up to top a unit mod p.
+    # with e >= 7. These reach L^e up to e = 200 (n = 2) and n = 6, as the
+    # certify pool does, and check the closed-form powers against the dense
+    # elimination; m - min(f) < p keeps every factorial up to top a unit
+    # mod p.
     rng = random.Random(47)
     high = 0
-    for n, m_max in ((2, 200), (3, 20), (4, 10), (5, 7)):
-        for case in range(28):
+    for n, m_max in ((2, 200), (3, 20), (4, 10), (5, 7), (6, 7)):
+        for case in range(32):
             degrees = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 2))))
             shape = FreeModuleShape(n=n, degrees=degrees)
             m = rng.randint(7, m_max)
             module = random_monomial_module(rng, shape, max_gens=4, max_degree=m)
             p = 101 if case % 2 and m - shape.degrees[0] < 101 else 32003
             plan = _restriction_plan(degree_slice(module, m), p)
-            high += bool(plan.blocks) and plan.exps[-1, -1] >= 7
+            high += bool(plan.blocks) and plan.exps.sum(axis=1).max(initial=0) >= 7
             for t in range(2):
                 coeffs = _trial_coefficients(n, p, case, t)
                 expected = _dense_quotient_dim(module, m, p, coeffs)
@@ -242,7 +243,7 @@ def test_two_variable_restriction_at_the_largest_pool_power():
         shape=shape, components=tuple(MonomialIdeal.from_generators(2, g) for g in gens)
     )
     plan = _restriction_plan(degree_slice(module, m), p)
-    assert plan.blocks and plan.exps[-1, -1] >= 1000
+    assert plan.blocks and plan.exps.sum(axis=1).max(initial=0) >= 1000
     for coeffs in ((0, 1), (p, 7), (1, 1), (5, 31999), (-3, 2)):
         zero_lambda = coeffs[0] % p == 0
         expected = 0
