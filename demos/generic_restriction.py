@@ -10,8 +10,8 @@ import random
 
 from greenhrt import (
     FreeModuleShape,
+    degree_slice,
     generic_restriction_dim,
-    hilbert_value_module,
     module_from_data,
     module_to_data,
     random_monomial_module,
@@ -33,7 +33,7 @@ data = {
 }
 module = module_from_data(data)
 report = generic_restriction_dim(module, 2, seed=4)
-print(f"  H(F/M, 2) = {hilbert_value_module(module, 2)}")
+print(f"  H(F/M, 2) = {degree_slice(module, 2).quotient_dim}")
 print(f"  generic dim {report.generic_dim} vs bound {report.bound}; "
       f"top-slice: {report.expect_equality}, certified: {report.certified}")
 

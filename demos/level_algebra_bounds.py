@@ -6,13 +6,7 @@ from the single-component restriction bound, hGM from the module bound
 applied through the dual. Neither dominates; the comparison table bundled
 with the package records published cases where the module side wins.
 """
-from greenhrt import (
-    LevelHilbert,
-    compare_bounds,
-    load_level_table,
-    proposition_conditions,
-    reproduce_table,
-)
+from greenhrt import LevelHilbert, compare_bounds, load_level_table, reproduce_table
 
 for h in ((1, 3, 3, 3, 2), (1, 3, 6, 8, 5, 2), (1, 3, 4, 4, 4, 3, 2)):
     lh = LevelHilbert(h=h)
@@ -30,7 +24,7 @@ for h in ((1, 3, 3, 3, 2), (1, 3, 6, 8, 5, 2), (1, 3, 4, 4, 4, 3, 2)):
 
 print("The conditions are sufficient but not necessary:")
 lh = LevelHilbert(h=(1, 3, 6, 8, 5, 2))
-check = proposition_conditions(lh, 3)
+check = compare_bounds(lh).proposition_flags[3]
 print(f"  at i=3 for {list(lh.h)}: plateau={check.plateau} "
       f"(h_3={lh.h[3]} vs h_4={lh.h[4]}), yet the module bound wins there.")
 

@@ -4,7 +4,9 @@ Every non-negative integer has a unique base-d expansion into binomial
 coefficients with strictly decreasing numerators. Decrementing every
 numerator gives the single-degree restriction bound.
 """
-from greenhrt import binomial, green_bound, kappa, macaulay_rep, rep_compare, rep_value
+from math import comb
+
+from greenhrt import green_bound, kappa, macaulay_rep, rep_compare, rep_value
 
 print("Base-3 representations of small integers")
 print("----------------------------------------")
@@ -17,7 +19,7 @@ print()
 print("Round trip and the zero-binomial convention")
 rep = macaulay_rep(8, 3)
 print(f"  rep_value back from {rep.numerators}: {rep_value(rep)}")
-print(f"  C(2, 3) uses the c<d convention: {binomial(2, 3)}")
+print(f"  C(2, 3) uses the c<d convention: {comb(2, 3)}")
 
 print()
 print("kappa decrements every numerator")
@@ -38,6 +40,6 @@ print("  a quotient slice of dimension h in degree d drops to at most kappa(h, d
 for h, d in ((5, 2), (4, 2), (6, 2), (10, 3)):
     print(f"  h={h}, d={d}: bound {green_bound(h, d)}")
 
-full = binomial(3 + 2 - 1, 2)
+full = comb(3 + 2 - 1, 2)
 print(f"  full space check: dim S_2 in 3 vars is {full}, "
       f"bound {green_bound(full, 2)} = dim of degree 2 in 2 vars")

@@ -7,11 +7,11 @@ monomial module by x_n just filters out every x_n-multiple.
 """
 from greenhrt import (
     FreeModuleShape,
+    degree_slice,
     enumerate_module_monomials,
     lex_module_slice,
     module_bound,
     module_from_slice,
-    restrict_xn_count,
 )
 
 shape = FreeModuleShape(n=2, degrees=(0, 1))
@@ -41,7 +41,7 @@ for k in range(shape.dim(m) + 1):
     slice_members = lex_module_slice(shape, m, k)
     module = module_from_slice(shape, slice_members)
     h = shape.dim(m) - k
-    counted = restrict_xn_count(module, m)
+    counted = degree_slice(module, m).xn_free_quotient_dim
     bound = module_bound(h, m, shape).total
     marker = "==" if counted == bound else "!="
     print(f"  slice of {k}: x2-free survivors {counted} {marker} bound {bound}"

@@ -16,16 +16,8 @@ from .bounds import (
     rank2_bound,
     scaled_bound,
 )
-from .level import (
-    LevelHilbert,
-    compare_bounds,
-    compute_hG,
-    compute_hGM,
-    load_level_table,
-    proposition_conditions,
-    reproduce_table,
-)
-from .macaulay import MacaulayRep, binomial, kappa, macaulay_rep, rep_compare, rep_value
+from .level import LevelHilbert, compare_bounds, load_level_table, reproduce_table
+from .macaulay import MacaulayRep, kappa, macaulay_rep, rep_compare, rep_value
 from .monomials import (
     ModuleMonomial,
     MonomialIdeal,
@@ -33,14 +25,11 @@ from .monomials import (
     degree_slice,
     enumerate_module_monomials,
     enumerate_monomials,
-    hilbert_value_module,
     lex_module_slice,
-    lex_segment,
     module_from_data,
     module_from_slice,
     module_to_data,
     random_monomial_module,
-    restrict_xn_count,
 )
 from .oracle import generic_restriction_dim
 from .verifiers import (
@@ -63,7 +52,6 @@ __all__ = [
     "ModuleMonomial",
     "MonomialIdeal",
     "MonomialModule",
-    "binomial",
     "braced_bound",
     "check_herz_tail",
     "check_higher",
@@ -72,17 +60,13 @@ __all__ = [
     "check_rank2",
     "check_scaled_corollary",
     "compare_bounds",
-    "compute_hG",
-    "compute_hGM",
     "degree_slice",
     "enumerate_module_monomials",
     "enumerate_monomials",
     "generic_restriction_dim",
     "green_bound",
-    "hilbert_value_module",
     "kappa",
     "lex_module_slice",
-    "lex_segment",
     "load_level_table",
     "macaulay_rep",
     "module_bound",
@@ -90,12 +74,10 @@ __all__ = [
     "module_from_slice",
     "module_to_data",
     "nonincreasing_tuples",
-    "proposition_conditions",
     "random_monomial_module",
     "rank2_bound",
     "rep_compare",
     "rep_value",
     "reproduce_table",
-    "restrict_xn_count",
     "scaled_bound",
 ]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .macaulay import binomial, kappa
+from .macaulay import kappa
 
 
 class CapacityError(ValueError):
@@ -46,7 +47,7 @@ class FreeModuleShape:
     def component_dims(self, m: int) -> tuple[int, ...]:
         """N_i = dim S_{m - f_i} per component; zero when m < f_i."""
         return tuple(
-            binomial(self.n + d - 1, d) if d >= 0 else 0
+            comb(self.n + d - 1, d) if d >= 0 else 0
             for d in self.component_degrees(m)
         )
 
@@ -150,8 +151,8 @@ def rank2_bound(a: int, b: int, d1: int, d2: int, n: int) -> int:
         raise ValueError(f"degrees must be non-negative, got d2={d2}")
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
-    n1 = binomial(n + d1 - 1, d1)
-    n2 = binomial(n + d2 - 1, d2)
+    n1 = comb(n + d1 - 1, d1)
+    n2 = comb(n + d2 - 1, d2)
     if not 0 <= a <= n1:
         raise ValueError(f"first summand a={a} outside [0, N1={n1}]")
     if not 0 <= b <= n2:
@@ -174,7 +175,7 @@ def braced_bound(a: int, i: int, n: int) -> int:
         raise ValueError(f"dimension must be non-negative, got {a}")
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
-    s_i = binomial(i + n - 1, i)
+    s_i = comb(i + n - 1, i)
     q, r = divmod(a, s_i)
     return q * kappa(s_i, i) + kappa(r, i)
 

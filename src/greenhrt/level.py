@@ -4,18 +4,20 @@ For a level algebra with Hilbert function (h_0, ..., h_c), multiplication
 by a generic linear form admits two lower bounds on the Hilbert function of
 the principal ideal it generates: one from the classical hyperplane
 restriction bound applied degree by degree (hG), and one from the module
-bound applied to the dual level module (hGM). This module computes both,
-compares them position by position, and re-derives a bundled dataset of
-published comparisons to guard against transcription slips.
+bound applied to the dual level module (hGM). ``compare_bounds`` evaluates
+each once per position, beside the sufficient conditions for hGM_i >= hG_i;
+``reproduce_table`` re-derives a bundled dataset of published comparisons
+to guard against transcription slips.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 from .bounds import braced_bound
-from .macaulay import binomial, kappa
+from .macaulay import kappa
 
 DATA_RESOURCE = "level_comparisons.csv"
 
@@ -60,56 +62,6 @@ class PropositionCheck:
     all_hold: bool
 
 
-def _hG_entry(lh: LevelHilbert, i: int) -> int:
-    return lh.h[i + 1] - kappa(lh.h[i + 1], i + 1)
-
-
-def _hGM_entry(lh: LevelHilbert, i: int) -> int:
-    return lh.h[i] - braced_bound(lh.h[i], lh.c - i, lh.n)
-
-
-def compute_hG(lh: LevelHilbert) -> tuple[int, ...]:
-    """Degree-wise restriction bound: hG_i = h_{i+1} - kappa(h_{i+1}, i+1)."""
-    return tuple(_hG_entry(lh, i) for i in range(lh.c))
-
-
-def compute_hGM(lh: LevelHilbert) -> tuple[int, ...]:
-    """Module-side bound via the dual: hGM_i = h_i - braced_bound(h_i, c-i, n)."""
-    return tuple(_hGM_entry(lh, i) for i in range(lh.c))
-
-
-def proposition_conditions(lh: LevelHilbert, i: int) -> PropositionCheck:
-    """Evaluate the three sufficient conditions for hGM_i >= hG_i at index i.
-
-    When all three hold, the conclusion is additionally checked; a failure
-    there would contradict a proved statement and raises TheoremViolation.
-    """
-    if not 0 <= i <= lh.c - 1:
-        raise ValueError(f"index {i} outside 0..{lh.c - 1}")
-    s = binomial((lh.c - i) + lh.n - 1, lh.c - i)
-    # With a plateau and a single-segment value, the two bounds differ only
-    # in the base of the numerator decrement (c-i versus i+1); the decrement
-    # shrinks as the base grows, so c-i >= i+1 forces the module side up.
-    low_half = i + 1 <= lh.c - i
-    plateau = lh.h[i] == lh.h[i + 1]
-    fits = s > lh.h[i + 1]
-    check = PropositionCheck(
-        i=i,
-        low_half=low_half,
-        plateau=plateau,
-        fits_single_segment=fits,
-        all_hold=low_half and plateau and fits,
-    )
-    if check.all_hold:
-        hgm_i = _hGM_entry(lh, i)
-        hg_i = _hG_entry(lh, i)
-        if hgm_i < hg_i:
-            raise TheoremViolation(
-                f"conditions hold at i={i} but hGM_i={hgm_i} < hG_i={hg_i} for h={lh.h}"
-            )
-    return check
-
-
 @dataclass(frozen=True)
 class LevelComparison:
     """Both bound sequences plus the positions where the module bound wins.
@@ -126,15 +78,32 @@ class LevelComparison:
 
 
 def compare_bounds(lh: LevelHilbert) -> LevelComparison:
-    """Compute hG and hGM and report every position where hGM wins."""
-    hg = compute_hG(lh)
-    hgm = compute_hGM(lh)
+    """hG_i = h_{i+1} - kappa(h_{i+1}, i+1), hGM_i = h_i - braced_bound(h_i, c-i, n),
+    the positions where hGM wins, and per position the three sufficient conditions
+    for hGM_i >= hG_i. Where all three hold, hGM_i < hG_i would contradict a proved
+    statement and raises TheoremViolation."""
+    h, c = lh.h, lh.c
+    hg, hgm, flags = [], [], []
+    for i in range(c):
+        hg.append(h[i + 1] - kappa(h[i + 1], i + 1))
+        hgm.append(h[i] - braced_bound(h[i], c - i, lh.n))
+        # With a plateau and a single-segment value, the two bounds differ
+        # only in the base of the numerator decrement (c-i versus i+1); the
+        # decrement shrinks as the base grows, so c-i >= i+1 forces hGM up.
+        low_half = i + 1 <= c - i
+        plateau = h[i] == h[i + 1]
+        fits = comb(c - i + lh.n - 1, c - i) > h[i + 1]
+        flags.append(PropositionCheck(i, low_half, plateau, fits, low_half and plateau and fits))
+        if flags[i].all_hold and hgm[i] < hg[i]:
+            raise TheoremViolation(
+                f"conditions hold at i={i} but hGM_i={hgm[i]} < hG_i={hg[i]} for h={h}"
+            )
     return LevelComparison(
-        h=lh.h,
-        hG=hg,
-        hGM=hgm,
-        win_positions=frozenset(i + 1 for i in range(lh.c) if hgm[i] > hg[i]),
-        proposition_flags=tuple(proposition_conditions(lh, i) for i in range(lh.c)),
+        h=h,
+        hG=tuple(hg),
+        hGM=tuple(hgm),
+        win_positions=frozenset(i + 1 for i in range(c) if hgm[i] > hg[i]),
+        proposition_flags=tuple(flags),
     )
 
 

@@ -11,7 +11,8 @@ function of a generic hyperplane restriction. One greedy pass yields the
 numerators and kappa together. Degrees 1 and 2 are closed form (C(m, 1) = m;
 the largest m with C(m, 2) <= rem is an integer square root); degrees 3 and
 up bisect cached binomial rows, where C(a_i - 1, i) is the row entry just
-below the one the pass picks.
+below the one the pass picks. The rows are bounded; a remainder past a row's
+end is placed by an integer i-th root instead.
 
 The sweeps read kappa over a whole range at once from ``_kappa_tables``. The
 greedy pass gives Macaulay's block recurrence: for C(m, e) <= a < C(m+1, e),
@@ -29,21 +30,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 import numpy as np
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention that C(n, k) = 0 when n < k.
-
-    Both arguments must be non-negative.
-    """
-    return comb(n, k)
-
-
-# Cached strictly increasing rows [C(i,i), C(i+1,i), ...] per degree i >= 3,
-# grown on demand. Degrees 1 and 2 are closed form and need no table.
+# Cached rows [C(i,i), C(i+1,i), ...] per degree i >= 3, grown on demand to at
+# most _ROW_LIMIT entries and stopped after the first entry above _ROW_TOP: a
+# full degree-3 row covers a < C(65538, 3) ~ 4.7e13, and as C(i+k, i) >= 2^k
+# for k <= i, no row of degree 64 or more passes 66 entries. _pick_past_row
+# places every remainder past a row's end.
+_ROW_LIMIT = 1 << 16
+_ROW_TOP = 1 << 64
 _BINOM_ROWS: dict[int, list[int]] = {}
 
 
@@ -112,7 +110,8 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
     standard constructive proof of uniqueness; maximality forces the strict
     decrease of the numerators automatically. With row[k] = C(i + k, i), the
     pick a_i = i + idx contributes C(a_i - 1, i) = row[idx - 1] to kappa
-    (zero when idx = 0). At degree 2 the pick is m = (1 + isqrt(8 rem + 1))
+    (zero when idx = 0); past a full row, _pick_past_row supplies the pick
+    and both binomials. At degree 2 the pick is m = (1 + isqrt(8 rem + 1))
     // 2, the largest m with m(m - 1)/2 <= rem, and C(m - 1, 2) = C(m, 2) -
     (m - 1); at degree 1 it is rem itself, contributing rem - 1.
     """
@@ -141,15 +140,42 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
         if row is None:
             row = _BINOM_ROWS[i] = [1]
         while row[-1] <= rem:
+            if len(row) == _ROW_LIMIT or row[-1] > _ROW_TOP:
+                m, pick, below = _pick_past_row(rem, i)
+                nums.append(m)
+                kap += below
+                rem -= pick
+                break
             row.append(comb(i + len(row), i))
-        # largest m with C(m, i) <= rem; idx >= 0 since C(i,i) = 1 <= rem
-        idx = bisect_right(row, rem) - 1
-        nums.append(i + idx)
-        if idx:
-            kap += row[idx - 1]
-        rem -= row[idx]
+        else:
+            # largest m with C(m, i) <= rem; idx >= 0 since C(i,i) = 1 <= rem
+            idx = bisect_right(row, rem) - 1
+            nums.append(i + idx)
+            if idx:
+                kap += row[idx - 1]
+            rem -= row[idx]
         i -= 1
     return tuple(nums), kap
+
+
+def _pick_past_row(rem: int, i: int) -> tuple[int, int, int]:
+    """The largest m with C(m, i) <= rem, C(m, i) and C(m - 1, i), for i >= 3.
+
+    As (m - i + 1)^i / i! <= C(m, i) <= m^i / i!, m lies in r .. r + i - 1 for
+    r the integer i-th root of i! * rem, set bit by bit with exact powers (no
+    floats). The scan walks down from r + i - 1 by C(m-1, i) = C(m, i) (m-i)/m.
+    """
+    x = factorial(i) * rem
+    r = 0
+    for bit in reversed(range(-(-x.bit_length() // i))):
+        if (r | 1 << bit) ** i <= x:
+            r |= 1 << bit
+    m = r + i - 1
+    pick = comb(m, i)
+    while pick > rem:
+        pick = pick * (m - i) // m
+        m -= 1
+    return m, pick, pick * (m - i) // m
 
 
 def _kappa_tables(A: int, d_max: int) -> dict[int, np.ndarray]:

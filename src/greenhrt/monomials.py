@@ -78,14 +78,6 @@ def enumerate_monomials(n: int, d: int) -> list[Monomial]:
     return list(map(tuple, _exponent_rows(n, d).tolist()))
 
 
-def lex_segment(n: int, d: int, k: int) -> list[Monomial]:
-    """The k lex-largest monomials of degree d, largest first."""
-    all_monomials = enumerate_monomials(n, d)
-    if not 0 <= k <= len(all_monomials):
-        raise CapacityError(f"segment size {k} outside [0, dim S_{d} = {len(all_monomials)}]")
-    return all_monomials[:k]
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal given by its minimal generators."""
@@ -202,7 +194,9 @@ class DegreeSlice:
 
     @property
     def xn_free_quotient_dim(self) -> int:
-        """The basis monomials outside M that x_n does not divide."""
+        """dim (F/(M + x_n F))_m: the basis monomials outside M that x_n does not
+        divide. Exact for monomial modules: the quotient splits by component, and
+        each component's degree-m survivors are its x_n-free monomials outside M."""
         return sum(
             int(np.count_nonzero(~inside & (rows[:, -1] == 0)))
             for rows, inside in zip(self.exps, self.member)
@@ -223,21 +217,6 @@ def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
         exps.append(rows)
         member.append(mask)
     return DegreeSlice(module.shape, m, tuple(exps), tuple(member))
-
-
-def hilbert_value_module(module: MonomialModule, m: int) -> int:
-    """dim (F/M)_m: module monomials of degree m lying in no component ideal."""
-    return degree_slice(module, m).quotient_dim
-
-
-def restrict_xn_count(module: MonomialModule, m: int) -> int:
-    """dim (F/(M + x_n F))_m, computed by dropping every x_n-multiple.
-
-    Exact for monomial modules: the quotient splits componentwise, and in
-    each component the degree-m survivors are precisely the x_n-free
-    monomials outside the ideal.
-    """
-    return degree_slice(module, m).xn_free_quotient_dim
 
 
 def module_to_data(module: MonomialModule) -> dict:

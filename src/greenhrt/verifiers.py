@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from .bounds import FreeModuleShape, module_bound, rank2_bound, scaled_bound
-from .macaulay import _greedy, _kappa_tables, binomial, kappa
+from .macaulay import _greedy, _kappa_tables, kappa
 from .monomials import (
     MonomialModule,
     enumerate_monomials,
@@ -136,8 +137,8 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     if d1 < d2 or d2 < 1:
         raise ValueError(f"need d1 >= d2 >= 1, got d1={d1}, d2={d2}")
     out = VerificationOutcome("rank2", {"n": n, "d1": d1, "d2": d2})
-    n1 = binomial(n + d1 - 1, d1)
-    n2 = binomial(n + d2 - 1, d2)
+    n1 = comb(n + d1 - 1, d1)
+    n2 = comb(n + d2 - 1, d2)
     # Every row visits every b, so kappa(b, d2) is computed once per b.
     kb = [kappa(b, d2) for b in range(n2 + 1)]
     for a in range(n1 + 1):
@@ -193,7 +194,7 @@ def check_higher(
             d2 > d1 for d1, d2 in zip(degrees, degrees[1:])
         ):
             raise ValueError(f"degree tuple must be non-increasing and >= 1: {degrees}")
-        caps = [binomial(n + d - 1, d) for d in degrees]
+        caps = [comb(n + d - 1, d) for d in degrees]
         m = degrees[0]
         shape = _higher_shape(degrees, n)
         memos = [(d, kappa_memo.setdefault(d, {})) for d in degrees]
@@ -234,8 +235,8 @@ def check_lex_restriction(n: int, d: int) -> VerificationOutcome:
     out = VerificationOutcome("lex-restriction", {"n": n, "d": d})
     all_monomials = enumerate_monomials(n, d)
     dim = len(all_monomials)
-    # lex_segment(n, d, k) is the first k monomials of that list, so running
-    # counts give the x_n-free members of every segment.
+    # The lex segment of size k is the first k monomials of that list, so
+    # running counts give the x_n-free members of every segment.
     segment_free = list(
         itertools.accumulate((mono[-1] == 0 for mono in all_monomials), initial=0)
     )

@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 import time
+from math import comb
 
 from test_macaulay import enumerate_canonical_reps
 
@@ -22,14 +23,13 @@ from greenhrt.bounds import (
 )
 from greenhrt.cli import main as cli_main
 from greenhrt.level import load_level_table, reproduce_table
-from greenhrt.macaulay import binomial, kappa, macaulay_rep, rep_value
+from greenhrt.macaulay import kappa, macaulay_rep, rep_value
 from greenhrt.monomials import (
     MonomialModule,
-    hilbert_value_module,
+    degree_slice,
     lex_module_slice,
     module_from_slice,
     random_monomial_module,
-    restrict_xn_count,
 )
 from greenhrt.oracle import generic_restriction_dim
 from greenhrt.verifiers import (
@@ -110,8 +110,8 @@ def test_criterion_3_r_summand(capsys):
     mismatches = 0
     for n in (1, 2, 3):
         for d1, d2 in nonincreasing_tuples(5, 2):
-            n1 = binomial(n + d1 - 1, d1)
-            n2 = binomial(n + d2 - 1, d2)
+            n1 = comb(n + d1 - 1, d1)
+            n2 = comb(n + d2 - 1, d2)
             for a in range(n1 + 1):
                 for b in range(n2 + 1):
                     if _higher_rhs((a, b), (d1, d2), n) != rank2_bound(a, b, d1, d2, n):
@@ -169,7 +169,7 @@ def test_criterion_6_lex_module_equality(capsys):
             dim = shape.dim(m)
             for k in range(dim + 1):
                 module = module_from_slice(shape, lex_module_slice(shape, m, k))
-                got = restrict_xn_count(module, m)
+                got = degree_slice(module, m).xn_free_quotient_dim
                 want = module_bound(dim - k, m, shape).total
                 if got != want:
                     bad += 1
@@ -218,7 +218,7 @@ def test_criterion_7_and_8_randomized_certification(capsys):
                 slice_inequalities += 1
         # criterion 8 rides on the degree-zero part of the same sweep
         if all(f == 0 for f in degrees) and (n + m - 1) >= 1:
-            rhs = scaled_bound(hilbert_value_module(module, m), n, m)
+            rhs = scaled_bound(degree_slice(module, m).quotient_dim, n, m)
             if report.generic_dim > rhs:
                 scaled_violations.append((shape, m, report.generic_dim, str(rhs)))
             scaled_checked += 1
@@ -231,7 +231,7 @@ def test_criterion_7_and_8_randomized_certification(capsys):
                 if n + m - 1 < 1:
                     continue
                 report = generic_restriction_dim(MonomialModule.zero(shape), m, seed=7)
-                rhs = scaled_bound(hilbert_value_module(MonomialModule.zero(shape), m), n, m)
+                rhs = scaled_bound(degree_slice(MonomialModule.zero(shape), m).quotient_dim, n, m)
                 if report.generic_dim == rhs:
                     zero_equalities += 1
                 else:
@@ -295,7 +295,7 @@ def test_criterion_9_structural_properties(capsys):
     checks.append(("order agreement + kappa monotone a<=2000 d<=6", ok))
 
     ok = all(
-        kappa(binomial(n + d - 1, d), d) == binomial(n + d - 2, d)
+        kappa(comb(n + d - 1, d), d) == comb(n + d - 2, d)
         for n in range(1, 9)
         for d in range(1, 9)
     )
@@ -332,7 +332,7 @@ def test_criterion_9_structural_properties(capsys):
     for n in (1, 2, 3, 4):
         shape = FreeModuleShape(n=n, degrees=(0,))
         for m in range(7):
-            for h in range(binomial(n + m - 1, m) + 1):
+            for h in range(comb(n + m - 1, m) + 1):
                 if module_bound(h, m, shape).total != green_bound(h, m):
                     ok = False
     checks.append(("rank-one degeneration n<=4 m<=6", ok))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from greenhrt.bounds import (
     rank2_bound,
     scaled_bound,
 )
-from greenhrt.macaulay import binomial, kappa
+from greenhrt.macaulay import kappa
 
 
 def nondecreasing_tuples(values, r):
@@ -54,7 +55,7 @@ def test_rank2_examples():
     for b0 in range(3):
         assert rank2_bound(0, b0, 3, 1, 2) == kappa(b0, 1)
     # full-space case
-    n1, n2 = binomial(4, 2), binomial(3, 1)
+    n1, n2 = comb(4, 2), comb(3, 1)
     assert rank2_bound(n1, n2, 2, 1, 3) == kappa(n1, 2) + kappa(n2, 1)
 
 
@@ -62,8 +63,8 @@ def test_rank2_branch_agreement_at_join():
     for n in (1, 2, 3):
         for d1 in range(1, 5):
             for d2 in range(1, d1 + 1):
-                n2 = binomial(n + d2 - 1, d2)
-                for a in range(min(n2, binomial(n + d1 - 1, d1)) + 1):
+                n2 = comb(n + d2 - 1, d2)
+                for a in range(min(n2, comb(n + d1 - 1, d1)) + 1):
                     b = n2 - a
                     low = green_bound(a + b, d2)
                     high = green_bound(a + b - n2, d1) + green_bound(n2, d2)
@@ -106,7 +107,7 @@ def test_module_bound_rank_one_degenerates_to_green():
     for n in range(1, 5):
         shape = FreeModuleShape(n=n, degrees=(0,))
         for m in range(7):
-            for h in range(binomial(n + m - 1, m) + 1):
+            for h in range(comb(n + m - 1, m) + 1):
                 assert module_bound(h, m, shape).total == green_bound(h, m)
 
 
@@ -154,7 +155,7 @@ def test_rank2_is_shifted_module_bound():
     for n in (1, 2, 3):
         for d1 in range(1, 5):
             for d2 in range(0, d1 + 1):
-                n1, n2 = (binomial(n + d - 1, d) for d in (d1, d2))
+                n1, n2 = (comb(n + d - 1, d) for d in (d1, d2))
                 for shift in (0, 2):
                     m = d1 + shift
                     shape = FreeModuleShape(n=n, degrees=(m - d1, m - d2))
@@ -188,7 +189,7 @@ def test_scaling_identity_on_full_spaces():
     # the decremented dimension is exactly the (n-1)/(n+d-1) fraction.
     for n in range(2, 9):
         for d in range(1, 9):
-            full = binomial(n + d - 1, d)
+            full = comb(n + d - 1, d)
             assert kappa(full, d) * (n + d - 1) == (n - 1) * full
 
 

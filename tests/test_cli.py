@@ -30,6 +30,14 @@ def test_kappa_command(capsys):
     assert json.loads(out)["kappa"] == 2
 
 
+def test_kappa_of_a_huge_value_is_exact(capsys):
+    # 10^30 is far past the cached binomial rows. The value is pinned from a
+    # bisection for the largest C(m, i) <= rem at each degree.
+    code, out, _ = run(capsys, ["kappa", str(10**30), "4", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["kappa"] == 999999942851192434021569196250
+
+
 def test_bound_green(capsys):
     code, out, _ = run(capsys, ["bound", "green", "5", "2", "--format", "json"])
     assert code == 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
@@ -9,11 +10,8 @@ from greenhrt.level import (
     LevelHilbert,
     TheoremViolation,
     compare_bounds,
-    compute_hG,
-    compute_hGM,
     load_level_table,
     parse_level_table,
-    proposition_conditions,
     reproduce_table,
 )
 
@@ -28,15 +26,15 @@ def test_level_validation():
 
 
 def test_hG_rows():
-    assert compute_hG(LevelHilbert(h=(1, 3, 3, 3, 2))) == (1, 2, 3, 2)
-    assert compute_hG(LevelHilbert(h=(1, 3, 6, 8, 5, 2))) == (1, 3, 6, 4, 2)
-    assert compute_hG(LevelHilbert(h=(1, 1))) == (1,)
+    assert compare_bounds(LevelHilbert(h=(1, 3, 3, 3, 2))).hG == (1, 2, 3, 2)
+    assert compare_bounds(LevelHilbert(h=(1, 3, 6, 8, 5, 2))).hG == (1, 3, 6, 4, 2)
+    assert compare_bounds(LevelHilbert(h=(1, 1))).hG == (1,)
 
 
 def test_hGM_rows():
-    assert compute_hGM(LevelHilbert(h=(1, 3, 3, 3, 2))) == (1, 3, 2, 1)
-    assert compute_hGM(LevelHilbert(h=(1, 3, 6, 8, 5, 2))) == (1, 3, 5, 5, 2)
-    assert compute_hGM(LevelHilbert(h=(1, 1))) == (1,)
+    assert compare_bounds(LevelHilbert(h=(1, 3, 3, 3, 2))).hGM == (1, 3, 2, 1)
+    assert compare_bounds(LevelHilbert(h=(1, 3, 6, 8, 5, 2))).hGM == (1, 3, 5, 5, 2)
+    assert compare_bounds(LevelHilbert(h=(1, 1))).hGM == (1,)
 
 
 def test_win_positions():
@@ -46,22 +44,19 @@ def test_win_positions():
 
 
 def test_proposition_examples():
-    lh = LevelHilbert(h=(1, 3, 3, 3, 2))
-    check = proposition_conditions(lh, 1)
-    assert check.all_hold
-    assert compute_hGM(lh)[1] > compute_hG(lh)[1]
+    cmp = compare_bounds(LevelHilbert(h=(1, 3, 3, 3, 2)))
+    check = cmp.proposition_flags[1]
+    assert check.i == 1 and check.all_hold
+    assert cmp.hGM[1] > cmp.hG[1]
 
-    lh2 = LevelHilbert(h=(1, 3, 6, 8, 5, 2))
-    check2 = proposition_conditions(lh2, 3)
+    cmp2 = compare_bounds(LevelHilbert(h=(1, 3, 6, 8, 5, 2)))
+    check2 = cmp2.proposition_flags[3]
     assert not check2.plateau and not check2.all_hold
     # the win still happens: the conditions are sufficient, not necessary
-    assert compute_hGM(lh2)[3] > compute_hG(lh2)[3]
+    assert cmp2.hGM[3] > cmp2.hG[3]
 
-    check3 = proposition_conditions(LevelHilbert(h=(1, 1)), 0)
+    check3 = compare_bounds(LevelHilbert(h=(1, 1))).proposition_flags[0]
     assert check3.all_hold
-
-    with pytest.raises(ValueError):
-        proposition_conditions(lh, 4)
 
 
 def test_proposition_randomized_sweep():
@@ -69,21 +64,20 @@ def test_proposition_randomized_sweep():
     for _ in range(4000):
         c = rng.randint(1, 8)
         h = tuple(rng.randint(1, 20) for _ in range(c + 1))
-        lh = LevelHilbert(h=h)
+        cmp = compare_bounds(LevelHilbert(h=h))  # raises on violation
         for i in range(c):
-            check = proposition_conditions(lh, i)  # raises on violation
-            if check.all_hold:
-                assert compute_hGM(lh)[i] >= compute_hG(lh)[i]
+            if cmp.proposition_flags[i].all_hold:
+                assert cmp.hGM[i] >= cmp.hG[i]
 
 
 def test_single_block_hGM_reduces_to_kappa():
     # when h_i fits under dim S_{c-i} the braced bound is a plain decrement
     from greenhrt.bounds import braced_bound
-    from greenhrt.macaulay import binomial, kappa
+    from greenhrt.macaulay import kappa
 
     for c in (2, 3, 4):
         for i in range(c):
-            s = binomial((c - i) + 2, c - i)
+            s = comb((c - i) + 2, c - i)
             for h_i in range(1, s):
                 assert braced_bound(h_i, c - i, 3) == kappa(h_i, c - i)
 
@@ -122,6 +116,16 @@ def test_table_detects_transcription_errors():
 def test_empty_dataset_is_vacuous_pass():
     results = reproduce_table([])
     assert results == [] and all(r.ok for r in results)
+
+
+def test_conclusion_is_checked_where_the_conditions_hold(monkeypatch):
+    # A braced bound equal to its input drives hGM_0 to 0 below hG_0 = 1,
+    # at a position where all three conditions hold.
+    from greenhrt import level
+
+    monkeypatch.setattr(level, "braced_bound", lambda a, i, n: a)
+    with pytest.raises(TheoremViolation, match=r"^conditions hold at i=0 .* hG_i=1 "):
+        compare_bounds(LevelHilbert(h=(1, 1)))
 
 
 def test_theorem_violation_is_distinguishable():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from greenhrt import macaulay
 from greenhrt.macaulay import (
     MacaulayRep,
-    binomial,
     kappa,
     macaulay_rep,
     rep_compare,
@@ -43,9 +42,9 @@ def enumerate_canonical_reps(d: int, limit: int) -> list[tuple[int, tuple[int, .
 
 
 def test_binomial_examples():
-    assert binomial(5, 3) == 10
-    assert binomial(2, 3) == 0  # convention: zero when the top is smaller
-    assert binomial(0, 0) == 1
+    assert comb(5, 3) == 10
+    assert comb(2, 3) == 0  # convention: zero when the top is smaller
+    assert comb(0, 0) == 1
 
 
 def test_rep_examples_from_exhaustive_oracle():
@@ -130,7 +129,7 @@ def test_kappa_monotone_in_value(d):
 def test_kappa_on_full_spaces_drops_one_variable():
     for n in range(1, 9):
         for d in range(1, 9):
-            assert kappa(binomial(n + d - 1, d), d) == binomial(n + d - 2, d)
+            assert kappa(comb(n + d - 1, d), d) == comb(n + d - 2, d)
 
 
 def test_rep_compare_examples():
@@ -191,9 +190,9 @@ def test_greedy_core_matches_definitions():
 
     # Degree 2 is closed form: no cached row, however large a is. Inputs sit
     # on and beside C(m, 2) boundaries, where an integer square root that is
-    # off by one would pick the wrong numerator. Degrees 3 and 4 still bisect
-    # cached rows, so their a stays where those rows are small. A degree-2
-    # row for a = 10^30 would need ~1.4 * 10^15 entries; check before that.
+    # off by one would pick the wrong numerator. Degrees 3 and 4 draw from
+    # both sides of their bounded rows' ends, ~4.7e13 and ~7.7e17. A degree-2
+    # row for a = 10^30 would need ~1.4 * 10^15 entries.
     assert 2 not in macaulay._BINOM_ROWS
     tops = {2: 10**30, 3: 10**15, 4: 10**18}
     for d, top in tops.items():
@@ -246,3 +245,59 @@ def test_kappa_tables_block_edges_and_large_range():
         small = macaulay._kappa_tables(A, 4)
         for e in range(1, 5):
             assert small[e].tolist() == [kappa(a, e) for a in range(A + 1)]
+
+
+def _largest_pick(rem: int, i: int) -> int:
+    """Bisection reference: the largest m with C(m, i) <= rem, for rem >= 1."""
+    lo, hi = i, i + 1
+    while comb(hi, i) <= rem:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if comb(mid, i) <= rem else (lo, mid)
+    return lo
+
+
+def _reference_numerators(a: int, d: int) -> tuple[int, ...]:
+    nums = []
+    for i in range(d, 0, -1):
+        if a == 0:
+            break
+        nums.append(_largest_pick(a, i))
+        a -= comb(nums[-1], i)
+    return tuple(nums)
+
+
+def test_huge_values_take_the_root_path_past_bounded_rows():
+    # Rows stop at _ROW_LIMIT entries or after their first entry above
+    # _ROW_TOP; past that end an integer root places the pick. macaulay_rep
+    # validates its output, and rep_value and kappa close the round trip.
+    rng = random.Random(14)
+    for _ in range(300):
+        d = rng.randint(3, 40)
+        a = rng.randrange(10 ** rng.randint(1, 400))
+        rep = macaulay_rep(a, d)
+        assert rep_value(rep) == a, (a, d)
+        assert kappa(a, d) == sum(comb(a_i - 1, i) for a_i, i in rep.terms()), (a, d)
+    rows = macaulay._BINOM_ROWS
+    assert len(rows[3]) == macaulay._ROW_LIMIT  # the draws reached the cap
+    for row in rows.values():
+        assert len(row) <= macaulay._ROW_LIMIT
+        assert all(entry <= macaulay._ROW_TOP for entry in row[:-1])
+
+    # Both ends: a full row (degrees 3 and 4) and a row stopped by value
+    # (degrees 5 and 8). At the end the pick switches from the row to the root.
+    L = macaulay._ROW_LIMIT
+    ends = {i: comb(i + L - 1, i) for i in (3, 4)}
+    for i in (5, 8):
+        k = 0
+        while comb(i + k, i) <= macaulay._ROW_TOP:
+            k += 1
+        ends[i] = comb(i + k, i)
+    for i, end in ends.items():
+        for a in (end - 1, end, end + 1, 2 * end, end**2):
+            for d in (i, i + 1):
+                ref = _reference_numerators(a, d)
+                assert macaulay_rep(a, d).numerators == ref, (a, d)
+                expected = sum(comb(a_i - 1, d - k) for k, a_i in enumerate(ref))
+                assert kappa(a, d) == expected, (a, d)

@@ -16,7 +16,6 @@ from greenhrt.monomials import (
     lex_module_slice,
     module_from_slice,
     random_monomial_module,
-    restrict_xn_count,
 )
 from greenhrt.oracle import (
     _evaluate,
@@ -131,7 +130,7 @@ def test_xn_form_reproduces_combinatorial_count():
         m = rng.randint(0, 4)
         coeffs = (0,) * (n - 1) + (1,)
         plan = _restriction_plan(degree_slice(module, m), 32003)
-        assert _evaluate(plan, 32003, coeffs) == restrict_xn_count(module, m)
+        assert _evaluate(plan, 32003, coeffs) == degree_slice(module, m).xn_free_quotient_dim
 
 
 def _divides(g, mono):
@@ -199,7 +198,7 @@ def test_substitution_matches_dense_elimination():
             tuple(-c for c in head) + (-last,),
             (0,) * (n - 1) + (1,),
         ]
-        xn_free = restrict_xn_count(module, m)
+        xn_free = degree_slice(module, m).xn_free_quotient_dim
         for coeffs in forms:
             expected = _dense_quotient_dim(module, m, p, coeffs)
             assert _evaluate(plan, p, coeffs) == expected, (module, m, p, coeffs)

@@ -4,13 +4,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
 
 from greenhrt import monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, rank2_bound
-from greenhrt.macaulay import binomial, kappa, macaulay_rep
+from greenhrt.macaulay import kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
     _higher_rhs,
@@ -50,7 +51,7 @@ def test_herz_tail_small_sweep():
 def test_rank2_sweeps():
     outcome = check_rank2(3, 3, 2)
     assert outcome.ok
-    n1, n2 = binomial(5, 3), binomial(4, 2)
+    n1, n2 = comb(5, 3), comb(4, 2)
     assert outcome.cases == (n1 + 1) * (n2 + 1)
     assert check_rank2(4, 5, 5).ok
     with pytest.raises(ValueError):
@@ -62,8 +63,8 @@ def test_higher_matches_rank2_on_pairs():
     outcome = check_higher(3, tuples, samples=50, seed=1)
     assert outcome.ok
     for d1, d2 in tuples:
-        n1 = binomial(3 + d1 - 1, d1)
-        n2 = binomial(3 + d2 - 1, d2)
+        n1 = comb(3 + d1 - 1, d1)
+        n2 = comb(3 + d2 - 1, d2)
         for a in range(0, n1 + 1, 3):
             for b in range(0, n2 + 1, 2):
                 assert _higher_rhs((a, b), (d1, d2), 3) == rank2_bound(a, b, d1, d2, 3)
@@ -72,7 +73,7 @@ def test_higher_matches_rank2_on_pairs():
 def test_higher_full_corners_hit_equality():
     # with every component full, both sides agree exactly
     degrees = (3, 2, 1)
-    caps = [binomial(3 + d - 1, d) for d in degrees]
+    caps = [comb(3 + d - 1, d) for d in degrees]
     lhs = sum(kappa(c, d) for c, d in zip(caps, degrees))
     assert _higher_rhs(tuple(caps), degrees, 3) == lhs
 
@@ -94,7 +95,7 @@ def test_lex_restriction_sweeps():
         for d in (0, 1, 2, 3):
             outcome = check_lex_restriction(n, d)
             assert outcome.ok
-            assert outcome.cases == binomial(n + d - 1, d) + 1
+            assert outcome.cases == comb(n + d - 1, d) + 1
 
 
 def test_scaled_corollary_builds_one_slice_per_case(monkeypatch):
@@ -142,13 +143,14 @@ def test_determinism_of_seeded_sweeps():
 
 
 def _lex_restriction_reference(n, d, kappa_fn):
-    # Reference formulation: one lex_segment call per segment size.
+    # Reference formulation: recount the prefix all_monomials[:k], the lex
+    # segment of size k, for every segment size.
     all_monomials = monomials.enumerate_monomials(n, d)
     dim = len(all_monomials)
     ambient_free = sum(1 for mono in all_monomials if mono[-1] == 0)
     cases, bad = 0, []
     for k in range(dim + 1):
-        segment = monomials.lex_segment(n, d, k)
+        segment = all_monomials[:k]
         codim = ambient_free - sum(1 for mono in segment if mono[-1] == 0)
         expected = kappa_fn(dim - k, d) if d >= 1 else dim - k
         if codim != expected:
@@ -287,7 +289,7 @@ def _higher_reference(n, degree_tuples, samples, seed):
     cases, bad = 0, []
     rng = random.Random(seed)
     for degrees in degree_tuples:
-        caps = [binomial(n + d - 1, d) for d in degrees]
+        caps = [comb(n + d - 1, d) for d in degrees]
         m = degrees[0]
         shape = FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
         corner_values = itertools.product(*[(0, c) for c in caps])
@@ -332,7 +334,7 @@ def test_rank2_hoisted_kappa_matches_per_case_reference(monkeypatch):
     monkeypatch.setattr(verifiers, "kappa", skewed)
     for n, d1, d2 in ((1, 2, 1), (2, 3, 2), (3, 3, 3), (3, 4, 2)):
         expected = []
-        n1, n2 = binomial(n + d1 - 1, d1), binomial(n + d2 - 1, d2)
+        n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
         for a in range(n1 + 1):
             for b in range(n2 + 1):
                 lhs = skewed(a, d1) + skewed(b, d2)
