@@ -7,11 +7,10 @@ monomial module by x_n just filters out every x_n-multiple.
 """
 from greenhrt import (
     FreeModuleShape,
+    MonomialModule,
     degree_slice,
-    enumerate_module_monomials,
-    lex_module_slice,
+    lex_module,
     module_bound,
-    module_from_slice,
 )
 
 shape = FreeModuleShape(n=2, degrees=(0, 1))
@@ -20,13 +19,18 @@ print(f"F = S(0) + S(-1) over k[x1,x2]; degree {m} slice")
 print(f"  component degrees {shape.component_degrees(m)}, "
       f"capacities {shape.component_dims(m)}, dim F_{m} = {shape.dim(m)}")
 
-def fmt(u):
+def fmt(component, exps):
     mono = "".join(f"x{i+1}^{e}" if e > 1 else (f"x{i+1}" if e else "")
-                   for i, e in enumerate(u.monomial)) or "1"
-    return f"{mono}*e{u.component}"
+                   for i, e in enumerate(exps)) or "1"
+    return f"{mono}*e{component}"
 
-basis = enumerate_module_monomials(shape, m)
-print("  monomial basis, largest first:", ", ".join(fmt(u) for u in basis))
+# The slice of the zero module lists F_m: one row of exponents per monomial.
+basis = [
+    fmt(component, row)
+    for component, rows in enumerate(degree_slice(MonomialModule.zero(shape), m).exps, start=1)
+    for row in rows.tolist()
+]
+print("  monomial basis, largest first:", ", ".join(basis))
 
 print()
 print("Piecewise bound across every possible quotient dimension h")
@@ -38,11 +42,10 @@ for h in range(shape.dim(m) + 1):
 print()
 print("Lexicographic slices attain the bound exactly")
 for k in range(shape.dim(m) + 1):
-    slice_members = lex_module_slice(shape, m, k)
-    module = module_from_slice(shape, slice_members)
+    module = lex_module(shape, m, k)
     h = shape.dim(m) - k
     counted = degree_slice(module, m).xn_free_quotient_dim
     bound = module_bound(h, m, shape).total
     marker = "==" if counted == bound else "!="
     print(f"  slice of {k}: x2-free survivors {counted} {marker} bound {bound}"
-          f"   [{', '.join(fmt(u) for u in slice_members) or 'empty'}]")
+          f"   [{', '.join(basis[:k]) or 'empty'}]")

@@ -2,7 +2,7 @@
 
 Core pieces: Macaulay binomial representations and the numerator-decrement
 operator, the piecewise restriction bound for quotients of graded free
-modules, lexicographic module slices with exact specialization counts, a
+modules, lexicographic modules with exact specialization counts, a
 prime-field oracle certifying sampled restriction dimensions, brute-force
 verifiers for every inequality, and the level-algebra bound comparison.
 """
@@ -19,15 +19,12 @@ from .bounds import (
 from .level import LevelHilbert, compare_bounds, load_level_table, reproduce_table
 from .macaulay import MacaulayRep, kappa, macaulay_rep, rep_compare, rep_value
 from .monomials import (
-    ModuleMonomial,
     MonomialIdeal,
     MonomialModule,
     degree_slice,
-    enumerate_module_monomials,
     enumerate_monomials,
-    lex_module_slice,
+    lex_module,
     module_from_data,
-    module_from_slice,
     module_to_data,
     random_monomial_module,
 )
@@ -49,7 +46,6 @@ __all__ = [
     "FreeModuleShape",
     "LevelHilbert",
     "MacaulayRep",
-    "ModuleMonomial",
     "MonomialIdeal",
     "MonomialModule",
     "braced_bound",
@@ -61,17 +57,15 @@ __all__ = [
     "check_scaled_corollary",
     "compare_bounds",
     "degree_slice",
-    "enumerate_module_monomials",
     "enumerate_monomials",
     "generic_restriction_dim",
     "green_bound",
     "kappa",
-    "lex_module_slice",
+    "lex_module",
     "load_level_table",
     "macaulay_rep",
     "module_bound",
     "module_from_data",
-    "module_from_slice",
     "module_to_data",
     "nonincreasing_tuples",
     "random_monomial_module",

@@ -39,7 +39,9 @@ import numpy as np
 # most _ROW_LIMIT entries and stopped after the first entry above _ROW_TOP: a
 # full degree-3 row covers a < C(65538, 3) ~ 4.7e13, and as C(i+k, i) >= 2^k
 # for k <= i, no row of degree 64 or more passes 66 entries. _pick_past_row
-# places every remainder past a row's end.
+# places every remainder past a row's end. A pass creates a row at degree i
+# only when rem > i, and that pick then takes at least C(i+1, i) = i + 1, so
+# one pass over a adds at most ~sqrt(2a) rows, however large d is.
 _ROW_LIMIT = 1 << 16
 _ROW_TOP = 1 << 64
 _BINOM_ROWS: dict[int, list[int]] = {}
@@ -138,6 +140,11 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
             continue
         row = _BINOM_ROWS.get(i)
         if row is None:
+            if rem <= i:
+                # C(i + 1, i) > rem from here down: each pick is C(j, j) = 1
+                # and adds C(j - 1, j) = 0 to kappa.
+                nums.extend(range(i, i - rem, -1))
+                break
             row = _BINOM_ROWS[i] = [1]
         while row[-1] <= rem:
             if len(row) == _ROW_LIMIT or row[-1] > _ROW_TOP:

@@ -12,20 +12,13 @@ import reprlib
 from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .bounds import CapacityError, FreeModuleShape
 
 Monomial = tuple[int, ...]
-
-
-class ModuleMonomial(NamedTuple):
-    """A monomial times a basis element, component indexed 1..r."""
-
-    component: int
-    monomial: Monomial
 
 
 _DIVISOR_BLOCK_CELLS = 1 << 20  # rows x generators x variables per compare: ~1 MB
@@ -127,41 +120,24 @@ class MonomialModule:
         return cls(shape=shape, components=(empty,) * shape.r)
 
 
-def enumerate_module_monomials(shape: FreeModuleShape, m: int) -> list[ModuleMonomial]:
-    """Monomial basis of F_m in decreasing position-over-term order."""
-    out: list[ModuleMonomial] = []
-    for i, f in enumerate(shape.degrees, start=1):
-        d = m - f
-        if d < 0:
-            continue
-        out.extend(ModuleMonomial(i, mono) for mono in enumerate_monomials(shape.n, d))
-    return out
+def lex_module(shape: FreeModuleShape, m: int, k: int) -> MonomialModule:
+    """The submodule generated by the k largest monomials of F_m.
 
-
-def lex_module_slice(shape: FreeModuleShape, m: int, k: int) -> list[ModuleMonomial]:
-    """The k largest module monomials of F_m, largest first.
-
-    Fills component 1's lex segment before touching component 2, and so on.
+    Position-over-term order fills component 1's lex segment before touching
+    component 2, and so on. Monomials of one degree never divide each other,
+    so each component's generators are its first rows of F_m, listed
+    ascending as ``MonomialIdeal.from_generators`` lists them.
     """
-    basis = enumerate_module_monomials(shape, m)
-    if not 0 <= k <= len(basis):
-        raise CapacityError(f"slice size {k} outside [0, dim F_{m} = {len(basis)}]")
-    return basis[:k]
-
-
-def module_from_slice(shape: FreeModuleShape, members: Sequence[ModuleMonomial]) -> MonomialModule:
-    """Monomial module generated by the given single-degree monomial set."""
-    per: list[list[Monomial]] = [[] for _ in range(shape.r)]
-    for u in members:
-        if not 1 <= u.component <= shape.r:
-            raise ValueError(f"component {u.component} outside 1..{shape.r}")
-        if len(u.monomial) != shape.n:
-            raise ValueError(f"exponent vector {u.monomial} not in {shape.n} variables")
-        per[u.component - 1].append(u.monomial)
-    return MonomialModule(
-        shape=shape,
-        components=tuple(MonomialIdeal.from_generators(shape.n, gens) for gens in per),
-    )
+    dims = shape.component_dims(m)
+    if not 0 <= k <= sum(dims):
+        raise CapacityError(f"slice size {k} outside [0, dim F_{m} = {sum(dims)}]")
+    ideals = []
+    for f, size in zip(shape.degrees, dims):
+        take = min(k, size)
+        gens = _exponent_rows(shape.n, m - f)[:take][::-1].tolist() if take else []
+        ideals.append(MonomialIdeal(shape.n, tuple(map(tuple, gens))))
+        k -= take
+    return MonomialModule(shape, tuple(ideals))
 
 
 @dataclass(frozen=True, eq=False)

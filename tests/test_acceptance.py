@@ -27,8 +27,7 @@ from greenhrt.macaulay import kappa, macaulay_rep, rep_value
 from greenhrt.monomials import (
     MonomialModule,
     degree_slice,
-    lex_module_slice,
-    module_from_slice,
+    lex_module,
     random_monomial_module,
 )
 from greenhrt.oracle import generic_restriction_dim
@@ -168,7 +167,7 @@ def test_criterion_6_lex_module_equality(capsys):
         for m in range(5):
             dim = shape.dim(m)
             for k in range(dim + 1):
-                module = module_from_slice(shape, lex_module_slice(shape, m, k))
+                module = lex_module(shape, m, k)
                 got = degree_slice(module, m).xn_free_quotient_dim
                 want = module_bound(dim - k, m, shape).total
                 if got != want:
@@ -203,7 +202,7 @@ def test_criterion_7_and_8_randomized_certification(capsys):
         kind = total % 5
         if kind == 0:
             dim = shape.dim(m)
-            module = module_from_slice(shape, lex_module_slice(shape, m, rng.randint(0, dim)))
+            module = lex_module(shape, m, rng.randint(0, dim))
         elif kind == 1 and total % 15 == 1:
             module = MonomialModule.zero(shape)
         else:

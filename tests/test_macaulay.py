@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -301,3 +301,21 @@ def test_huge_values_take_the_root_path_past_bounded_rows():
                 assert macaulay_rep(a, d).numerators == ref, (a, d)
                 expected = sum(comb(a_i - 1, d - k) for k, a_i in enumerate(ref))
                 assert kappa(a, d) == expected, (a, d)
+
+
+def test_small_remainders_finish_without_rows(monkeypatch):
+    # Once rem <= i at a degree with no cached row, every later pick is
+    # C(j, j) = 1 and adds 0 to kappa, so the pass ends without a row. A
+    # row is made only where the pick takes at least i + 1 >= 4, so a pass
+    # from a cold cache leaves at most isqrt(2a) rows, however large d is.
+    before = len(macaulay._BINOM_ROWS)
+    assert kappa(10**6, 10**6) == 0
+    assert len(macaulay._BINOM_ROWS) == before
+    assert rep_value(macaulay_rep(10**6, 10**6)) == 10**6
+    for d in range(3, 41):
+        for a in range(300):
+            monkeypatch.setattr(macaulay, "_BINOM_ROWS", {})
+            ref = _reference_numerators(a, d)
+            assert macaulay_rep(a, d).numerators == ref, (a, d)
+            assert len(macaulay._BINOM_ROWS) <= isqrt(2 * a), (a, d)
+            assert kappa(a, d) == sum(comb(a_i - 1, d - k) for k, a_i in enumerate(ref)), (a, d)

@@ -1,10 +1,12 @@
 """Monomial enumeration, slices and specialization counts."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,15 +15,12 @@ from greenhrt import monomials
 from greenhrt.bounds import CapacityError, FreeModuleShape, module_bound
 from greenhrt.macaulay import kappa
 from greenhrt.monomials import (
-    ModuleMonomial,
     MonomialIdeal,
     MonomialModule,
     degree_slice,
-    enumerate_module_monomials,
     enumerate_monomials,
-    lex_module_slice,
+    lex_module,
     module_from_data,
-    module_from_slice,
     module_to_data,
     random_monomial_ideal,
     random_monomial_module,
@@ -47,6 +46,25 @@ def _minimal_reference(n, gens):
     return MonomialIdeal(n=n, gens=tuple(sorted(minimal)))
 
 
+@functools.cache
+def brute_monomials(n, d):
+    """Reference: the exponent vectors of the box 0..d that sum to d, sorted
+    lex-decreasing; no stars and bars."""
+    box = itertools.product(range(d + 1), repeat=n)
+    return tuple(sorted((t for t in box if sum(t) == d), reverse=True))
+
+
+def brute_module_basis(shape, m):
+    """Reference: the monomial basis of F_m as (component, exponents) pairs,
+    components numbered 1..r, in decreasing position-over-term order."""
+    return [
+        (i, mono)
+        for i, f in enumerate(shape.degrees, start=1)
+        if m >= f
+        for mono in brute_monomials(shape.n, m - f)
+    ]
+
+
 def test_enumeration_examples():
     assert enumerate_monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert enumerate_monomials(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -54,14 +72,9 @@ def test_enumeration_examples():
 
 
 def test_enumeration_matches_brute_force():
-    # Reference: filter all exponent vectors in the box, sort lex-decreasing.
     for n in range(1, 6):
         for d in range(7):
-            brute = sorted(
-                (t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d),
-                reverse=True,
-            )
-            assert enumerate_monomials(n, d) == brute, (n, d)
+            assert enumerate_monomials(n, d) == list(brute_monomials(n, d)), (n, d)
 
 
 def test_enumeration_counts_and_order():
@@ -93,27 +106,64 @@ def test_lex_segment_examples():
     assert len(enumerate_monomials(2, 3)[:4]) == 4 == comb(4, 3)
 
 
-def test_module_enumeration_and_slices():
+def test_lex_module_examples():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
-    basis = enumerate_module_monomials(shape, 2)
-    assert basis == [
-        ModuleMonomial(1, (2, 0)),
-        ModuleMonomial(1, (1, 1)),
-        ModuleMonomial(1, (0, 2)),
-        ModuleMonomial(2, (1, 0)),
-        ModuleMonomial(2, (0, 1)),
-    ]
-    assert lex_module_slice(shape, 2, 1) == basis[:1]
-    assert lex_module_slice(shape, 2, 4) == basis[:4]
-    assert lex_module_slice(shape, 2, 5) == basis
+    assert lex_module(shape, 2, 4) == MonomialModule(
+        shape=shape,
+        components=(
+            MonomialIdeal(n=2, gens=((0, 2), (1, 1), (2, 0))),
+            MonomialIdeal(n=2, gens=((1, 0),)),
+        ),
+    )
+    assert lex_module(shape, 2, 0) == MonomialModule.zero(shape)
+    for k in (-1, 6):
+        with pytest.raises(CapacityError, match=rf"^slice size {k} outside \[0, dim F_2 = 5\]$"):
+            lex_module(shape, 2, k)
+    # m below every generator degree: F_m = 0, so only k = 0 fits.
+    high = FreeModuleShape(n=3, degrees=(2, 4))
+    assert lex_module(high, 1, 0) == MonomialModule.zero(high)
     with pytest.raises(CapacityError):
-        lex_module_slice(shape, 2, 6)
-    # slices nest
-    for k1 in range(6):
-        for k2 in range(k1, 6):
-            assert set(lex_module_slice(shape, 2, k1)) <= set(
-                lex_module_slice(shape, 2, k2)
-            )
+        lex_module(high, 1, 1)
+    # m between the degrees: all of F_3 lies in the first component.
+    assert [ideal.gens for ideal in lex_module(high, 3, 3).components] == [
+        ((0, 0, 1), (0, 1, 0), (1, 0, 0)), ()
+    ]
+    # n = 1 keeps a huge degree exact: Python ints, never int64 or float.
+    line = FreeModuleShape(n=1, degrees=(0, 0, 2))
+    module = lex_module(line, 10**30, 2)
+    assert [ideal.gens for ideal in module.components] == [((10**30,),), ((10**30,),), ()]
+    assert type(module.components[0].gens[0][0]) is int
+    assert module_to_data(lex_module(line, 10**30, 3))["components"][2] == [[10**30 - 2]]
+
+
+def test_lex_module_matches_the_reference_basis():
+    # Against the brute-force basis: the generators are the first k monomials
+    # of F_m, grouped by component, with M_m a top slice of codimension
+    # dim F_m - k; membership masks nest as k grows.
+    cases = 0
+    for n in (1, 2, 3):
+        for degrees in [(0,), (0, 1), (1, 1, 3), (0, 2)]:
+            shape = FreeModuleShape(n=n, degrees=degrees)
+            for m in range(-1, 5):
+                basis = brute_module_basis(shape, m)
+                assert shape.dim(m) == len(basis)
+                masks = []
+                for k in range(len(basis) + 1):
+                    module = lex_module(shape, m, k)
+                    # Each ideal lists its generators ascending, as from_generators does.
+                    assert all(ideal.gens == tuple(sorted(ideal.gens))
+                               for ideal in module.components)
+                    gens = [(i, g) for i, ideal in enumerate(module.components, start=1)
+                            for g in reversed(ideal.gens)]
+                    assert gens == basis[:k], (shape, m, k)
+                    sl = degree_slice(module, m)
+                    assert sl.is_top and sl.quotient_dim == len(basis) - k, (shape, m, k)
+                    masks.append(np.concatenate(sl.member))
+                    cases += 1
+                for k1, small in enumerate(masks):
+                    for big in masks[k1:]:
+                        assert not (small & ~big).any(), (shape, m, k1)
+    assert cases > 300
 
 
 def test_ideal_minimality_and_membership():
@@ -209,7 +259,7 @@ def test_hilbert_value_examples():
 
 def test_restrict_xn_examples():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
-    slice_module = module_from_slice(shape, lex_module_slice(shape, 2, 1))
+    slice_module = lex_module(shape, 2, 1)
     assert degree_slice(slice_module, 2).xn_free_quotient_dim == 1
     free3 = FreeModuleShape(n=3, degrees=(0,))
     assert degree_slice(MonomialModule.zero(free3), 2).xn_free_quotient_dim == 3
@@ -235,7 +285,7 @@ def _slice_modules():
         yield random_monomial_module(rng, shape, max_gens=3, max_degree=4), m
         yield MonomialModule.zero(shape), m
         k = rng.randint(0, shape.dim(m))
-        yield module_from_slice(shape, lex_module_slice(shape, m, k)), m
+        yield lex_module(shape, m, k), m
         unit = MonomialIdeal(n=n, gens=((0,) * n,))
         mixed = tuple(
             unit if rng.random() < 0.5 else random_monomial_ideal(rng, n, 3, 4)
@@ -245,17 +295,17 @@ def _slice_modules():
 
 
 def test_slice_readers_match_direct_formulations():
-    # The references read the module through enumerate_module_monomials and
+    # The references read the module through the brute-force basis and
     # scalar membership, not through the slice's arrays.
     seen = {"top": 0, "not top": 0, "n = 1": 0, "m < f_i": 0, "unit": 0}
     for module, m in _slice_modules():
-        basis = enumerate_module_monomials(module.shape, m)
-        inside = [_in_ideal(module.components[u.component - 1], u.monomial) for u in basis]
+        basis = brute_module_basis(module.shape, m)
+        inside = [_in_ideal(module.components[i - 1], mono) for i, mono in basis]
         members = [u for u, flag in zip(basis, inside) if flag]
-        expected_top = members == lex_module_slice(module.shape, m, len(members))
+        expected_top = members == basis[: len(members)]
         sl = degree_slice(module, m)
         rows = [
-            ModuleMonomial(i, tuple(row))
+            (i, tuple(row))
             for i, exps in enumerate(sl.exps, start=1)
             for row in exps.tolist()
         ]
@@ -264,7 +314,7 @@ def test_slice_readers_match_direct_formulations():
         assert sl.is_top == expected_top
         assert sl.quotient_dim == len(basis) - len(members)
         assert sl.xn_free_quotient_dim == sum(
-            1 for u, flag in zip(basis, inside) if not flag and u.monomial[-1] == 0
+            1 for (_, mono), flag in zip(basis, inside) if not flag and mono[-1] == 0
         )
         seen["top" if expected_top else "not top"] += 1
         seen["n = 1"] += module.shape.n == 1
@@ -276,7 +326,7 @@ def test_slice_readers_match_direct_formulations():
 
 def test_slice_arrays_are_read_only():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
-    module = module_from_slice(shape, lex_module_slice(shape, 2, 2))
+    module = lex_module(shape, 2, 2)
     for sl in (degree_slice(module, 2), degree_slice(module, 0)):
         for array in sl.exps + sl.member:
             with pytest.raises(ValueError, match="read-only"):
@@ -326,7 +376,7 @@ def test_lex_slice_restriction_matches_module_bound_small():
             for m in range(4):
                 dim = shape.dim(m)
                 for k in range(dim + 1):
-                    module = module_from_slice(shape, lex_module_slice(shape, m, k))
+                    module = lex_module(shape, m, k)
                     assert degree_slice(module, m).xn_free_quotient_dim == module_bound(
                         dim - k, m, shape
                     ).total, (n, degrees, m, k)

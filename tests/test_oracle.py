@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from test_monomials import brute_module_basis
 
 from greenhrt import oracle
 from greenhrt.bounds import FreeModuleShape, module_bound
@@ -12,9 +13,7 @@ from greenhrt.monomials import (
     MonomialIdeal,
     MonomialModule,
     degree_slice,
-    enumerate_module_monomials,
-    lex_module_slice,
-    module_from_slice,
+    lex_module,
     random_monomial_module,
 )
 from greenhrt.oracle import (
@@ -101,7 +100,7 @@ def test_single_square_generator_matches_green():
 
 def test_lex_slice_example_hits_module_bound():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
-    module = module_from_slice(shape, lex_module_slice(shape, 2, 1))
+    module = lex_module(shape, 2, 1)
     report = generic_restriction_dim(module, 2, seed=3)
     assert report.generic_dim == 1
     assert report.bound == module_bound(4, 2, shape).total == 1
@@ -139,27 +138,27 @@ def _divides(g, mono):
 
 def _dense_quotient_dim(module, m, p, coeffs):
     """Reference: dim F_m minus the rank over F_p of M_m stacked on l * F_{m-1},
-    in the monomial basis of F_m, read from the module itself rather than
-    from its degree slice."""
-    basis = enumerate_module_monomials(module.shape, m)
+    in the brute-force monomial basis of F_m, read from the module itself
+    rather than from its degree slice."""
+    basis = brute_module_basis(module.shape, m)
     col = {u: idx for idx, u in enumerate(basis)}
     ncols = len(basis)
     if ncols == 0:
         return 0
     rows = []
-    for idx, u in enumerate(basis):
-        if any(_divides(g, u.monomial) for g in module.components[u.component - 1].gens):
+    for idx, (i, mono) in enumerate(basis):
+        if any(_divides(g, mono) for g in module.components[i - 1].gens):
             row = np.zeros(ncols, dtype=np.int64)
             row[idx] = 1
             rows.append(row)
-    for u in enumerate_module_monomials(module.shape, m - 1):
+    for i, mono in brute_module_basis(module.shape, m - 1):
         row = np.zeros(ncols, dtype=np.int64)
         for var, c in enumerate(coeffs):
             if c == 0:
                 continue
-            bumped = list(u.monomial)
+            bumped = list(mono)
             bumped[var] += 1
-            row[col[(u.component, tuple(bumped))]] = c % p
+            row[col[(i, tuple(bumped))]] = c % p
         rows.append(row)
     if not rows:
         return ncols
@@ -181,7 +180,7 @@ def test_substitution_matches_dense_elimination():
             module = MonomialModule.zero(shape)
         elif case % 4 == 1:
             k = rng.randint(0, shape.dim(m))
-            module = module_from_slice(shape, lex_module_slice(shape, m, k))
+            module = lex_module(shape, m, k)
         else:
             module = random_monomial_module(rng, shape, max_gens=4, max_degree=m)
         p = (7, 101, 32003)[case % 3]
@@ -342,7 +341,7 @@ def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(mon
 
 def test_certify_flags_lex_slices():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
-    slice_module = module_from_slice(shape, lex_module_slice(shape, 2, 2))
+    slice_module = lex_module(shape, 2, 2)
     assert degree_slice(slice_module, 2).is_top
     report = generic_restriction_dim(slice_module, 2, seed=9)
     assert report.expect_equality and report.certified and report.equality
