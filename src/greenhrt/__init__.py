@@ -22,7 +22,6 @@ from .monomials import (
     MonomialIdeal,
     MonomialModule,
     degree_slice,
-    enumerate_monomials,
     lex_module,
     module_from_data,
     module_to_data,
@@ -57,7 +56,6 @@ __all__ = [
     "check_scaled_corollary",
     "compare_bounds",
     "degree_slice",
-    "enumerate_monomials",
     "generic_restriction_dim",
     "green_bound",
     "kappa",

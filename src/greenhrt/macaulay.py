@@ -94,10 +94,6 @@ class MacaulayRep:
         """Extended view: numerators zero-padded down to degree 1 (length d)."""
         return self.numerators + (0,) * (self.d - len(self.numerators))
 
-    def ends_at_delta(self) -> bool:
-        """True when the terminal numerator equals its degree (a_delta = delta)."""
-        return bool(self.numerators) and self.numerators[-1] == self.delta
-
     def expansion_str(self) -> str:
         """Human-readable sum, e.g. ``C(4,3)+C(3,2)+C(1,1)``."""
         if not self.numerators:

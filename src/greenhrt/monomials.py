@@ -1,7 +1,9 @@
 """Monomials, monomial ideals and monomial submodules of graded free modules.
 
-Monomials are exponent tuples; one array compare decides divisibility. A
-monomial submodule of F = S e_1 + ... + S e_r is one ideal per component.
+An ideal's generators are exponent tuples, converted once into one exponent
+array per ideal; a degree slice is one array of exponent rows per component,
+and one array compare decides divisibility. A monomial submodule of
+F = S e_1 + ... + S e_r is one ideal per component.
 The module order used for lexicographic slices is position-over-term:
 e_1 > e_2 > ... > e_r, lexicographic within a component.
 """
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import random
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, compress
 from math import comb
 from typing import Iterable
@@ -17,9 +19,6 @@ from typing import Iterable
 import numpy as np
 
 from .bounds import CapacityError, FreeModuleShape
-
-Monomial = tuple[int, ...]
-
 
 _DIVISOR_BLOCK_CELLS = 1 << 20  # rows x generators x variables per compare: ~1 MB
 
@@ -59,42 +58,45 @@ def _exponent_rows(n: int, d: int) -> np.ndarray:
     return np.diff(bars, axis=1) - 1
 
 
-def enumerate_monomials(n: int, d: int) -> list[Monomial]:
-    """All monomials of degree d in n variables, lex-decreasing.
-
-    Length is C(n+d-1, d).
-    """
-    if n < 1:
-        raise ValueError(f"need at least one variable, got n={n}")
-    if d < 0:
-        raise ValueError(f"degree must be non-negative, got d={d}")
-    return list(map(tuple, _exponent_rows(n, d).tolist()))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators."""
+    """Monomial ideal given by its minimal generators.
+
+    ``exps`` holds the generators one per row, read-only: int64 when every
+    generator's degree fits in int64, so row sums are exact, and Python ints
+    (dtype object) otherwise.
+    """
 
     n: int
-    gens: tuple[Monomial, ...]
+    gens: tuple[tuple[int, ...], ...]
+    exps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for g in self.gens:
-            if len(g) != self.n:
-                raise ValueError(f"generator {g} not in {self.n} variables")
-            if any(e < 0 for e in g):
-                raise ValueError(f"generator {g} has a negative exponent")
+        gens, n = self.gens, self.n
+        for g in gens:
+            if len(g) != n:
+                raise ValueError(f"generator {g} not in {n} variables")
+        try:  # never through numpy's float64, where 2**63 == 2**63 + 1
+            exps = np.array(gens, dtype=np.int64).reshape(len(gens), n)
+        except OverflowError:
+            exps = np.array(gens, dtype=object).reshape(len(gens), n)
+        # With no negative exponent, an int64 row sum past 2**63 - 1 wraps to a
+        # negative prefix sum. Either case moves the array to Python ints,
+        # where a negative exponent is then named.
+        if exps.dtype == object or np.minimum(exps, exps.cumsum(axis=1)).min(initial=0) < 0:
+            exps = exps.astype(object)
+            negative = (exps < 0).any(axis=1)
+            if negative.any():
+                raise ValueError(f"generator {gens[negative.argmax()]} has a negative exponent")
+        exps.flags.writeable = False
+        object.__setattr__(self, "exps", exps)
 
     @classmethod
-    def from_generators(cls, n: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
+    def from_generators(cls, n: int, gens: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
         """Build from any generating set, keeping the distinct generators that
         no other generator divides."""
         unique = cls(n=n, gens=tuple(sorted(set(map(tuple, gens)))))
-        try:
-            exps = np.array(unique.gens, dtype=np.int64).reshape(len(unique.gens), n)
-        except OverflowError:  # not numpy's float64, where 2**63 == 2**63 + 1
-            exps = np.array(unique.gens, dtype=object).reshape(len(unique.gens), n)
-        minimal = _divisor_counts(exps, exps) == 1
+        minimal = _divisor_counts(unique.exps, unique.exps) == 1
         return unique if minimal.all() else cls(n=n, gens=tuple(compress(unique.gens, minimal)))
 
 
@@ -187,8 +189,8 @@ def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
         d = m - f
         rows = _exponent_rows(n, d) if d >= 0 else np.empty((0, n), dtype=np.int64)
         # Generators above degree d divide nothing there and may not fit int64.
-        gens = list(compress(ideal.gens, map(d.__ge__, map(sum, ideal.gens))))
-        mask = _divisor_counts(rows, np.array(gens, dtype=rows.dtype).reshape(len(gens), n)) > 0
+        gens = ideal.exps[ideal.exps.sum(axis=1) <= d].astype(rows.dtype, copy=False)
+        mask = _divisor_counts(rows, gens) > 0
         rows.flags.writeable = mask.flags.writeable = False
         exps.append(rows)
         member.append(mask)
@@ -239,7 +241,7 @@ def module_from_data(data: dict) -> MonomialModule:
                     f"field 'components[{idx}][{j}]' must list {n} non-negative integers, "
                     f"got {type(g).__name__}{size}"
                 )
-        ideals.append(MonomialIdeal.from_generators(n, [tuple(g) for g in gens]))
+        ideals.append(MonomialIdeal.from_generators(n, gens))
     return MonomialModule(shape=shape, components=tuple(ideals))
 
 

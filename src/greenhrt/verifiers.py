@@ -16,11 +16,7 @@ import numpy as np
 
 from .bounds import FreeModuleShape, module_bound, rank2_bound, scaled_bound
 from .macaulay import _greedy, _kappa_tables, kappa
-from .monomials import (
-    MonomialModule,
-    enumerate_monomials,
-    random_monomial_module,
-)
+from .monomials import MonomialModule, _exponent_rows, random_monomial_module
 from .oracle import DEFAULT_PRIME, DEFAULT_TRIALS, generic_restriction_dim
 
 
@@ -232,14 +228,16 @@ def nonincreasing_tuples(d_max: int, r: int) -> list[tuple[int, ...]]:
 def check_lex_restriction(n: int, d: int) -> VerificationOutcome:
     """Restricting a lex segment to one fewer variable drops its codimension
     exactly to kappa of the codimension, for every segment size."""
+    if n < 1:
+        raise ValueError(f"need at least one variable, got n={n}")
+    if d < 0:
+        raise ValueError(f"degree must be non-negative, got d={d}")
     out = VerificationOutcome("lex-restriction", {"n": n, "d": d})
-    all_monomials = enumerate_monomials(n, d)
-    dim = len(all_monomials)
-    # The lex segment of size k is the first k monomials of that list, so
-    # running counts give the x_n-free members of every segment.
-    segment_free = list(
-        itertools.accumulate((mono[-1] == 0 for mono in all_monomials), initial=0)
-    )
+    xn_free = _exponent_rows(n, d)[:, -1] == 0
+    dim = len(xn_free)
+    # The lex segment of size k is the first k rows, so running counts give
+    # the x_n-free members of every segment.
+    segment_free = [0, *np.cumsum(xn_free).tolist()]
     ambient_free = segment_free[-1]
     for k, free in enumerate(segment_free):
         specialized_codim = ambient_free - free

@@ -384,6 +384,19 @@ def test_negative_variable_count_is_named(capsys, argv, n):
     assert (code, out, err) == (2, "", f"error: need at least one variable, got n={n}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "0", "--d", "2"], "need at least one variable, got n=0"),
+        (["--n", "2", "--d", "-1"], "degree must be non-negative, got d=-1"),
+    ],
+    ids=["n", "d"],
+)
+def test_lex_restriction_range_errors_are_named(capsys, argv, message):
+    code, out, err = run(capsys, ["verify", "lex-restriction", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_json_output_is_byte_stable(capsys):
     argv = ["level", "analyze", "--h", "1,3,3,3,2", "--format", "json"]
     _, first, _ = run(capsys, argv)

@@ -17,8 +17,8 @@ from greenhrt.macaulay import kappa
 from greenhrt.monomials import (
     MonomialIdeal,
     MonomialModule,
+    _exponent_rows,
     degree_slice,
-    enumerate_monomials,
     lex_module,
     module_from_data,
     module_to_data,
@@ -65,34 +65,39 @@ def brute_module_basis(shape, m):
     ]
 
 
+def _rows(n, d):
+    """The exponent rows of S_d as tuples."""
+    return list(map(tuple, _exponent_rows(n, d).tolist()))
+
+
 def test_enumeration_examples():
-    assert enumerate_monomials(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    assert enumerate_monomials(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert enumerate_monomials(4, 0) == [(0, 0, 0, 0)]
+    assert _rows(2, 2) == [(2, 0), (1, 1), (0, 2)]
+    assert _rows(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _rows(4, 0) == [(0, 0, 0, 0)]
 
 
 def test_enumeration_matches_brute_force():
     for n in range(1, 6):
         for d in range(7):
-            assert enumerate_monomials(n, d) == list(brute_monomials(n, d)), (n, d)
+            assert _rows(n, d) == list(brute_monomials(n, d)), (n, d)
 
 
 def test_enumeration_counts_and_order():
     for n in range(1, 9):
         for d in range(9):
-            monos = enumerate_monomials(n, d)
+            monos = _rows(n, d)
             assert len(monos) == comb(n + d - 1, d)
             assert all(sum(m) == d for m in monos)
             # lex-decreasing, no duplicates
             assert all(a > b for a, b in zip(monos, monos[1:]))
     # n = 1 keeps any degree exact
-    assert enumerate_monomials(1, 10**30) == [(10**30,)]
+    assert _rows(1, 10**30) == [(10**30,)]
 
 
 def test_lex_segment_is_downset():
     for n in (2, 3):
         for d in (1, 2, 3):
-            monos = enumerate_monomials(n, d)
+            monos = brute_monomials(n, d)
             for k in range(len(monos) + 1):
                 segment = set(monos[:k])
                 for mono in monos:
@@ -102,8 +107,8 @@ def test_lex_segment_is_downset():
 
 
 def test_lex_segment_examples():
-    assert enumerate_monomials(3, 2)[:2] == [(2, 0, 0), (1, 1, 0)]
-    assert len(enumerate_monomials(2, 3)[:4]) == 4 == comb(4, 3)
+    assert brute_monomials(3, 2)[:2] == ((2, 0, 0), (1, 1, 0))
+    assert len(brute_monomials(2, 3)[:4]) == 4 == comb(4, 3)
 
 
 def test_lex_module_examples():
@@ -182,6 +187,19 @@ def test_ideal_minimality_and_membership():
     assert apart.gens == ((2**63, 1), (2**63 + 1, 0))
     line = MonomialIdeal.from_generators(1, [(10**30 + 1,), (10**30,), (10**30,)])
     assert line.gens == ((10**30,),)
+    # The exponent array stays out of equality and hashing.
+    for gens in ([(2, 0, 0), (0, 1, 1)], [], [(2**63, 0, 0)]):
+        a, b = MonomialIdeal.from_generators(3, gens), MonomialIdeal.from_generators(3, gens)
+        assert a.exps is not b.exps
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # Malformed generators, in int64 range and beyond it.
+    for gens, message in (
+        (((1, 2, 3),), r"^generator \(1, 2, 3\) not in 2 variables$"),
+        (((0, 1), (5, -1)), r"^generator \(5, -1\) has a negative exponent$"),
+        (((2**64, -1),), rf"^generator \({2**64}, -1\) has a negative exponent$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            MonomialIdeal(n=2, gens=gens)
 
 
 def _generator_sets():
@@ -232,7 +250,7 @@ def test_divisibility_blocks_straddle_the_cell_count(monkeypatch):
         expected = _minimal_reference(n, gens)
         shape = FreeModuleShape(n=n, degrees=(0,))
         m = rng.randint(0, 6 if n < 4 else 4)
-        basis = enumerate_monomials(n, m)
+        basis = brute_monomials(n, m)
         unique = len(set(gens))
         for rows in {1, 2, 3, max(1, unique - 1), unique}:
             for cells in (rows * unique * n - 1, rows * unique * n, rows * unique * n + 1):
@@ -275,7 +293,8 @@ def test_restrict_xn_examples():
 def _slice_modules():
     """240 seeded modules, n = 1..4: random, zero, lex top slices and mixes
     of unit and random component ideals. Generator degrees run past m, so
-    some components have m < f_i."""
+    some components have m < f_i. Then 12 modules whose int64-range
+    generators have an int64 row sum that would wrap, beside small ones."""
     rng = random.Random(31)
     for _ in range(60):
         n = rng.randint(1, 4)
@@ -292,12 +311,20 @@ def _slice_modules():
             for _ in range(r)
         )
         yield MonomialModule(shape=shape, components=mixed), m
+    for wide, small in (((2**62, 2**62), (0, 1)), ((2**63 - 1, 2**63 - 1, 3), (0, 1, 4))):
+        n = len(wide)
+        shape = FreeModuleShape(n=n, degrees=(0, 1))
+        ideals = (MonomialIdeal.from_generators(n, [wide]),
+                  MonomialIdeal.from_generators(n, [wide, small]))
+        assert ideals[0].exps.dtype == object
+        for m in range(6):
+            yield MonomialModule(shape=shape, components=ideals), m
 
 
 def test_slice_readers_match_direct_formulations():
     # The references read the module through the brute-force basis and
     # scalar membership, not through the slice's arrays.
-    seen = {"top": 0, "not top": 0, "n = 1": 0, "m < f_i": 0, "unit": 0}
+    seen = {"top": 0, "not top": 0, "n = 1": 0, "m < f_i": 0, "unit": 0, "wide": 0}
     for module, m in _slice_modules():
         basis = brute_module_basis(module.shape, m)
         inside = [_in_ideal(module.components[i - 1], mono) for i, mono in basis]
@@ -321,16 +348,20 @@ def test_slice_readers_match_direct_formulations():
         seen["m < f_i"] += m < module.shape.degrees[-1]
         seen["unit"] += any(ideal.gens == ((0,) * module.shape.n,)
                             for ideal in module.components)
+        seen["wide"] += any(ideal.exps.dtype == object for ideal in module.components)
     assert all(seen.values()), seen
 
 
 def test_slice_arrays_are_read_only():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
     module = lex_module(shape, 2, 2)
+    wide = MonomialIdeal.from_generators(1, [(10**30,)])
+    arrays = [ideal.exps for ideal in module.components + (wide,)]
     for sl in (degree_slice(module, 2), degree_slice(module, 0)):
-        for array in sl.exps + sl.member:
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
+        arrays += sl.exps + sl.member
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_slice_drops_generators_above_the_component_degree():
@@ -360,7 +391,7 @@ def test_lex_segment_restriction_identity_small():
     # Specialized codimension of a lex segment equals kappa of its codimension.
     for n in (2, 3, 4):
         for d in (1, 2, 3, 4):
-            monos = enumerate_monomials(n, d)
+            monos = brute_monomials(n, d)
             free_count = sum(1 for m in monos if m[-1] == 0)
             for k in range(len(monos) + 1):
                 segment = monos[:k]
@@ -428,7 +459,7 @@ def test_module_data_validation_names_field(bad, field):
 def test_segment_prefix_property(n, d, data):
     dim = comb(n + d - 1, d)
     k = data.draw(st.integers(min_value=0, max_value=dim))
-    monos = enumerate_monomials(n, d)
+    monos = _rows(n, d)
     segment = monos[:k]
     assert len(segment) == k
     # the k lex-largest monomials, found by sorting rather than by listing order

@@ -8,6 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from test_monomials import brute_monomials
 
 from greenhrt import monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, rank2_bound
@@ -143,9 +144,9 @@ def test_determinism_of_seeded_sweeps():
 
 
 def _lex_restriction_reference(n, d, kappa_fn):
-    # Reference formulation: recount the prefix all_monomials[:k], the lex
-    # segment of size k, for every segment size.
-    all_monomials = monomials.enumerate_monomials(n, d)
+    # Reference formulation: list S_d by brute force and recount the prefix
+    # all_monomials[:k], the lex segment of size k, for every segment size.
+    all_monomials = brute_monomials(n, d)
     dim = len(all_monomials)
     ambient_free = sum(1 for mono in all_monomials if mono[-1] == 0)
     cases, bad = 0, []
@@ -260,7 +261,8 @@ def _herz_reference(a_max, d_max, kappa_fn):
     for d in range(1, d_max + 1):
         for a in range(1, a_max + 1):
             prev, cur = kappa_fn(a - 1, d), kappa_fn(a, d)
-            tail_hits = macaulay_rep(a, d).ends_at_delta()
+            rep = macaulay_rep(a, d)
+            tail_hits = rep.numerators[-1] == rep.delta
             if (prev == cur) != tail_hits:
                 bad.append({"a": a, "d": d, "ends_at_delta": tail_hits,
                             "lhs": prev, "rhs": cur})
