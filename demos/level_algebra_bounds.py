@@ -34,5 +34,5 @@ results = reproduce_table(rows)
 print(f"Bundled dataset: {sum(r.ok for r in results)}/{len(results)} rows re-derive exactly")
 for r in results[:3]:
     print(f"  pos {r.row.position}: h={','.join(map(str, r.row.h))} "
-          f"hGM={list(r.computed_hGM)} hG={list(r.computed_hG)} ok={r.ok}")
+          f"hGM={list(r.comparison.hGM)} hG={list(r.comparison.hG)} ok={r.ok}")
 print("  ...")

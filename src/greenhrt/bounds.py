@@ -72,13 +72,6 @@ def green_bound(h: int, d: int) -> int:
     return kappa(h, d)
 
 
-def _restricted(value: int, d: int) -> int:
-    # Internal variant used where d < 0 can occur with value forced to 0.
-    if value == 0:
-        return 0
-    return green_bound(value, d)
-
-
 @dataclass(frozen=True)
 class BoundBreakdown:
     """Pivot, head and tail terms of the piecewise module bound.
@@ -125,8 +118,9 @@ def module_bound(h: int, m: int, shape: FreeModuleShape, pivot: int | None = Non
         if not (1 <= j <= r and suffix[j + 1] <= h <= suffix[j]):
             raise ValueError(f"pivot {j} not admissible for h={h}")
     head = h - suffix[j + 1]
-    head_term = _restricted(head, dims[j - 1])
-    tail_terms = tuple(_restricted(caps[i - 1], dims[i - 1]) for i in range(j + 1, r + 1))
+    # An empty term is 0 without a bound: green_bound refuses the d_i < 0 it can meet.
+    head_term = green_bound(head, dims[j - 1]) if head else 0
+    tail_terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(caps[j:], dims[j:]))
     return BoundBreakdown(
         j=j,
         head=head,

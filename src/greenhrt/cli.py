@@ -155,9 +155,9 @@ def cmd_level_table(args) -> int:
                 "h": list(r.row.h),
                 "stored_hGM": list(r.row.hGM),
                 "stored_hG": list(r.row.hG),
-                "computed_hGM": list(r.computed_hGM),
-                "computed_hG": list(r.computed_hG),
-                "win_positions": sorted(r.win_positions),
+                "computed_hGM": list(r.comparison.hGM),
+                "computed_hG": list(r.comparison.hG),
+                "win_positions": sorted(r.comparison.win_positions),
                 "ok": r.ok,
             }
             for r in results

@@ -118,9 +118,7 @@ class TableRow:
 @dataclass(frozen=True)
 class RowResult:
     row: TableRow
-    computed_hGM: tuple[int, ...]
-    computed_hG: tuple[int, ...]
-    win_positions: frozenset[int]
+    comparison: LevelComparison
     ok: bool
 
 
@@ -182,13 +180,5 @@ def reproduce_table(rows: list[TableRow], n: int = 3) -> list[RowResult]:
             and comparison.hG == row.hG
             and row.position in comparison.win_positions
         )
-        results.append(
-            RowResult(
-                row=row,
-                computed_hGM=comparison.hGM,
-                computed_hG=comparison.hG,
-                win_positions=comparison.win_positions,
-                ok=ok,
-            )
-        )
+        results.append(RowResult(row=row, comparison=comparison, ok=ok))
     return results

@@ -1,9 +1,10 @@
 """Monomials, monomial ideals and monomial submodules of graded free modules.
 
-An ideal's generators are exponent tuples, converted once into one exponent
-array per ideal; a degree slice is one array of exponent rows per component,
-and one array compare decides divisibility. A monomial submodule of
-F = S e_1 + ... + S e_r is one ideal per component.
+An ideal is built from any generating set by one constructor, which keeps
+the minimal generators as exponent tuples and as one exponent array; a degree
+slice is one array of exponent rows per component, and one array compare
+decides divisibility. A monomial submodule of F = S e_1 + ... + S e_r is one
+ideal per component.
 The module order used for lexicographic slices is position-over-term:
 e_1 > e_2 > ... > e_r, lexicographic within a component.
 """
@@ -14,7 +15,6 @@ import reprlib
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress
 from math import comb
-from typing import Iterable
 
 import numpy as np
 
@@ -60,11 +60,13 @@ def _exponent_rows(n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators.
+    """Monomial ideal given by any generating set.
 
-    ``exps`` holds the generators one per row, read-only: int64 when every
-    generator's degree fits in int64, so row sums are exact, and Python ints
-    (dtype object) otherwise.
+    ``gens`` keeps the minimal generators, ascending: the distinct given
+    generators that no other one divides. So ``==`` and ``hash`` are ideal
+    equality. ``exps`` holds them one per row, read-only: int64 when every
+    given generator's degree fits in int64, so row sums are exact, and Python
+    ints (dtype object) otherwise, even if a wide generator was dropped.
     """
 
     n: int
@@ -72,7 +74,8 @@ class MonomialIdeal:
     exps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gens, n = self.gens, self.n
+        # Deduped in the given order, so a set given sorted either way sorts in one pass.
+        gens, n = sorted(dict.fromkeys(map(tuple, self.gens))), self.n
         for g in gens:
             if len(g) != n:
                 raise ValueError(f"generator {g} not in {n} variables")
@@ -88,16 +91,15 @@ class MonomialIdeal:
             negative = (exps < 0).any(axis=1)
             if negative.any():
                 raise ValueError(f"generator {gens[negative.argmax()]} has a negative exponent")
+        # Distinct generators of one degree never divide each other, so only
+        # those below the top degree can divide another; each divides itself.
+        degree = exps.sum(axis=1)
+        below = degree < degree.max(initial=0)
+        minimal = _divisor_counts(exps, exps[below]) == below
+        exps = exps[minimal]
         exps.flags.writeable = False
+        object.__setattr__(self, "gens", tuple(compress(gens, minimal)))
         object.__setattr__(self, "exps", exps)
-
-    @classmethod
-    def from_generators(cls, n: int, gens: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
-        """Build from any generating set, keeping the distinct generators that
-        no other generator divides."""
-        unique = cls(n=n, gens=tuple(sorted(set(map(tuple, gens)))))
-        minimal = _divisor_counts(unique.exps, unique.exps) == 1
-        return unique if minimal.all() else cls(n=n, gens=tuple(compress(unique.gens, minimal)))
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,7 @@ def lex_module(shape: FreeModuleShape, m: int, k: int) -> MonomialModule:
 
     Position-over-term order fills component 1's lex segment before touching
     component 2, and so on. Monomials of one degree never divide each other,
-    so each component's generators are its first rows of F_m, listed
-    ascending as ``MonomialIdeal.from_generators`` lists them.
+    so each component's generators are its first rows of F_m.
     """
     dims = shape.component_dims(m)
     if not 0 <= k <= sum(dims):
@@ -136,8 +137,8 @@ def lex_module(shape: FreeModuleShape, m: int, k: int) -> MonomialModule:
     ideals = []
     for f, size in zip(shape.degrees, dims):
         take = min(k, size)
-        gens = _exponent_rows(shape.n, m - f)[:take][::-1].tolist() if take else []
-        ideals.append(MonomialIdeal(shape.n, tuple(map(tuple, gens))))
+        gens = _exponent_rows(shape.n, m - f)[:take].tolist() if take else []
+        ideals.append(MonomialIdeal(shape.n, gens))
         k -= take
     return MonomialModule(shape, tuple(ideals))
 
@@ -241,7 +242,7 @@ def module_from_data(data: dict) -> MonomialModule:
                     f"field 'components[{idx}][{j}]' must list {n} non-negative integers, "
                     f"got {type(g).__name__}{size}"
                 )
-        ideals.append(MonomialIdeal.from_generators(n, gens))
+        ideals.append(MonomialIdeal(n, gens))
     return MonomialModule(shape=shape, components=tuple(ideals))
 
 
@@ -256,7 +257,7 @@ def random_monomial_ideal(
         for _ in range(d):
             mono[rng.randrange(n)] += 1
         gens.append(tuple(mono))
-    return MonomialIdeal.from_generators(n, gens)
+    return MonomialIdeal(n, gens)
 
 
 def random_monomial_module(

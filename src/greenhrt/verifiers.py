@@ -106,9 +106,9 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     """kappa(a-1,d) = kappa(a,d) exactly when the base-d representation of a
     terminates with numerator equal to its degree."""
     if a_max < 2:
-        raise ValueError("a_max must be at least 2")
+        raise ValueError(f"a_max must be at least 2, got {a_max}")
     if d_max < 1:
-        raise ValueError("d_max must be at least 1")
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max})
     tables = _kappa_tables(a_max, d_max)
     for d in range(1, d_max + 1):

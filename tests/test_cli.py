@@ -369,6 +369,15 @@ def test_vacuous_sweeps_are_input_errors(capsys, argv, field):
     assert err.startswith(f"error: {field} ")
 
 
+def test_herz_range_errors_name_the_value(capsys):
+    for flag, value, line in (
+        ("--a-max", "1", "error: a_max must be at least 2, got 1"),
+        ("--d-max", "0", "error: d_max must be at least 1, got 0"),
+    ):
+        code, out, err = run(capsys, ["verify", "herz", flag, value])
+        assert (code, out, err) == (2, "", line + "\n")
+
+
 @pytest.mark.parametrize(
     "argv, n",
     [

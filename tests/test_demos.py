@@ -1,5 +1,5 @@
-"""Every walkthrough under demos/ runs to completion and prints something,
-and README's quick start runs as written."""
+"""Every walkthrough under demos/ prints exactly its recorded output, and
+README's quick start runs as written."""
 from __future__ import annotations
 
 import os
@@ -27,9 +27,11 @@ def _run(args):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
+    # Every demo is deterministic and prints exactly its text in tests/demo_output.
     done = _run([str(demo)])
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    expected = (ROOT / "tests" / "demo_output" / f"{demo.stem}.txt").read_text(encoding="utf-8")
+    assert done.stdout == expected
 
 
 def test_readme_quick_start_runs():

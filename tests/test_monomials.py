@@ -38,12 +38,13 @@ def _in_ideal(ideal, mono):
 
 def _minimal_reference(n, gens):
     """The pairwise reference: visit distinct generators by degree and keep
-    each one that no generator kept so far divides."""
+    each one that no generator kept so far divides. Returns the sorted tuple,
+    never an ideal, so the constructor under test cannot re-minimise it."""
     minimal = []
     for g in sorted(set(map(tuple, gens)), key=sum):
         if not any(_divides(m, g) for m in minimal):
             minimal.append(g)
-    return MonomialIdeal(n=n, gens=tuple(sorted(minimal)))
+    return tuple(sorted(minimal))
 
 
 @functools.cache
@@ -155,7 +156,7 @@ def test_lex_module_matches_the_reference_basis():
                 masks = []
                 for k in range(len(basis) + 1):
                     module = lex_module(shape, m, k)
-                    # Each ideal lists its generators ascending, as from_generators does.
+                    # Each ideal lists its generators ascending.
                     assert all(ideal.gens == tuple(sorted(ideal.gens))
                                for ideal in module.components)
                     gens = [(i, g) for i, ideal in enumerate(module.components, start=1)
@@ -172,31 +173,35 @@ def test_lex_module_matches_the_reference_basis():
 
 
 def test_ideal_minimality_and_membership():
-    ideal = MonomialIdeal.from_generators(
-        3, [(2, 0, 0), (2, 1, 0), (0, 1, 1), (0, 1, 1)]
-    )
+    ideal = MonomialIdeal(3, [(2, 0, 0), (2, 1, 0), (0, 1, 1), (0, 1, 1)])
     assert ideal.gens == ((0, 1, 1), (2, 0, 0))
     assert _in_ideal(ideal, (2, 2, 0))
     assert _in_ideal(ideal, (0, 1, 1))
     assert not _in_ideal(ideal, (1, 1, 0))
-    assert MonomialIdeal.from_generators(2, []).gens == ()
+    assert MonomialIdeal(2, []).gens == ()
     # As floats, 2**63 and 2**63 + 1 would divide each other and both drop.
-    wide = MonomialIdeal.from_generators(2, [(2**63 + 1, 0), (2**63, 0), (10**30, 1)])
+    wide = MonomialIdeal(2, [(2**63 + 1, 0), (2**63, 0), (10**30, 1)])
     assert wide.gens == ((2**63, 0),)
-    apart = MonomialIdeal.from_generators(2, [(2**63 + 1, 0), (2**63, 1)])
+    apart = MonomialIdeal(2, [(2**63 + 1, 0), (2**63, 1)])
     assert apart.gens == ((2**63, 1), (2**63 + 1, 0))
-    line = MonomialIdeal.from_generators(1, [(10**30 + 1,), (10**30,), (10**30,)])
+    line = MonomialIdeal(1, [(10**30 + 1,), (10**30,), (10**30,)])
     assert line.gens == ((10**30,),)
     # The exponent array stays out of equality and hashing.
     for gens in ([(2, 0, 0), (0, 1, 1)], [], [(2**63, 0, 0)]):
-        a, b = MonomialIdeal.from_generators(3, gens), MonomialIdeal.from_generators(3, gens)
+        a, b = MonomialIdeal(3, gens), MonomialIdeal(3, gens)
         assert a.exps is not b.exps
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    # Malformed generators, in int64 range and beyond it.
+    # The dtype follows the given set: a dropped wide generator leaves object rows.
+    dropped = MonomialIdeal(2, [(1, 0), (2**64, 0)])
+    assert dropped.gens == ((1, 0),) and dropped.exps.dtype == object
+    # Malformed generators, in int64 range and beyond it; of two, the first
+    # in ascending order is named.
     for gens, message in (
         (((1, 2, 3),), r"^generator \(1, 2, 3\) not in 2 variables$"),
         (((0, 1), (5, -1)), r"^generator \(5, -1\) has a negative exponent$"),
         (((2**64, -1),), rf"^generator \({2**64}, -1\) has a negative exponent$"),
+        (((1, 2, 3), (0, 5, 0)), r"^generator \(0, 5, 0\) not in 2 variables$"),
+        (((5, -1), (3, -2)), r"^generator \(3, -2\) has a negative exponent$"),
     ):
         with pytest.raises(ValueError, match=message):
             MonomialIdeal(n=2, gens=gens)
@@ -228,8 +233,14 @@ def _generator_sets():
 def test_minimal_generators_match_pairwise_reference():
     seen = {"empty": 0, "duplicates": 0, "zero vector": 0, "wide": 0, "redundant": 0}
     for n, gens in _generator_sets():
-        ideal = MonomialIdeal.from_generators(n, gens)
-        assert ideal == _minimal_reference(n, gens), (n, gens)
+        ideal = MonomialIdeal(n, gens)
+        assert ideal.gens == _minimal_reference(n, gens), (n, gens)
+        # Another order, more duplicates and added multiples give the same ideal.
+        shuffled = MonomialIdeal(n, gens[::-1] + gens[: len(gens) // 2])
+        multiples = [tuple(e + (i == j % n) for i, e in enumerate(g)) for j, g in enumerate(gens)]
+        padded = MonomialIdeal(n, gens + multiples + [tuple(2 * e for e in g) for g in gens])
+        for other in (shuffled, padded):
+            assert other == ideal and hash(other) == hash(ideal), (n, gens)
         seen["empty"] += not gens
         seen["duplicates"] += len(set(gens)) < len(gens)
         seen["zero vector"] += (0,) * n in gens
@@ -252,25 +263,30 @@ def test_divisibility_blocks_straddle_the_cell_count(monkeypatch):
         m = rng.randint(0, 6 if n < 4 else 4)
         basis = brute_monomials(n, m)
         unique = len(set(gens))
+        # The constructor compares against the generators below the top degree,
+        # the slice against the minimal ones.
+        top = max(map(sum, gens))
+        below = sum(sum(g) < top for g in set(gens))
         for rows in {1, 2, 3, max(1, unique - 1), unique}:
-            for cells in (rows * unique * n - 1, rows * unique * n, rows * unique * n + 1):
-                monkeypatch.setattr(monomials, "_DIVISOR_BLOCK_CELLS", cells)
-                ideal = MonomialIdeal.from_generators(n, gens)
-                assert ideal == expected, (n, gens, cells)
-                module = MonomialModule(shape=shape, components=(ideal,))
-                member = degree_slice(module, m).member[0].tolist()
-                assert member == [_in_ideal(expected, mono) for mono in basis], (n, gens, m, cells)
+            for size in {rows * below * n, rows * unique * n}:
+                for cells in (size - 1, size, size + 1):
+                    monkeypatch.setattr(monomials, "_DIVISOR_BLOCK_CELLS", cells)
+                    ideal = MonomialIdeal(n, gens)
+                    assert ideal.gens == expected, (n, gens, cells)
+                    module = MonomialModule(shape=shape, components=(ideal,))
+                    member = degree_slice(module, m).member[0].tolist()
+                    assert member == [_in_ideal(ideal, mono) for mono in basis], (n, gens, m, cells)
 
 
 def test_hilbert_value_examples():
     shape = FreeModuleShape(n=3, degrees=(0,))
     assert degree_slice(MonomialModule.zero(shape), 2).quotient_dim == 6
-    ideal = MonomialIdeal.from_generators(3, [(2, 0, 0), (1, 1, 0)])
+    ideal = MonomialIdeal(3, [(2, 0, 0), (1, 1, 0)])
     module = MonomialModule(shape=shape, components=(ideal,))
     assert degree_slice(module, 2).quotient_dim == 4
     unit = MonomialModule(
         shape=shape,
-        components=(MonomialIdeal.from_generators(3, [(0, 0, 0)]),),
+        components=(MonomialIdeal(3, [(0, 0, 0)]),),
     )
     assert degree_slice(unit, 2).quotient_dim == 0
 
@@ -283,7 +299,7 @@ def test_restrict_xn_examples():
     assert degree_slice(MonomialModule.zero(free3), 2).xn_free_quotient_dim == 3
     xn_only = MonomialModule(
         shape=free3,
-        components=(MonomialIdeal.from_generators(3, [(0, 0, 1)]),),
+        components=(MonomialIdeal(3, [(0, 0, 1)]),),
     )
     assert degree_slice(xn_only, 2).xn_free_quotient_dim == degree_slice(
         MonomialModule.zero(free3), 2
@@ -314,8 +330,7 @@ def _slice_modules():
     for wide, small in (((2**62, 2**62), (0, 1)), ((2**63 - 1, 2**63 - 1, 3), (0, 1, 4))):
         n = len(wide)
         shape = FreeModuleShape(n=n, degrees=(0, 1))
-        ideals = (MonomialIdeal.from_generators(n, [wide]),
-                  MonomialIdeal.from_generators(n, [wide, small]))
+        ideals = (MonomialIdeal(n, [wide]), MonomialIdeal(n, [wide, small]))
         assert ideals[0].exps.dtype == object
         for m in range(6):
             yield MonomialModule(shape=shape, components=ideals), m
@@ -355,7 +370,7 @@ def test_slice_readers_match_direct_formulations():
 def test_slice_arrays_are_read_only():
     shape = FreeModuleShape(n=2, degrees=(0, 1))
     module = lex_module(shape, 2, 2)
-    wide = MonomialIdeal.from_generators(1, [(10**30,)])
+    wide = MonomialIdeal(1, [(10**30,)])
     arrays = [ideal.exps for ideal in module.components + (wide,)]
     for sl in (degree_slice(module, 2), degree_slice(module, 0)):
         arrays += sl.exps + sl.member
@@ -369,16 +384,16 @@ def test_slice_drops_generators_above_the_component_degree():
     # the int64 compare; at n = 1 the degree itself may be huge.
     shape = FreeModuleShape(n=2, degrees=(0,))
     big = MonomialModule(
-        shape=shape, components=(MonomialIdeal.from_generators(2, [(10**30, 0), (0, 1)]),)
+        shape=shape, components=(MonomialIdeal(2, [(10**30, 0), (0, 1)]),)
     )
     assert [mask.tolist() for mask in degree_slice(big, 3).member] == [[False, True, True, True]]
     line = FreeModuleShape(n=1, degrees=(0, 0, 2))
     module = MonomialModule(
         shape=line,
         components=(
-            MonomialIdeal.from_generators(1, [(3,)]),
-            MonomialIdeal.from_generators(1, [(10**30,)]),
-            MonomialIdeal.from_generators(1, []),
+            MonomialIdeal(1, [(3,)]),
+            MonomialIdeal(1, [(10**30,)]),
+            MonomialIdeal(1, []),
         ),
     )
     sl = degree_slice(module, 10**20)
@@ -418,8 +433,8 @@ def test_module_data_round_trip():
     module = MonomialModule(
         shape=shape,
         components=(
-            MonomialIdeal.from_generators(3, [(2, 0, 0)]),
-            MonomialIdeal.from_generators(3, [(0, 1, 0), (0, 0, 2)]),
+            MonomialIdeal(3, [(2, 0, 0)]),
+            MonomialIdeal(3, [(0, 1, 0), (0, 0, 2)]),
         ),
     )
     data = module_to_data(module)

@@ -51,7 +51,7 @@ def test_modulus_is_tested_once_per_certify(monkeypatch):
     shape = FreeModuleShape(n=3, degrees=(0, 0, 1, 1))
     module = MonomialModule(
         shape=shape,
-        components=tuple(MonomialIdeal.from_generators(3, [(0, 0, 1)]) for _ in range(4)),
+        components=tuple(MonomialIdeal(3, [(0, 0, 1)]) for _ in range(4)),
     )
     report = generic_restriction_dim(module, 2, p=2147483647, trials=3, seed=1)
     assert report.certified
@@ -90,7 +90,7 @@ def test_free_module_restriction_dimension():
 def test_single_square_generator_matches_green():
     shape = FreeModuleShape(n=3, degrees=(0,))
     module = MonomialModule(
-        shape=shape, components=(MonomialIdeal.from_generators(3, [(2, 0, 0)]),)
+        shape=shape, components=(MonomialIdeal(3, [(2, 0, 0)]),)
     )
     report = generic_restriction_dim(module, 2, seed=1)
     assert report.generic_dim == 2
@@ -238,7 +238,7 @@ def test_two_variable_restriction_at_the_largest_pool_power():
     shape = FreeModuleShape(n=2, degrees=(0, 0, 1, 2))
     gens = ([(5, 0)], [(0, 1100)], [], [(1, 1000), (3, 900)])
     module = MonomialModule(
-        shape=shape, components=tuple(MonomialIdeal.from_generators(2, g) for g in gens)
+        shape=shape, components=tuple(MonomialIdeal(2, g) for g in gens)
     )
     plan = _restriction_plan(degree_slice(module, m), p)
     assert plan.blocks and plan.exps.sum(axis=1).max(initial=0) >= 1000
@@ -270,7 +270,7 @@ def _strongly_stable_ideal(rng, n, max_gens, max_degree):
             closed.add(g)
             todo.extend(g[: j - 1] + (g[j - 1] + 1, g[j] - 1) + g[j + 1 :]
                         for j in range(1, n) if g[j])
-    return MonomialIdeal.from_generators(n, closed)
+    return MonomialIdeal(n, closed)
 
 
 def test_strongly_stable_modules_restrict_like_x_n():
@@ -349,8 +349,8 @@ def test_certify_flags_lex_slices():
     other = MonomialModule(
         shape=shape,
         components=(
-            MonomialIdeal.from_generators(2, [(0, 2)]),
-            MonomialIdeal.from_generators(2, []),
+            MonomialIdeal(2, [(0, 2)]),
+            MonomialIdeal(2, []),
         ),
     )
     assert not degree_slice(other, 2).is_top
