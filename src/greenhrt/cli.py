@@ -191,17 +191,6 @@ def _sweep(check: Callable[[argparse.Namespace], verifiers.VerificationOutcome])
     return lambda args: _emit_outcome(args, check(args))
 
 
-def _check_higher(args) -> verifiers.VerificationOutcome:
-    # Empty tuple lists would pass with 0 cases; name the field instead.
-    if args.d_max < 1:
-        raise ValueError(f"d_max must be at least 1, got {args.d_max}")
-    if args.r_max < 1:
-        raise ValueError(f"r_max must be at least 1, got {args.r_max}")
-    tuples = [tup for r in range(1, args.r_max + 1)
-              for tup in verifiers.nonincreasing_tuples(args.d_max, r)]
-    return verifiers.check_higher(args.n, tuples, args.samples, seed=args.seed)
-
-
 def _sample(args) -> oracle.RestrictionReport:
     module = _load_module(args.module)
     return oracle.generic_restriction_dim(
@@ -295,7 +284,8 @@ COMMANDS = Group(
                 lambda a: verifiers.check_rank2(a.n, a.d1, a.d2)), (
                 _arg("--n", required=True), _arg("--d1", required=True),
                 _arg("--d2", required=True))),
-            "higher": Leaf("r-summand inequality, sampled plus corners", _sweep(_check_higher), (
+            "higher": Leaf("r-summand inequality, sampled plus corners", _sweep(
+                lambda a: verifiers.check_higher(a.n, a.d_max, a.r_max, a.samples, a.seed)), (
                 _arg("--n", default=3), _arg("--d-max", default=5), _arg("--r-max", default=4),
                 _arg("--samples", default=100, help="random draws per degree tuple"),
                 _arg("--seed", default=0))),

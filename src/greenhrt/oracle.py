@@ -147,7 +147,8 @@ class _Plan(NamedTuple):
     ``free`` is the dimension before any block is ranked: the x_n-free
     basis monomials outside M. Each block is (rows, columns, cells, shape):
     row r is a member x'^a' * x_n^(a_n) of the slice, column c one of the
-    x_n-free non-members x'^c, and an entry exists where a' divides c.
+    x_n-free non-members x'^c, and an entry exists where a' divides c; a
+    block with no entry has rank 0 and is left out.
     ``exps`` holds b = c - a' per entry, the entries of all blocks in turn,
     and ``cells`` slices a block's entries out of them; the entry is
     weight * prod_k lambda_k^(b_k), the coefficient of x'^b in L^(a_n), with
@@ -167,12 +168,12 @@ def _restriction_plan(sl: DegreeSlice, p: int) -> _Plan:
         xn_free = rows[:, -1] == 0
         ranked = rows[inside & ~xn_free]
         columns = rows[~inside & xn_free, :-1]
-        if not (len(ranked) and len(columns)):
-            continue  # always so at n = 1, where only degree 0 is free of x_n
         fits = np.ones((len(ranked), len(columns)), dtype=bool)
         for k in range(columns.shape[1]):
             fits &= ranked[:, k, None] <= columns[:, k]
         row, column = np.nonzero(fits)
+        if not row.size:
+            continue  # no entry, so rank 0; always so at n = 1
         blocks.append((row, column, slice(cells, cells + row.size), fits.shape))
         cells += row.size
         pivots.append(ranked[row, -1])

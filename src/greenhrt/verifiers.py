@@ -159,22 +159,26 @@ def _higher_rhs(values: tuple[int, ...], degrees: tuple[int, ...], n: int) -> in
     return module_bound(sum(values), degrees[0], _higher_shape(degrees, n)).total
 
 
-def check_higher(
-    n: int,
-    degree_tuples: list[tuple[int, ...]],
-    samples: int,
-    seed: int = 0,
-) -> VerificationOutcome:
+def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> VerificationOutcome:
     """sum kappa(a_i, d_i) <= piecewise bound over random and corner tuples.
 
-    Every boundary corner (each a_i in {0, N_i}) is always included;
-    piecewise formulas break at boundaries, so uniform sampling alone
-    would under-test them.
+    The degree tuples are every non-increasing tuple with entries in
+    1..d_max and length r in 1..r_max: by r ascending, then in
+    ``nonincreasing_tuples(d_max, r)``'s order. The seeded draws follow
+    that order. Every boundary corner (each a_i in {0, N_i}) is always
+    included; piecewise formulas break at boundaries, so uniform sampling
+    alone would under-test them.
     """
+    # Empty tuple lists would pass with 0 cases; name the field instead.
+    if d_max < 1:
+        raise ValueError(f"d_max must be at least 1, got {d_max}")
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    degree_tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
     out = VerificationOutcome(
         "higher",
         {"n": n, "tuples": len(degree_tuples), "samples": samples, "seed": seed},
@@ -185,11 +189,6 @@ def check_higher(
     # and none that no case asks for.
     kappa_memo: dict[int, dict[int, int]] = {}
     for degrees in degree_tuples:
-        degrees = tuple(degrees)
-        if any(d < 1 for d in degrees) or any(
-            d2 > d1 for d1, d2 in zip(degrees, degrees[1:])
-        ):
-            raise ValueError(f"degree tuple must be non-increasing and >= 1: {degrees}")
         caps = [comb(n + d - 1, d) for d in degrees]
         m = degrees[0]
         shape = _higher_shape(degrees, n)
@@ -249,10 +248,10 @@ def check_lex_restriction(n: int, d: int) -> VerificationOutcome:
 
 
 def check_scaled_corollary(
-    n_max: int = 3,
-    r_max: int = 3,
-    d_max: int = 5,
-    samples: int = 3,
+    n_max: int,
+    r_max: int,
+    d_max: int,
+    samples: int,
     p: int = DEFAULT_PRIME,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,

@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 from math import comb
 
 import numpy as np
 import pytest
+from test_cli import _leaf_paths
 from test_monomials import brute_monomials
 
 from greenhrt import monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, rank2_bound
+from greenhrt.cli import COMMANDS, main
 from greenhrt.macaulay import kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
@@ -61,7 +64,8 @@ def test_rank2_sweeps():
 
 def test_higher_matches_rank2_on_pairs():
     tuples = [t for t in nonincreasing_tuples(4, 2)]
-    outcome = check_higher(3, tuples, samples=50, seed=1)
+    # r in (1, 2), d <= 4: the pairs above and the single degrees
+    outcome = check_higher(3, 4, 2, 50, 1)
     assert outcome.ok
     for d1, d2 in tuples:
         n1 = comb(3 + d1 - 1, d1)
@@ -79,11 +83,26 @@ def test_higher_full_corners_hit_equality():
     assert _higher_rhs(tuple(caps), degrees, 3) == lhs
 
 
-def test_higher_rejects_bad_tuples():
-    with pytest.raises(ValueError):
-        check_higher(2, [(1, 2)], samples=1)
-    with pytest.raises(ValueError):
-        check_higher(2, [(2, 0)], samples=1)
+@pytest.mark.parametrize(
+    "n, d_max, r_max, samples, message",
+    [
+        (0, 0, 0, -1, "d_max must be at least 1, got 0"),
+        (0, 1, 0, -1, "r_max must be at least 1, got 0"),
+        (0, 1, 1, -1, "need at least one variable, got n=0"),
+        (1, 1, 1, -1, "samples must be non-negative, got -1"),
+    ],
+    ids=["d_max", "r_max", "n", "samples"],
+)
+def test_higher_names_the_first_bad_range(capsys, n, d_max, r_max, samples, message):
+    # The ranges are checked in the order d_max, r_max, n, samples, so a call
+    # with several bad values names the first one, as the CLI does.
+    with pytest.raises(ValueError) as exc:
+        check_higher(n, d_max, r_max, samples, 0)
+    assert str(exc.value) == message
+    argv = ["verify", "higher", "--n", str(n), "--d-max", str(d_max),
+            "--r-max", str(r_max), "--samples", str(samples)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_nonincreasing_tuples():
@@ -135,8 +154,8 @@ def test_counterexample_recording_round_trips():
 
 
 def test_determinism_of_seeded_sweeps():
-    a = check_higher(2, [(2, 1)], samples=30, seed=9)
-    b = check_higher(2, [(2, 1)], samples=30, seed=9)
+    a = check_higher(2, 2, 2, 30, 9)
+    b = check_higher(2, 2, 2, 30, 9)
     assert a.cases == b.cases and a.counterexamples == b.counterexamples
     s1 = check_scaled_corollary(n_max=2, r_max=1, d_max=2, samples=1, seed=3)
     s2 = check_scaled_corollary(n_max=2, r_max=1, d_max=2, samples=1, seed=3)
@@ -323,7 +342,7 @@ def test_higher_memos_match_per_case_reference(monkeypatch):
                           for t in nonincreasing_tuples(d_max, r)]
                 for seed in (0, 5, 11):
                     expected = _higher_reference(n, tuples, 12, seed)
-                    outcome = check_higher(n, tuples, 12, seed=seed)
+                    outcome = check_higher(n, d_max, r_max, 12, seed)
                     assert (outcome.cases, outcome.counterexamples) == expected, (
                         n, d_max, r_max, seed)
                     assert bool(outcome.counterexamples) == (bound is low_bound)
@@ -366,9 +385,37 @@ def test_higher_work_is_bounded_by_cases(monkeypatch):
     monkeypatch.setattr(verifiers, "kappa", counting_kappa)
     monkeypatch.setattr(verifiers, "module_bound", counting_bound)
     tuples = [t for r in (1, 2) for t in nonincreasing_tuples(5, r)]
-    outcome = check_higher(40, tuples, samples=5, seed=2)
+    outcome = check_higher(40, 5, 2, 5, 2)
     per_case_kappa = sum(len(t) * (2 ** len(t) + 5) for t in tuples)
     assert outcome.ok and outcome.cases == sum(2 ** len(t) + 5 for t in tuples)
     # Corners repeat a_i in {0, N_i} across tuples, so the memo saves calls.
     assert calls["kappa"] < per_case_kappa
     assert calls["bound"] <= outcome.cases
+
+
+# Each verify leaf's flags, in the order of its library call's arguments,
+# with pairwise distinct values: every outcome records its arguments in its
+# ranges, except higher's d_max and r_max, whose swap changes its cases. So
+# a leaf that passed two flags in swapped places would print other JSON.
+_VERIFY_LEAVES = {
+    "kappa-lemma": (check_kappa_lemma, ("--a-max", 30), ("--d-max", 3)),
+    "herz": (check_herz_tail, ("--a-max", 25), ("--d-max", 4)),
+    "rank2": (check_rank2, ("--n", 2), ("--d1", 3), ("--d2", 1)),
+    "higher": (check_higher, ("--n", 3), ("--d-max", 4), ("--r-max", 2),
+               ("--samples", 5), ("--seed", 6)),
+    "lex-restriction": (check_lex_restriction, ("--n", 3), ("--d", 2)),
+    "scaled": (check_scaled_corollary, ("--n-max", 2), ("--r-max", 1), ("--d-max", 3),
+               ("--samples", 4), ("--p", 101), ("--trials", 5), ("--seed", 6)),
+}
+
+
+def test_every_verify_leaf_is_its_library_call(capsys):
+    leaves = sorted(path for path in _leaf_paths(COMMANDS) if path[0] == "verify")
+    assert leaves == sorted(("verify", name) for name in _VERIFY_LEAVES)
+    for name, (check, *flags) in _VERIFY_LEAVES.items():
+        values = [value for _, value in flags]
+        assert len(set(values)) == len(values), name
+        argv = ["verify", name, *(str(x) for flag in flags for x in flag), "--format", "json"]
+        assert main(argv) == 0, name
+        assert capsys.readouterr().out == json.dumps(check(*values).to_json_dict()) + "\n"
+    assert check_higher(3, 2, 4, 5, 6).cases != check_higher(3, 4, 2, 5, 6).cases
