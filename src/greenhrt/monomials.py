@@ -21,6 +21,10 @@ import numpy as np
 from .bounds import CapacityError, FreeModuleShape
 
 _DIVISOR_BLOCK_CELLS = 1 << 20  # rows x generators x variables per compare: ~1 MB
+# Ceiling on the cells (rows x variables) of one array of exponent rows:
+# 512 MiB of int64, far above any test, demo or benchmark slice. Checked
+# before anything is allocated.
+_MAX_EXPONENT_CELLS = 1 << 26
 
 
 def _divisor_counts(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -41,11 +45,18 @@ def _exponent_rows(n: int, d: int) -> np.ndarray:
     ``combinations`` lists the bar positions in lex-increasing order of the
     exponents they cut, so the rows are read in reverse. For n = 1 the one
     row holds d as a Python int, since d is unbounded there; for n >= 2 the
-    C(n+d-1, d) rows keep d far inside int64.
+    C(n+d-1, d) rows keep d far inside int64. More than _MAX_EXPONENT_CELLS
+    cells raise ValueError.
     """
     if n == 1:
         return np.array([[d]], dtype=object)
-    count = comb(n + d - 1, d)
+    # C(n+d-1, d) >= 2**min(d, n - 1) and n >= 2, so a large minimum is past the
+    # ceiling before the exact binomial, which takes ~40 s at n = d = 10**6.
+    if (min(d, n - 1) >= _MAX_EXPONENT_CELLS.bit_length() - 1
+            or (count := comb(n + d - 1, d)) * n > _MAX_EXPONENT_CELLS):
+        raise ValueError(
+            f"degree {d} in n={n} variables needs more than {_MAX_EXPONENT_CELLS} exponent cells"
+        )
     # Bar positions, between sentinel bars at -1 and d + n - 1.
     bars = np.empty((count, n + 1), dtype=np.int64)
     bars[:, 0] = -1
@@ -223,6 +234,8 @@ def module_from_data(data: dict) -> MonomialModule:
     if not _is_int(n) or n < 1:
         got = reprlib.repr(n) if _is_int(n) else type(n).__name__  # never the whole input
         raise ValueError(f"field 'n' must be a positive integer, got {got}")
+    if n > _MAX_EXPONENT_CELLS:  # one exponent row alone would pass the ceiling
+        raise ValueError(f"field 'n' must be at most {_MAX_EXPONENT_CELLS}, got {reprlib.repr(n)}")
     degrees = data["degrees"]
     if (not isinstance(degrees, list) or not degrees or not all(map(_is_int, degrees))
             or degrees != sorted(degrees)):

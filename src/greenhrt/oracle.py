@@ -68,25 +68,22 @@ def rank_mod_p(block: np.ndarray, p: int) -> int:
     Entries must already lie in [0, p), and p must be a prime below 2**31,
     checked by the caller, so products of two entries fit in int64. The
     block is not modified.
+
+    rank(A) = rank(A^T), so a wide block is transposed and the elimination
+    walks the shorter side: one step per column of a tall copy. Rows from
+    ``rank`` on are zero left of ``col``, so each step clears only the live
+    columns ``col:`` of the rows below its pivot.
     """
-    mat = block.copy()
-    nrows, ncols = mat.shape
+    mat = (block.T if block.shape[0] < block.shape[1] else block).copy()
     rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(mat[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        pivot = nz[0] + rank
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        inv = pow(int(mat[rank, col]), -1, p)
-        mat[rank] = (mat[rank] * inv) % p
-        below = np.nonzero(mat[rank + 1 :, col])[0] + rank + 1
-        if below.size:
-            mat[below] = (mat[below] - mat[below, col][:, None] * mat[rank]) % p
-        rank += 1
+    for col in range(mat.shape[1]):
+        nz = np.nonzero(mat[rank:, col])[0] + rank
+        if nz.size:
+            top, below = nz[0], nz[1:]
+            pivot = mat[top, col:] * pow(int(mat[top, col]), -1, p) % p
+            mat[top, col:] = mat[rank, col:]  # the pivot row is spent; row rank takes its place
+            mat[below, col:] = (mat[below, col:] - mat[below, col, None] * pivot) % p
+            rank += 1
     return rank
 
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenhrt import monomials
+from greenhrt import cli, monomials
 from greenhrt.bounds import CapacityError, FreeModuleShape, module_bound
 from greenhrt.macaulay import kappa
 from greenhrt.monomials import (
@@ -463,6 +465,58 @@ def test_module_data_round_trip():
 def test_module_data_validation_names_field(bad, field):
     with pytest.raises(ValueError, match=field.replace("[", "\\[").replace("]", "\\]")):
         module_from_data(bad)
+
+
+def test_exponent_cell_ceiling_is_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(monomials, "_MAX_EXPONENT_CELLS", 18)
+    assert _exponent_rows(3, 2).shape == (6, 3)  # C(4, 2) rows of 3 cells: at the ceiling
+    shape = FreeModuleShape(n=3, degrees=(0,))
+    for build in (lambda: _exponent_rows(3, 3), lambda: lex_module(shape, 3, 1),
+                  lambda: degree_slice(MonomialModule.zero(shape), 3)):
+        with pytest.raises(ValueError, match="degree 3 in n=3 variables needs more than 18"):
+            build()  # C(5, 3) rows of 3 cells
+    # C(n+d-1, d) >= 2**min(d, n - 1): past the ceiling without the binomial.
+    monkeypatch.setattr(monomials, "comb", lambda *args: pytest.fail(f"comb{args}"))
+    for n, d in ((5, 4), (10**6, 10**6), (10**40, 10**40)):
+        with pytest.raises(ValueError, match=f"degree {d} in n={n} variables"):
+            _exponent_rows(n, d)
+    assert module_from_data({"n": 18, "degrees": [0], "components": [[]]}).shape.n == 18
+    with pytest.raises(ValueError, match="field 'n' must be at most 18, got 19"):
+        module_from_data({"n": 19, "degrees": [0], "components": [[]]})
+
+
+@pytest.mark.parametrize(
+    "argv, n, message",
+    [
+        (["oracle", "certify", "--m", "0"], 2**40,
+         "field 'n' must be at most 67108864, got 1099511627776"),
+        (["oracle", "certify", "--m", "0"], 10**40,
+         "field 'n' must be at most 67108864, got 1000"),
+        (["verify", "lex-restriction", "--n", "30", "--d", "30"], None,
+         "degree 30 in n=30 variables needs more than 67108864 exponent cells"),
+        (["verify", "lex-restriction", "--n", "1000000", "--d", "1000000"], None,
+         "degree 1000000 in n=1000000 variables needs more than 67108864 exponent cells"),
+    ],
+    ids=["n-2**40", "n-10**40", "lex-restriction", "lex-restriction-huge"],
+)
+def test_unbounded_slices_exit_two_naming_n(capsys, tmp_path, argv, n, message):
+    # These once ended in an 8 TiB MemoryError traceback, in numpy's "Maximum
+    # allowed dimension exceeded" and "array is too big", which name no
+    # field, and in 40 s of math.comb before numpy's error.
+    if n is not None:
+        module_file = tmp_path / "module.json"
+        module_file.write_text(json.dumps({"n": n, "degrees": [0], "components": [[]]}))
+        argv = [*argv, "--module", str(module_file)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert peak < 1 << 20  # no slice was allocated
 
 
 @settings(max_examples=100, deadline=None)

@@ -71,6 +71,67 @@ def test_matrix_rank_known_cases():
     assert np.array_equal(modp, before)  # the argument is not modified
 
 
+def _reference_rank(rows: list[list[int]], p: int) -> int:
+    """Gauss-Jordan over F_p in Python ints, walking the columns as given."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] % p:
+                factor = row[col]
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_a_pure_python_reference():
+    # Independent of numpy: blocks are drawn and ranked in Python ints.
+    rng = random.Random(19)
+    seen = {"wide": 0, "tall": 0, "square": 0, "vector": 0, "deficient": 0, "zero lines": 0}
+    for case in range(600):
+        p = (2, 3, 32003, 2**31 - 1)[case % 4]
+        kind = case // 4 % 4
+        if kind == 0:  # 1 x k or k x 1
+            size = rng.randint(1, 40)
+            nrows, ncols = rng.choice(((1, size), (size, 1)))
+        else:  # wide, tall or square
+            short, long = sorted((rng.randint(1, 30), rng.randint(1, 30)))
+            nrows, ncols = rng.choice(((short, long), (long, short), (short, short)))
+        if kind == 1:  # a product of two thin factors, so rank <= k
+            k = rng.randint(1, min(nrows, ncols))
+            left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+            right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                    for row in left]
+        else:  # sparse or dense entries
+            density = rng.choice((0.1, 0.5, 1.0))
+            rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(ncols)]
+                    for _ in range(nrows)]
+        if kind == 3:  # all-zero rows and columns
+            for i in rng.sample(range(nrows), rng.randint(0, nrows)):
+                rows[i] = [0] * ncols
+            for j in rng.sample(range(ncols), rng.randint(0, ncols)):
+                for row in rows:
+                    row[j] = 0
+        block = np.array(rows, dtype=np.int64)
+        before = block.copy()
+        expected = _reference_rank(rows, p)
+        assert rank_mod_p(block, p) == expected, (case, p, rows)
+        assert np.array_equal(block, before)  # the argument is not modified
+        shape = "wide" if nrows < ncols else "tall" if nrows > ncols else "square"
+        seen[shape] += 1
+        seen["vector"] += min(nrows, ncols) == 1
+        seen["deficient"] += 0 < expected < min(nrows, ncols)
+        seen["zero lines"] += kind == 3 and not all(map(any, rows))
+    assert min(seen.values()) >= 30, seen
+
+
 def test_restriction_checks_the_modulus_without_a_block_to_rank():
     # The zero module has no member to rank, so no block would test p.
     module = MonomialModule.zero(FreeModuleShape(n=2, degrees=(0,)))
@@ -347,6 +408,27 @@ def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(mon
             for t in range(3)
         )
     assert ranked >= 20  # the plans shared between trials hold blocks to fill
+
+
+@pytest.mark.parametrize(
+    "n, degrees, gens, m, shapes, dim",
+    [
+        (4, (0, 1), ([(0, 0, 0, 1)], [(1, 0, 0, 1)]), 20, [(1540, 231), (1140, 210)], 60),
+        (6, (0,), ([(1, 0, 0, 0, 0, 1)],), 9, [(792, 715)], 385),
+        (5, (0, 1), ([(0, 0, 0, 0, 8)], [(0, 1, 0, 0, 7)]), 16, [(495, 969), (330, 816)], 1500),
+    ],
+    ids=["tall-2", "tall-1", "wide-2"],
+)
+def test_large_rank_deficient_blocks_keep_their_dims(n, degrees, gens, m, shapes, dim):
+    # Hand-made blocks far above the certify pool's, tall and wide, each of
+    # rank well below its shorter side. The dims are pinned values.
+    shape = FreeModuleShape(n=n, degrees=degrees)
+    module = MonomialModule(shape, tuple(MonomialIdeal(n, g) for g in gens))
+    sl = degree_slice(module, m)
+    assert [size for *_, size in _restriction_plan(sl, 32003).blocks] == shapes
+    report = generic_restriction_dim(module, m, trials=1, seed=0)
+    assert report.dims == (dim,)
+    assert dim <= sl.xn_free_quotient_dim and report.holds
 
 
 def test_certify_flags_lex_slices():
