@@ -204,14 +204,26 @@ def _kappa_tables(A: int, d_max: int) -> dict[int, np.ndarray]:
 
 
 def macaulay_rep(a: int, d: int) -> MacaulayRep:
-    """Base-d Macaulay representation of a, built greedily from degree d down."""
-    return MacaulayRep(d=d, numerators=_greedy(a, d)[0])
+    """Base-d Macaulay representation of a, built greedily from degree d down.
+
+    The greedy numerators are valid by construction (tests check them against
+    ``MacaulayRep``'s validation), so the result skips ``__post_init__``.
+    """
+    nums = _greedy(a, d)[0]
+    rep = object.__new__(MacaulayRep)
+    object.__setattr__(rep, "d", d)
+    object.__setattr__(rep, "numerators", nums)
+    return rep
 
 
 def rep_value(rep: MacaulayRep) -> int:
     """Integer represented by rep: the sum of its binomial terms."""
-    d = rep.d
-    return sum(comb(a_i, d - k) for k, a_i in enumerate(rep.numerators))
+    total = 0
+    i = rep.d
+    for a_i in rep.numerators:
+        total += comb(a_i, i)
+        i -= 1
+    return total
 
 
 def kappa(a: int, d: int) -> int:
@@ -230,10 +242,11 @@ def rep_compare(a: int, b: int, d: int) -> int:
 
     Returns -1, 0 or 1. Lexicographic order on the padded vectors agrees
     with the integer order of a and b; that agreement is a testable fact,
-    not an assumption of the implementation.
+    not an assumption of the implementation. The unpadded tuples are
+    compared: every numerator is at least 1 (the terminal one is at least
+    delta >= 1), so a zero of the padding sorts below any numerator, just as
+    a tuple's end sorts below any further entry, and the order is the same.
     """
     na = _greedy(a, d)[0]
     nb = _greedy(b, d)[0]
-    pa = na + (0,) * (d - len(na))
-    pb = nb + (0,) * (d - len(nb))
-    return (pa > pb) - (pa < pb)
+    return (na > nb) - (na < nb)

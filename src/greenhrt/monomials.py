@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import reprlib
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress
+from itertools import chain, combinations_with_replacement, compress
 from math import comb
 
 import numpy as np
@@ -41,12 +41,13 @@ def _divisor_counts(rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
 def _exponent_rows(n: int, d: int) -> np.ndarray:
     """Every degree-d exponent vector in n variables, one per row, lex-decreasing.
 
-    Stars and bars: a row is d stars and n - 1 bars in d + n - 1 slots, and
-    ``combinations`` lists the bar positions in lex-increasing order of the
-    exponents they cut, so the rows are read in reverse. For n = 1 the one
-    row holds d as a Python int, since d is unbounded there; for n >= 2 the
-    C(n+d-1, d) rows keep d far inside int64. More than _MAX_EXPONENT_CELLS
-    cells raise ValueError.
+    A row e is cut from its partial sums p_j = e_1 + ... + e_j, j < n: the
+    non-decreasing tuples 0 <= p_1 <= ... <= p_{n-1} <= d, which
+    ``combinations_with_replacement`` lists in lex-increasing order of e, so
+    the rows are written in reverse. For n = 1 the one row holds d as a
+    Python int, since d is unbounded there; for n >= 2 the C(n+d-1, d) rows
+    keep d far inside int64. More than _MAX_EXPONENT_CELLS cells raise
+    ValueError. The peak is the result plus the buffer of partial sums.
     """
     if n == 1:
         return np.array([[d]], dtype=object)
@@ -57,16 +58,19 @@ def _exponent_rows(n: int, d: int) -> np.ndarray:
         raise ValueError(
             f"degree {d} in n={n} variables needs more than {_MAX_EXPONENT_CELLS} exponent cells"
         )
-    # Bar positions, between sentinel bars at -1 and d + n - 1.
-    bars = np.empty((count, n + 1), dtype=np.int64)
-    bars[:, 0] = -1
-    bars[:, n] = d + n - 1
-    bars[::-1, 1:n] = np.fromiter(
-        chain.from_iterable(combinations(range(d + n - 1), n - 1)),
+    if d == 0:
+        return np.zeros((1, n), dtype=np.int64)
+    sums = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(range(d + 1), n - 1)),
         dtype=np.int64,
         count=count * (n - 1),
     ).reshape(count, n - 1)
-    return np.diff(bars, axis=1) - 1
+    rows = np.empty((count, n), dtype=np.int64)
+    exps = rows[::-1]
+    exps[:, 0] = sums[:, 0]
+    np.subtract(sums[:, 1:], sums[:, :-1], out=exps[:, 1:-1])
+    np.subtract(d, sums[:, -1], out=exps[:, -1])
+    return rows
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -159,6 +160,26 @@ def _higher_rhs(values: tuple[int, ...], degrees: tuple[int, ...], n: int) -> in
     return module_bound(sum(values), degrees[0], _higher_shape(degrees, n)).total
 
 
+def _samples(
+    getrandbits: Callable[[int], int], caps: list[int], samples: int
+) -> Iterator[tuple[int, ...]]:
+    """`samples` tuples, entry i uniform in 0..caps[i], drawn as randint does.
+
+    randint(0, c) is _randbelow(c + 1): draw (c + 1).bit_length() bits and
+    draw again while the value passes c. Calling getrandbits directly skips
+    randint's three Python call layers but consumes the same stream.
+    """
+    draws = [(c, (c + 1).bit_length()) for c in caps]
+    for _ in range(samples):
+        values = []
+        for c, k in draws:
+            v = getrandbits(k)
+            while v > c:
+                v = getrandbits(k)
+            values.append(v)
+        yield tuple(values)
+
+
 def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> VerificationOutcome:
     """sum kappa(a_i, d_i) <= piecewise bound over random and corner tuples.
 
@@ -167,7 +188,9 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     ``nonincreasing_tuples(d_max, r)``'s order. The seeded draws follow
     that order. Every boundary corner (each a_i in {0, N_i}) is always
     included; piecewise formulas break at boundaries, so uniform sampling
-    alone would under-test them.
+    alone would under-test them. Each sampled a_i is drawn with
+    ``getrandbits`` exactly as ``random.Random(seed).randint(0, N_i)`` draws
+    it, so a seed gives the same cases as a ``randint`` loop would.
     """
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if d_max < 1:
@@ -183,7 +206,7 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
         "higher",
         {"n": n, "tuples": len(degree_tuples), "samples": samples, "seed": seed},
     )
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     # kappa(a, d) by degree, shared by every tuple of this call; filled on
     # demand, never tabulated over [0, N_i], so no value is computed twice
     # and none that no case asks for.
@@ -196,9 +219,7 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
         # The bound depends on h = sum(values) and on this tuple's shape.
         bound_memo: dict[int, int] = {}
         corner_values = itertools.product(*[(0, c) for c in caps])
-        sampled = (
-            tuple(rng.randint(0, c) for c in caps) for _ in range(samples)
-        )
+        sampled = _samples(getrandbits, caps, samples)
         for values in itertools.chain(corner_values, sampled):
             lhs = 0
             for a, (d, memo) in zip(values, memos):

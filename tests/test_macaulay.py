@@ -106,6 +106,36 @@ def test_round_trip_property(a, d):
     assert len(rep.padded()) == d
 
 
+def test_greedy_reps_pass_validation_and_compare_unpadded():
+    # macaulay_rep skips MacaulayRep's validation and rep_compare skips the
+    # zero padding; here each greedy output is validated, and each comparison
+    # is checked against the padded vectors, a = 0 and prefix pairs included.
+    rng = random.Random(20261019)
+    pairs = [(0, 0, d) for d in range(1, 13)] + [(0, 1, d) for d in range(1, 13)]
+    # C(m, d) has numerators (m,), a proper prefix of C(m, d) + 1's (m, d - 1).
+    pairs += [(comb(m, d), comb(m, d) + 1, d) for d in range(2, 13) for m in (d, d + 1, 3 * d)]
+    for _ in range(3000):
+        d = rng.randint(1, 12)
+        a = rng.randrange(10**6)
+        pairs.append((a, rng.choice([0, a, a + 1, max(a - 1, 0), rng.randrange(10**6)]), d))
+    for _ in range(300):
+        d = rng.randint(1, 40)
+        pairs.append((rng.randrange(10**30), rng.randrange(10**30), d))
+    prefixes = 0
+    for a, b, d in pairs:
+        reps = macaulay_rep(a, d), macaulay_rep(b, d)
+        for value, rep in zip((a, b), reps):
+            assert type(rep.numerators) is tuple
+            checked = MacaulayRep(d, rep.numerators)  # raises on an invalid rep
+            assert rep == checked and hash(rep) == hash(checked), (value, d)
+            assert rep_value(rep) == value
+        pa, pb = reps[0].padded(), reps[1].padded()
+        assert rep_compare(a, b, d) == (pa > pb) - (pa < pb) == (a > b) - (a < b), (a, b, d)
+        na, nb = reps[0].numerators, reps[1].numerators
+        prefixes += na != nb and (na == nb[: len(na)] or nb == na[: len(nb)])
+    assert prefixes >= 40
+
+
 def test_kappa_examples():
     assert kappa(8, 3) == 2  # C(3,3)+C(2,2)+C(0,1)
     assert kappa(10, 3) == 4  # C(4,3)

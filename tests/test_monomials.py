@@ -97,6 +97,25 @@ def test_enumeration_counts_and_order():
     assert _rows(1, 10**30) == [(10**30,)]
 
 
+@pytest.mark.parametrize("n, d, ratio", [(8, 10, 2.1), (3, 2000, 2.1), (2**18, 0, 1.1)])
+def test_exponent_rows_peak_near_their_size(n, d, ratio):
+    tracemalloc.start()
+    try:
+        rows = _exponent_rows(n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * rows.nbytes, (peak, rows.nbytes)
+    # The rows are unchanged: C(n+d-1, d) distinct non-negative vectors of
+    # degree d, strictly lex-decreasing, are exactly S_d's rows in order.
+    assert rows.dtype == np.int64 and rows.flags.c_contiguous
+    assert rows.shape == (comb(n + d - 1, d), n)
+    assert (rows >= 0).all() and (rows.sum(axis=1) == d).all()
+    step = rows[:-1] - rows[1:]
+    first = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    assert (first > 0).all()
+
+
 def test_lex_segment_is_downset():
     for n in (2, 3):
         for d in (1, 2, 3):

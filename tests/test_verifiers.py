@@ -348,6 +348,45 @@ def test_higher_memos_match_per_case_reference(monkeypatch):
                     assert bool(outcome.counterexamples) == (bound is low_bound)
 
 
+def test_higher_samples_draw_the_randint_stream():
+    # Caps on both sides of every 32-bit word boundary of getrandbits, and
+    # c = 0, which still draws one bit, as randint(0, 0) does.
+    caps = [0, 1, 2, 3, 2**32 - 1, 2**32, comb(51, 12), 2**64 - 1, 2**64, 3**50]
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        drawn = list(verifiers._samples(rng.getrandbits, caps, 10))
+        assert drawn == [tuple(ref.randint(0, c) for c in caps) for _ in range(10)], seed
+        assert rng.getstate() == ref.getstate(), seed
+
+
+def test_higher_wide_caps_match_the_randint_reference(monkeypatch):
+    # A bound below every lhs records every case, so the counterexamples list
+    # every sampled value in order; low_bound records only some of them.
+    # n = 40 puts N_i past 2**32 and n = 10**6 past 2**64.
+    real_bound = verifiers.module_bound
+
+    def low_bound(h, m, shape):
+        bb = real_bound(h, m, shape)
+        return dataclasses.replace(bb, total=bb.total - (h + shape.r) % 3)
+
+    def no_bound(h, m, shape):
+        return dataclasses.replace(real_bound(h, m, shape), total=-1)
+
+    for bound in (low_bound, no_bound):
+        monkeypatch.setattr(verifiers, "module_bound", bound)
+        for n, d_max, r_max, top_bits in ((40, 11, 2, 36), (10**6, 4, 3, 76)):
+            assert comb(n + d_max - 1, d_max).bit_length() == top_bits
+            tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
+            for seed in (0, 13):
+                expected = _higher_reference(n, tuples, 4, seed)
+                outcome = check_higher(n, d_max, r_max, 4, seed)
+                assert (outcome.cases, outcome.counterexamples) == expected, (n, seed)
+                if bound is no_bound:
+                    assert len(outcome.counterexamples) == outcome.cases
+                else:
+                    assert 0 < len(outcome.counterexamples) < outcome.cases
+
+
 def test_rank2_hoisted_kappa_matches_per_case_reference(monkeypatch):
     def skewed(a, d):
         return kappa(a, d) + (a + d) % 3
