@@ -166,15 +166,16 @@ def load_level_table(path: str | Path | None = None) -> list[TableRow]:
     return parse_level_table(text)
 
 
-def reproduce_table(rows: list[TableRow], n: int = 3) -> list[RowResult]:
-    """Recompute both bound columns for every row and flag any mismatch.
+def reproduce_table(rows: list[TableRow]) -> list[RowResult]:
+    """Recompute both bound columns for every row, in the dataset's three
+    variables, and flag any mismatch.
 
     A row passes when the recomputed hGM and hG match the stored columns
     exactly and the stored position is among the computed win positions.
     """
     results = []
     for row in rows:
-        comparison = compare_bounds(LevelHilbert(h=row.h, n=n))
+        comparison = compare_bounds(LevelHilbert(h=row.h))
         ok = (
             comparison.hGM == row.hGM
             and comparison.hG == row.hG

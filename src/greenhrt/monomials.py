@@ -169,8 +169,6 @@ class DegreeSlice:
     arrays are read-only; the exponents are int64, or Python ints at n = 1.
     """
 
-    shape: FreeModuleShape
-    m: int
     exps: tuple[np.ndarray, ...]
     member: tuple[np.ndarray, ...]
 
@@ -210,7 +208,7 @@ def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
         rows.flags.writeable = mask.flags.writeable = False
         exps.append(rows)
         member.append(mask)
-    return DegreeSlice(module.shape, m, tuple(exps), tuple(member))
+    return DegreeSlice(tuple(exps), tuple(member))
 
 
 def module_to_data(module: MonomialModule) -> dict:
@@ -278,10 +276,7 @@ def random_monomial_ideal(
 
 
 def random_monomial_module(
-    rng: random.Random,
-    shape: FreeModuleShape,
-    max_gens: int = 4,
-    max_degree: int = 5,
+    rng: random.Random, shape: FreeModuleShape, max_gens: int, max_degree: int
 ) -> MonomialModule:
     """Random monomial submodule of the given free module."""
     return MonomialModule(

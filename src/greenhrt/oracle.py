@@ -241,7 +241,8 @@ def generic_restriction_dim(
         _evaluate(plan, p, _trial_coefficients(shape.n, p, seed, t)) for t in range(trials)
     )
     generic = min(dims)
-    bound = module_bound(sl.quotient_dim, m, shape).total
+    quotient_dim = sl.quotient_dim
+    bound = module_bound(quotient_dim, m, shape).total
     return RestrictionReport(
         m=m,
         p=p,
@@ -249,7 +250,7 @@ def generic_restriction_dim(
         seed=seed,
         dims=dims,
         generic_dim=generic,
-        quotient_dim=sl.quotient_dim,
+        quotient_dim=quotient_dim,
         bound=bound,
         holds=generic <= bound,
         equality=generic == bound,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from math import comb
 
@@ -149,19 +149,8 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     return out
 
 
-def _higher_shape(degrees: tuple[int, ...], n: int) -> FreeModuleShape:
-    # Shift the degree tuple into a free-module shape at m = max degree, so
-    # the piecewise bound applies; the pivot condition is identical.
-    m = degrees[0]
-    return FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
-
-
-def _higher_rhs(values: tuple[int, ...], degrees: tuple[int, ...], n: int) -> int:
-    return module_bound(sum(values), degrees[0], _higher_shape(degrees, n)).total
-
-
 def _samples(
-    getrandbits: Callable[[int], int], caps: list[int], samples: int
+    getrandbits: Callable[[int], int], caps: Sequence[int], samples: int
 ) -> Iterator[tuple[int, ...]]:
     """`samples` tuples, entry i uniform in 0..caps[i], drawn as randint does.
 
@@ -212,9 +201,11 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     # and none that no case asks for.
     kappa_memo: dict[int, dict[int, int]] = {}
     for degrees in degree_tuples:
-        caps = [comb(n + d - 1, d) for d in degrees]
+        # Shift the degree tuple into a free-module shape at m = max degree, so
+        # the piecewise bound applies; the pivot condition is identical.
         m = degrees[0]
-        shape = _higher_shape(degrees, n)
+        shape = FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
+        caps = shape.component_dims(m)
         memos = [(d, kappa_memo.setdefault(d, {})) for d in degrees]
         # The bound depends on h = sum(values) and on this tuple's shape.
         bound_memo: dict[int, int] = {}

@@ -32,7 +32,6 @@ from greenhrt.monomials import (
 )
 from greenhrt.oracle import generic_restriction_dim
 from greenhrt.verifiers import (
-    _higher_rhs,
     check_herz_tail,
     check_kappa_lemma,
     check_lex_restriction,
@@ -61,7 +60,7 @@ def _shapes(n_values, r_values, degree_values):
 def test_criterion_1_table_reproduction(capsys):
     t0 = time.time()
     rows = load_level_table()
-    results = reproduce_table(rows, n=3)
+    results = reproduce_table(rows)
     ok = len(rows) == 21 and all(r.ok for r in results)
     code = cli_main(["level", "table", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -109,9 +108,10 @@ def test_criterion_3_r_summand(capsys):
         for d1, d2 in nonincreasing_tuples(5, 2):
             n1 = comb(n + d1 - 1, d1)
             n2 = comb(n + d2 - 1, d2)
+            shape = FreeModuleShape(n=n, degrees=(0, d1 - d2))
             for a in range(n1 + 1):
                 for b in range(n2 + 1):
-                    if _higher_rhs((a, b), (d1, d2), n) != rank2_bound(a, b, d1, d2, n):
+                    if module_bound(a + b, d1, shape).total != rank2_bound(a, b, d1, d2, n):
                         mismatches += 1
     ok = not bad and cases >= 10_000 and mismatches == 0
     _verdict(

@@ -47,6 +47,8 @@ def test_green_bound_examples():
     assert green_bound(7, 0) == 7  # degree-0 restriction is a bijection
     with pytest.raises(ValueError):
         green_bound(3, -1)
+    with pytest.raises(ValueError, match=r"^dimension must be non-negative, got h=-1$"):
+        green_bound(-1, 2)
 
 
 def test_rank2_examples():
@@ -78,6 +80,10 @@ def test_rank2_precondition_reporting():
         rank2_bound(100, 0, 2, 1, 2)
     with pytest.raises(ValueError, match="second summand"):
         rank2_bound(0, 100, 2, 1, 2)
+    with pytest.raises(ValueError, match=r"^degrees must be non-negative, got d2=-1$"):
+        rank2_bound(0, 0, 1, -1, 2)
+    with pytest.raises(ValueError, match=r"^need at least one variable, got n=0$"):
+        rank2_bound(0, 0, 1, 1, 0)
 
 
 def test_module_bound_frozen_example():
@@ -101,6 +107,10 @@ def test_module_bound_extremes():
         module_bound(full + 1, 3, shape)
     with pytest.raises(ValueError):
         module_bound(-1, 3, shape)
+    # Capacities (10, 6, 6): h = 5 <= N_3 admits pivot 3 alone.
+    for pivot in (2, 4):
+        with pytest.raises(ValueError, match=rf"^pivot {pivot} not admissible for h=5$"):
+            module_bound(5, 3, shape, pivot=pivot)
 
 
 def test_module_bound_rank_one_degenerates_to_green():
@@ -173,6 +183,10 @@ def test_braced_examples():
     assert braced_bound(0, 4, 2) == 0
     with pytest.raises(ValueError):
         braced_bound(3, 0, 3)
+    with pytest.raises(ValueError, match=r"^dimension must be non-negative, got -1$"):
+        braced_bound(-1, 1, 2)
+    with pytest.raises(ValueError, match=r"^need at least one variable, got n=0$"):
+        braced_bound(0, 1, 0)
 
 
 def test_scaled_examples():
@@ -182,6 +196,12 @@ def test_scaled_examples():
     assert scaled_bound(5, 3, 3) == Fraction(2, 5) * 5
     with pytest.raises(ValueError, match="^d must be at least 1 when n is 1$"):
         scaled_bound(1, 1, 0)
+    with pytest.raises(ValueError, match=r"^need at least one variable, got n=0$"):
+        scaled_bound(0, 0, 1)
+    with pytest.raises(ValueError, match=r"^degree must be non-negative, got d=-1$"):
+        scaled_bound(0, 2, -1)
+    with pytest.raises(ValueError, match=r"^dimension must be non-negative, got h=-1$"):
+        scaled_bound(-1, 2, 1)
 
 
 def test_scaling_identity_on_full_spaces():

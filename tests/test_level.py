@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from greenhrt.cli import main
 from greenhrt.level import (
     LevelHilbert,
     TheoremViolation,
@@ -16,11 +17,16 @@ from greenhrt.level import (
 )
 
 
-def test_level_validation():
+def test_level_validation(capsys):
     with pytest.raises(ValueError):
         LevelHilbert(h=(1,))
     with pytest.raises(ValueError):
         LevelHilbert(h=(1, 0, 1))
+    message = "need at least one variable, got n=0"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LevelHilbert(h=(1, 2), n=0)
+    assert main(["level", "analyze", "--h", "1,2", "--n", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     lh = LevelHilbert(h=(1, 3, 3, 3, 2))
     assert lh.c == 4 and lh.n == 3
 

@@ -85,6 +85,12 @@ def test_rep_validation():
         MacaulayRep(d=3, numerators=(3, 3))  # not strictly decreasing
     with pytest.raises(ValueError):
         MacaulayRep(d=2, numerators=(3, 0))  # terminal numerator below degree
+    with pytest.raises(ValueError, match=r"^representation base must be >= 1, got d=0$"):
+        MacaulayRep(d=0, numerators=())
+    with pytest.raises(ValueError, match=r"^more numerators than degrees in base d$"):
+        MacaulayRep(d=2, numerators=(3, 2, 1))
+    with pytest.raises(ValueError, match=r"^numerators must be non-negative$"):
+        MacaulayRep(d=2, numerators=(3, -1))
     with pytest.raises(ValueError):
         macaulay_rep(5, 0)
     with pytest.raises(ValueError):

@@ -486,6 +486,33 @@ def test_module_data_validation_names_field(bad, field):
         module_from_data(bad)
 
 
+def test_module_components_must_fit_the_shape():
+    shape = FreeModuleShape(n=2, degrees=(0, 0))
+    with pytest.raises(ValueError, match=r"^expected 2 component ideals, got 1$"):
+        MonomialModule(shape, (MonomialIdeal(2, ()),))
+    with pytest.raises(ValueError, match=r"^all component ideals must share the shape's n$"):
+        MonomialModule(shape, (MonomialIdeal(2, ()), MonomialIdeal(3, ())))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "module description must be a JSON object"),
+        ({"n": 2, "degrees": [0], "components": [5]},
+         "field 'components[0]' must be a list of exponent vectors"),
+    ],
+    ids=["not-an-object", "component-not-a-list"],
+)
+def test_module_file_faults_exit_two_with_their_message(capsys, tmp_path, data, message):
+    with pytest.raises(ValueError) as exc:
+        module_from_data(data)
+    assert str(exc.value) == message
+    module_file = tmp_path / "module.json"
+    module_file.write_text(json.dumps(data))
+    assert cli.main(["oracle", "certify", "--module", str(module_file), "--m", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: module file {module_file}: {message}\n")
+
+
 def test_exponent_cell_ceiling_is_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(monomials, "_MAX_EXPONENT_CELLS", 18)
     assert _exponent_rows(3, 2).shape == (6, 3)  # C(4, 2) rows of 3 cells: at the ceiling

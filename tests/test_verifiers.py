@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import random
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -13,12 +14,11 @@ from test_cli import _leaf_paths
 from test_monomials import brute_monomials
 
 from greenhrt import monomials, oracle, verifiers
-from greenhrt.bounds import FreeModuleShape, rank2_bound
+from greenhrt.bounds import FreeModuleShape, module_bound, rank2_bound
 from greenhrt.cli import COMMANDS, main
 from greenhrt.macaulay import kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
-    _higher_rhs,
     _record,
     check_herz_tail,
     check_higher,
@@ -57,7 +57,9 @@ def test_rank2_sweeps():
     assert outcome.ok
     n1, n2 = comb(5, 3), comb(4, 2)
     assert outcome.cases == (n1 + 1) * (n2 + 1)
-    assert check_rank2(4, 5, 5).ok
+    unequal = check_rank2(4, 5, 2)
+    assert unequal.ok
+    assert unequal.cases == (comb(8, 5) + 1) * (comb(5, 2) + 1) == 57 * 11
     with pytest.raises(ValueError):
         check_rank2(3, 2, 3)
 
@@ -70,9 +72,10 @@ def test_higher_matches_rank2_on_pairs():
     for d1, d2 in tuples:
         n1 = comb(3 + d1 - 1, d1)
         n2 = comb(3 + d2 - 1, d2)
+        shape = FreeModuleShape(n=3, degrees=(0, d1 - d2))
         for a in range(0, n1 + 1, 3):
             for b in range(0, n2 + 1, 2):
-                assert _higher_rhs((a, b), (d1, d2), 3) == rank2_bound(a, b, d1, d2, 3)
+                assert module_bound(a + b, d1, shape).total == rank2_bound(a, b, d1, d2, 3)
 
 
 def test_higher_full_corners_hit_equality():
@@ -80,7 +83,8 @@ def test_higher_full_corners_hit_equality():
     degrees = (3, 2, 1)
     caps = [comb(3 + d - 1, d) for d in degrees]
     lhs = sum(kappa(c, d) for c, d in zip(caps, degrees))
-    assert _higher_rhs(tuple(caps), degrees, 3) == lhs
+    shape = FreeModuleShape(n=3, degrees=(0, 1, 2))  # generator degrees 3 - d_i
+    assert module_bound(sum(caps), 3, shape).total == lhs
 
 
 @pytest.mark.parametrize(
@@ -137,6 +141,38 @@ def test_scaled_corollary_sweep_small():
     outcome = check_scaled_corollary(n_max=2, r_max=2, d_max=3, samples=2, seed=4)
     assert outcome.ok
     assert outcome.cases > 0
+
+
+def test_scaled_records_each_violation_with_its_fraction(capsys, monkeypatch):
+    # A bound 1/3 below the real one is under lhs wherever the real one is
+    # attained, so every record path of the sweep runs.
+    real = verifiers.scaled_bound
+    monkeypatch.setattr(verifiers, "scaled_bound", lambda h, n, d: real(h, n, d) - Fraction(1, 3))
+    outcome = check_scaled_corollary(n_max=2, r_max=1, d_max=2, samples=1, seed=3)
+    zero, square = [[]], [[[2]]]
+    squares = [[[0, 2], [2, 0]]]
+    assert outcome.cases == 10
+    assert outcome.counterexamples == [
+        {"n": 1, "r": 1, "d": 1, "generators": zero, "lhs": 0, "rhs": "-1/3"},
+        {"n": 1, "r": 1, "d": 2, "generators": zero, "lhs": 0, "rhs": "-1/3"},
+        {"n": 1, "r": 1, "d": 1, "generators": square, "lhs": 0, "rhs": "-1/3"},
+        {"n": 1, "r": 1, "d": 2, "generators": square, "lhs": 0, "rhs": "-1/3"},
+        {"n": 2, "r": 1, "d": 0, "generators": zero, "lhs": 1, "rhs": "2/3"},
+        {"n": 2, "r": 1, "d": 1, "generators": zero, "lhs": 1, "rhs": "2/3"},
+        {"n": 2, "r": 1, "d": 2, "generators": zero, "lhs": 1, "rhs": "2/3"},
+        {"n": 2, "r": 1, "d": 0, "generators": squares, "lhs": 1, "rhs": "2/3"},
+        {"n": 2, "r": 1, "d": 1, "generators": squares, "lhs": 1, "rhs": "2/3"},
+    ]
+    assert all(list(c) == ["n", "r", "d", "generators", "lhs", "rhs"]
+               for c in outcome.counterexamples)
+    argv = ["verify", "scaled", "--n-max", "2", "--r-max", "1", "--d-max", "2",
+            "--samples", "1", "--seed", "3"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["scaled: 10 cases, 9 counterexamples",
+                     *(str(c) for c in outcome.counterexamples)]
+    assert main([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out) == outcome.to_json_dict()
 
 
 def test_counterexample_recording_round_trips():
