@@ -5,6 +5,11 @@ generator degrees f_1 <= ... <= f_r, the degree-m slice of a quotient F/M
 restricted by a generic linear form is bounded by a piecewise formula:
 fill the lowest-degree components of F to capacity, then apply the
 numerator-decrement operator to the partial head component.
+
+Everything in that bound except the head is fixed by (shape, m): the
+component degrees, the capacities, their suffix sums and the full terms of
+the filled components. ``_BoundProfile`` builds that part once; the bound at
+h is then one pivot search plus kappa of the head.
 """
 from __future__ import annotations
 
@@ -89,6 +94,47 @@ class BoundBreakdown:
     capacities: tuple[int, ...]
 
 
+class _BoundProfile:
+    """The part of the module bound that (shape, m) fixes.
+
+    dims[i] = d_i and caps[i] = N_i per component; suffix[j] = N_j + ... + N_r
+    with 1-based j and suffix[r+1] = 0; terms[i] = kappa(N_i, d_i), the term
+    of a component filled to capacity; tail[j] = the sum of the terms after
+    pivot j.
+    """
+
+    __slots__ = ("dims", "caps", "suffix", "terms", "tail")
+
+    def __init__(self, shape: FreeModuleShape, m: int) -> None:
+        self.dims = shape.component_degrees(m)
+        self.caps = shape.component_dims(m)
+        # An empty term is 0 without a bound: green_bound refuses the d_i < 0 it can meet.
+        self.terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(self.caps, self.dims))
+        r = shape.r
+        self.suffix = [0] * (r + 2)
+        self.tail = [0] * (r + 1)
+        for i in range(r, 0, -1):
+            self.suffix[i] = self.suffix[i + 1] + self.caps[i - 1]
+            self.tail[i - 1] = self.tail[i] + self.terms[i - 1]
+
+    def pivot(self, h: int) -> int:
+        """The largest j with h <= suffix[j], for 0 <= h <= dim F_m."""
+        j = len(self.caps)
+        while h > self.suffix[j]:
+            j -= 1
+        return j
+
+    def head(self, h: int, j: int) -> tuple[int, int]:
+        """The head h - suffix[j+1] at pivot j and its term kappa(head, d_j)."""
+        head = h - self.suffix[j + 1]
+        return head, green_bound(head, self.dims[j - 1]) if head else 0
+
+    def total(self, h: int) -> int:
+        """The bound at h, 0 <= h <= dim F_m, at the largest admissible pivot."""
+        j = self.pivot(h)
+        return self.head(h, j)[1] + self.tail[j]
+
+
 def module_bound(h: int, m: int, shape: FreeModuleShape, pivot: int | None = None) -> BoundBreakdown:
     """Piecewise restriction bound for an h-dimensional degree-m slice of F/M.
 
@@ -99,36 +145,25 @@ def module_bound(h: int, m: int, shape: FreeModuleShape, pivot: int | None = Non
     """
     if h < 0:
         raise ValueError(f"dimension must be non-negative, got h={h}")
-    dims = shape.component_degrees(m)
-    caps = shape.component_dims(m)
-    r = shape.r
-    # suffix[j] = N_j + ... + N_r with 1-based j; suffix[r+1] = 0
-    suffix = [0] * (r + 2)
-    for i in range(r, 0, -1):
-        suffix[i] = suffix[i + 1] + caps[i - 1]
+    profile = _BoundProfile(shape, m)
+    suffix = profile.suffix
     if h > suffix[1]:
         raise CapacityError(f"h={h} exceeds dim F_{m} = {suffix[1]}")
     if pivot is None:
-        j = 1
-        for jj in range(1, r + 1):
-            if h <= suffix[jj]:
-                j = jj
+        j = profile.pivot(h)
     else:
         j = pivot
-        if not (1 <= j <= r and suffix[j + 1] <= h <= suffix[j]):
+        if not (1 <= j <= shape.r and suffix[j + 1] <= h <= suffix[j]):
             raise ValueError(f"pivot {j} not admissible for h={h}")
-    head = h - suffix[j + 1]
-    # An empty term is 0 without a bound: green_bound refuses the d_i < 0 it can meet.
-    head_term = green_bound(head, dims[j - 1]) if head else 0
-    tail_terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(caps[j:], dims[j:]))
+    head, head_term = profile.head(h, j)
     return BoundBreakdown(
         j=j,
         head=head,
         head_term=head_term,
-        tail_terms=tail_terms,
-        total=head_term + sum(tail_terms),
-        dims=dims,
-        capacities=caps,
+        tail_terms=profile.terms[j:],
+        total=head_term + profile.tail[j],
+        dims=profile.dims,
+        capacities=profile.caps,
     )
 
 

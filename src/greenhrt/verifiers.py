@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .bounds import FreeModuleShape, module_bound, rank2_bound, scaled_bound
+from .bounds import FreeModuleShape, _BoundProfile, rank2_bound, scaled_bound
 from .macaulay import _greedy, _kappa_tables, kappa
 from .monomials import MonomialModule, _exponent_rows, random_monomial_module
 from .oracle import DEFAULT_PRIME, DEFAULT_TRIALS, generic_restriction_dim
@@ -138,11 +138,13 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     n2 = comb(n + d2 - 1, d2)
     # Every row visits every b, so kappa(b, d2) is computed once per b.
     kb = [kappa(b, d2) for b in range(n2 + 1)]
+    # The bound depends on a + b alone: one admissible split per sum.
+    bound = [rank2_bound(s - min(s, n2), min(s, n2), d1, d2, n) for s in range(n1 + n2 + 1)]
     for a in range(n1 + 1):
         ka = kappa(a, d1)
         for b in range(n2 + 1):
             lhs = ka + kb[b]
-            rhs = rank2_bound(a, b, d1, d2, n)
+            rhs = bound[a + b]
             if lhs > rhs:
                 _record(out, {"a": a, "b": b, "d1": d1, "d2": d2, "n": n}, lhs, rhs)
             out.cases += 1
@@ -204,10 +206,10 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
         # Shift the degree tuple into a free-module shape at m = max degree, so
         # the piecewise bound applies; the pivot condition is identical.
         m = degrees[0]
-        shape = FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees))
-        caps = shape.component_dims(m)
+        profile = _BoundProfile(FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees)), m)
+        caps, total = profile.caps, profile.total
         memos = [(d, kappa_memo.setdefault(d, {})) for d in degrees]
-        # The bound depends on h = sum(values) and on this tuple's shape.
+        # The bound depends on h = sum(values) and on this tuple's profile.
         bound_memo: dict[int, int] = {}
         corner_values = itertools.product(*[(0, c) for c in caps])
         sampled = _samples(getrandbits, caps, samples)
@@ -221,7 +223,7 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
             h = sum(values)
             rhs = bound_memo.get(h)
             if rhs is None:
-                rhs = bound_memo[h] = module_bound(h, m, shape).total
+                rhs = bound_memo[h] = total(h)
             if lhs > rhs:
                 _record(out, {"values": list(values), "degrees": list(degrees), "n": n}, lhs, rhs)
             out.cases += 1

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenhrt.bounds import (
+    BoundBreakdown,
     CapacityError,
     FreeModuleShape,
+    _BoundProfile,
     braced_bound,
     green_bound,
     module_bound,
@@ -159,6 +161,98 @@ def test_module_bound_monotone_in_h():
                     module_bound(h, m, shape).total for h in range(shape.dim(m) + 1)
                 ]
                 assert all(x <= y for x, y in zip(totals, totals[1:]))
+
+
+def _module_bound_reference(h, m, shape, pivot=None):
+    # The per-call formulation: degrees, capacities, suffix sums and every
+    # tail term rebuilt from the shape on each call.
+    if h < 0:
+        raise ValueError(f"dimension must be non-negative, got h={h}")
+    dims = shape.component_degrees(m)
+    caps = shape.component_dims(m)
+    r = shape.r
+    suffix = [0] * (r + 2)
+    for i in range(r, 0, -1):
+        suffix[i] = suffix[i + 1] + caps[i - 1]
+    if h > suffix[1]:
+        raise CapacityError(f"h={h} exceeds dim F_{m} = {suffix[1]}")
+    if pivot is None:
+        j = 1
+        for jj in range(1, r + 1):
+            if h <= suffix[jj]:
+                j = jj
+    else:
+        j = pivot
+        if not (1 <= j <= r and suffix[j + 1] <= h <= suffix[j]):
+            raise ValueError(f"pivot {j} not admissible for h={h}")
+    head = h - suffix[j + 1]
+    head_term = green_bound(head, dims[j - 1]) if head else 0
+    tail_terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(caps[j:], dims[j:]))
+    return BoundBreakdown(
+        j=j,
+        head=head,
+        head_term=head_term,
+        tail_terms=tail_terms,
+        total=head_term + sum(tail_terms),
+        dims=dims,
+        capacities=caps,
+    )
+
+
+def _criterion_9_shapes():
+    # Every shape criterion 9 evaluates: mixed degrees, equal degrees and
+    # rank one.
+    for n in (1, 2, 3):
+        for r in (2, 3, 4):
+            for degrees in nondecreasing_tuples((0, 1, 2), r):
+                yield FreeModuleShape(n=n, degrees=degrees)
+        for r in (1, 2, 3, 4):
+            for f in (0, 1, 2):
+                yield FreeModuleShape(n=n, degrees=(f,) * r)
+    for n in (1, 2, 3, 4):
+        yield FreeModuleShape(n=n, degrees=(0,))
+
+
+def _raised(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_profile_matches_the_per_call_reference():
+    # m from -1 puts m below some generator degrees: those capacities are 0,
+    # suffix sums repeat and pivots tie (at m = -1 every h = 0 takes pivot r).
+    boundaries = 0
+    for shape in _criterion_9_shapes():
+        for m in range(-1, 7):
+            profile = _BoundProfile(shape, m)
+            dim = shape.dim(m)
+            for h in range(dim + 1):
+                want = _module_bound_reference(h, m, shape)
+                assert profile.total(h) == want.total, (shape, m, h)
+                assert module_bound(h, m, shape) == want, (shape, m, h)
+            # Each suffix boundary h = N_j + ... + N_r, with every pivot
+            # forced: the admissible ones give the reference's breakdown,
+            # the others its error.
+            caps = shape.component_dims(m)
+            for j in range(1, shape.r + 2):
+                h = sum(caps[j - 1:])
+                for pivot in range(0, shape.r + 2):
+                    try:
+                        want = _module_bound_reference(h, m, shape, pivot=pivot)
+                    except ValueError:
+                        assert _raised(module_bound, h, m, shape, pivot=pivot) == _raised(
+                            _module_bound_reference, h, m, shape, pivot=pivot
+                        )
+                    else:
+                        assert module_bound(h, m, shape, pivot=pivot) == want
+                        boundaries += 1
+            for h in (-1, dim + 1):
+                assert _raised(module_bound, h, m, shape) == _raised(
+                    _module_bound_reference, h, m, shape
+                )
+    assert module_bound(0, -1, FreeModuleShape(n=2, degrees=(0, 1, 1))).j == 3
+    assert boundaries > 0
 
 
 def test_rank2_is_shifted_module_bound():

@@ -1,7 +1,6 @@
 """Verification sweeps: zero counterexamples, honest bookkeeping."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -10,10 +9,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from test_bounds import _module_bound_reference
 from test_cli import _leaf_paths
 from test_monomials import brute_monomials
 
-from greenhrt import monomials, oracle, verifiers
+from greenhrt import bounds, monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, module_bound, rank2_bound
 from greenhrt.cli import COMMANDS, main
 from greenhrt.macaulay import kappa, macaulay_rep
@@ -341,8 +341,29 @@ def test_herz_matches_per_case_reference(monkeypatch):
             assert bool(outcome.counterexamples) == (kappa_fn is skewed), (a_max, d_max)
 
 
-def _higher_reference(n, degree_tuples, samples, seed):
-    # Reference formulation: every case calls kappa r times and the bound once.
+def _low_total(h, r, total):
+    # Under-reports the bound at some h, so some cases become counterexamples.
+    return total - (h + r) % 3
+
+
+def _no_total(h, r, total):
+    # Below every lhs, so every case becomes a counterexample.
+    return -1
+
+
+def _patch_profile_total(monkeypatch, mutant):
+    # check_higher reads each per-h total from its tuple's profile.
+    real_total = bounds._BoundProfile.total
+
+    def total(self, h):
+        return mutant(h, len(self.caps), real_total(self, h))
+
+    monkeypatch.setattr(bounds._BoundProfile, "total", total)
+
+
+def _higher_reference(n, degree_tuples, samples, seed, mutant=None):
+    # Reference formulation: every case calls kappa r times and the per-call
+    # bound once, with the mutant applied to its total.
     cases, bad = 0, []
     rng = random.Random(seed)
     for degrees in degree_tuples:
@@ -353,7 +374,10 @@ def _higher_reference(n, degree_tuples, samples, seed):
         sampled = (tuple(rng.randint(0, c) for c in caps) for _ in range(samples))
         for values in itertools.chain(corner_values, sampled):
             lhs = sum(verifiers.kappa(a, d) for a, d in zip(values, degrees))
-            rhs = verifiers.module_bound(sum(values), m, shape).total
+            h = sum(values)
+            rhs = _module_bound_reference(h, m, shape).total
+            if mutant is not None:
+                rhs = mutant(h, shape.r, rhs)
             if lhs > rhs:
                 bad.append({"values": list(values), "degrees": list(degrees), "n": n,
                             "lhs": lhs, "rhs": rhs})
@@ -364,24 +388,19 @@ def _higher_reference(n, degree_tuples, samples, seed):
 def test_higher_memos_match_per_case_reference(monkeypatch):
     # The under-reporting bound makes counterexamples, so a kappa memo keyed
     # by a alone or a bound memo shared across tuples changes a recorded side.
-    real_bound = verifiers.module_bound
-
-    def low_bound(h, m, shape):
-        bb = real_bound(h, m, shape)
-        return dataclasses.replace(bb, total=bb.total - (h + shape.r) % 3)
-
-    for bound in (real_bound, low_bound):
-        monkeypatch.setattr(verifiers, "module_bound", bound)
+    for mutant in (None, _low_total):
+        if mutant is not None:
+            _patch_profile_total(monkeypatch, mutant)
         for n in (1, 2, 3):
             for d_max, r_max in ((2, 3), (4, 2), (3, 3)):
                 tuples = [t for r in range(1, r_max + 1)
                           for t in nonincreasing_tuples(d_max, r)]
                 for seed in (0, 5, 11):
-                    expected = _higher_reference(n, tuples, 12, seed)
+                    expected = _higher_reference(n, tuples, 12, seed, mutant)
                     outcome = check_higher(n, d_max, r_max, 12, seed)
                     assert (outcome.cases, outcome.counterexamples) == expected, (
                         n, d_max, r_max, seed)
-                    assert bool(outcome.counterexamples) == (bound is low_bound)
+                    assert bool(outcome.counterexamples) == (mutant is _low_total)
 
 
 def test_higher_samples_draw_the_randint_stream():
@@ -397,27 +416,19 @@ def test_higher_samples_draw_the_randint_stream():
 
 def test_higher_wide_caps_match_the_randint_reference(monkeypatch):
     # A bound below every lhs records every case, so the counterexamples list
-    # every sampled value in order; low_bound records only some of them.
+    # every sampled value in order; _low_total records only some of them.
     # n = 40 puts N_i past 2**32 and n = 10**6 past 2**64.
-    real_bound = verifiers.module_bound
-
-    def low_bound(h, m, shape):
-        bb = real_bound(h, m, shape)
-        return dataclasses.replace(bb, total=bb.total - (h + shape.r) % 3)
-
-    def no_bound(h, m, shape):
-        return dataclasses.replace(real_bound(h, m, shape), total=-1)
-
-    for bound in (low_bound, no_bound):
-        monkeypatch.setattr(verifiers, "module_bound", bound)
+    for mutant in (_low_total, _no_total):
+        monkeypatch.undo()  # each mutant wraps the real total, not the last mutant
+        _patch_profile_total(monkeypatch, mutant)
         for n, d_max, r_max, top_bits in ((40, 11, 2, 36), (10**6, 4, 3, 76)):
             assert comb(n + d_max - 1, d_max).bit_length() == top_bits
             tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
             for seed in (0, 13):
-                expected = _higher_reference(n, tuples, 4, seed)
+                expected = _higher_reference(n, tuples, 4, seed, mutant)
                 outcome = check_higher(n, d_max, r_max, 4, seed)
                 assert (outcome.cases, outcome.counterexamples) == expected, (n, seed)
-                if bound is no_bound:
+                if mutant is _no_total:
                     assert len(outcome.counterexamples) == outcome.cases
                 else:
                     assert 0 < len(outcome.counterexamples) < outcome.cases
@@ -443,29 +454,72 @@ def test_rank2_hoisted_kappa_matches_per_case_reference(monkeypatch):
         assert outcome.counterexamples == expected and expected, (n, d1, d2)
 
 
+# The sweeps pool's check_rank2 arguments.
+_RANK2_POOL = [(n, d1, d2) for n in (1, 2, 3, 4)
+               for d1, d2 in ((3, 1), (3, 3), (4, 2), (4, 4), (5, 3), (5, 5))]
+
+
+def test_rank2_bound_depends_on_the_sum_alone():
+    # check_rank2 evaluates the bound once per a + b, at one split.
+    for n, d1, d2 in _RANK2_POOL:
+        n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
+        by_sum = {}
+        for a in range(n1 + 1):
+            for b in range(n2 + 1):
+                assert by_sum.setdefault(a + b, rank2_bound(a, b, d1, d2, n)) == (
+                    rank2_bound(a, b, d1, d2, n)), (n, d1, d2, a, b)
+        assert len(by_sum) == n1 + n2 + 1
+
+
+def test_rank2_hoisted_bound_matches_per_cell_reference(monkeypatch):
+    # The mutant depends on a + b alone, as the real bound does, and makes
+    # counterexamples wherever it drops below an lhs.
+    real_bound = verifiers.rank2_bound
+
+    def low_bound(a, b, d1, d2, n):
+        return real_bound(a, b, d1, d2, n) - (a + b + d1) % 3
+
+    for bound in (real_bound, low_bound):
+        monkeypatch.setattr(verifiers, "rank2_bound", bound)
+        for n, d1, d2 in _RANK2_POOL:
+            expected = []
+            n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
+            for a in range(n1 + 1):
+                for b in range(n2 + 1):
+                    lhs = kappa(a, d1) + kappa(b, d2)
+                    rhs = bound(a, b, d1, d2, n)
+                    if lhs > rhs:
+                        expected.append({"a": a, "b": b, "d1": d1, "d2": d2, "n": n,
+                                         "lhs": lhs, "rhs": rhs})
+            outcome = check_rank2(n, d1, d2)
+            assert outcome.cases == (n1 + 1) * (n2 + 1)
+            assert outcome.counterexamples == expected, (n, d1, d2)
+            assert bool(expected) == (bound is low_bound), (n, d1, d2)
+
+
 def test_higher_work_is_bounded_by_cases(monkeypatch):
     # At n = 40, d = 5, N_i is about 1.09M: tabulating kappa over [0, N_i]
     # would cost far more than the cases drawn.
     calls = {"kappa": 0, "bound": 0}
-    real_kappa, real_bound = verifiers.kappa, verifiers.module_bound
+    real_kappa = verifiers.kappa
 
     def counting_kappa(a, d):
         calls["kappa"] += 1
         return real_kappa(a, d)
 
-    def counting_bound(h, m, shape):
+    def counting_total(h, r, total):
         calls["bound"] += 1
-        return real_bound(h, m, shape)
+        return total
 
     monkeypatch.setattr(verifiers, "kappa", counting_kappa)
-    monkeypatch.setattr(verifiers, "module_bound", counting_bound)
+    _patch_profile_total(monkeypatch, counting_total)
     tuples = [t for r in (1, 2) for t in nonincreasing_tuples(5, r)]
     outcome = check_higher(40, 5, 2, 5, 2)
     per_case_kappa = sum(len(t) * (2 ** len(t) + 5) for t in tuples)
     assert outcome.ok and outcome.cases == sum(2 ** len(t) + 5 for t in tuples)
     # Corners repeat a_i in {0, N_i} across tuples, so the memo saves calls.
     assert calls["kappa"] < per_case_kappa
-    assert calls["bound"] <= outcome.cases
+    assert 0 < calls["bound"] <= outcome.cases
 
 
 # Each verify leaf's flags, in the order of its library call's arguments,
