@@ -6,10 +6,12 @@ restricted by a generic linear form is bounded by a piecewise formula:
 fill the lowest-degree components of F to capacity, then apply the
 numerator-decrement operator to the partial head component.
 
-Everything in that bound except the head is fixed by (shape, m): the
-component degrees, the capacities, their suffix sums and the full terms of
-the filled components. ``_BoundProfile`` builds that part once; the bound at
-h is then one pivot search plus kappa of the head.
+The bound is a function of n and the component degrees d_i = m - f_i
+alone. Every dimension it reads is one count, dim S_d = C(n+d-1, d), taken
+by ``_dim_s``. Everything in the bound except the head is fixed by n and the
+d_i: the capacities, their suffix sums and the full terms of the filled
+components. ``_BoundProfile`` builds that part once; the bound at h is then
+one pivot search plus kappa of the head.
 """
 from __future__ import annotations
 
@@ -22,6 +24,11 @@ from .macaulay import kappa
 
 class CapacityError(ValueError):
     """A requested dimension exceeds the dimension of the ambient space."""
+
+
+def _dim_s(n: int, d: int) -> int:
+    """dim S_d = C(n+d-1, d) for S = k[x_1..x_n]; zero below degree 0."""
+    return comb(n + d - 1, d) if d >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,7 @@ class FreeModuleShape:
 
     def component_dims(self, m: int) -> tuple[int, ...]:
         """N_i = dim S_{m - f_i} per component; zero when m < f_i."""
-        return tuple(
-            comb(self.n + d - 1, d) if d >= 0 else 0
-            for d in self.component_degrees(m)
-        )
+        return tuple(_dim_s(self.n, d) for d in self.component_degrees(m))
 
     def dim(self, m: int) -> int:
         """dim F_m."""
@@ -95,7 +99,7 @@ class BoundBreakdown:
 
 
 class _BoundProfile:
-    """The part of the module bound that (shape, m) fixes.
+    """The part of the module bound that n and the component degrees fix.
 
     dims[i] = d_i and caps[i] = N_i per component; suffix[j] = N_j + ... + N_r
     with 1-based j and suffix[r+1] = 0; terms[i] = kappa(N_i, d_i), the term
@@ -105,12 +109,12 @@ class _BoundProfile:
 
     __slots__ = ("dims", "caps", "suffix", "terms", "tail")
 
-    def __init__(self, shape: FreeModuleShape, m: int) -> None:
-        self.dims = shape.component_degrees(m)
-        self.caps = shape.component_dims(m)
+    def __init__(self, n: int, dims: tuple[int, ...]) -> None:
+        self.dims = dims
+        self.caps = tuple(_dim_s(n, d) for d in dims)
         # An empty term is 0 without a bound: green_bound refuses the d_i < 0 it can meet.
-        self.terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(self.caps, self.dims))
-        r = shape.r
+        self.terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(self.caps, dims))
+        r = len(dims)
         self.suffix = [0] * (r + 2)
         self.tail = [0] * (r + 1)
         for i in range(r, 0, -1):
@@ -145,7 +149,7 @@ def module_bound(h: int, m: int, shape: FreeModuleShape, pivot: int | None = Non
     """
     if h < 0:
         raise ValueError(f"dimension must be non-negative, got h={h}")
-    profile = _BoundProfile(shape, m)
+    profile = _BoundProfile(shape.n, shape.component_degrees(m))
     suffix = profile.suffix
     if h > suffix[1]:
         raise CapacityError(f"h={h} exceeds dim F_{m} = {suffix[1]}")
@@ -180,8 +184,7 @@ def rank2_bound(a: int, b: int, d1: int, d2: int, n: int) -> int:
         raise ValueError(f"degrees must be non-negative, got d2={d2}")
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
-    n1 = comb(n + d1 - 1, d1)
-    n2 = comb(n + d2 - 1, d2)
+    n1, n2 = _dim_s(n, d1), _dim_s(n, d2)
     if not 0 <= a <= n1:
         raise ValueError(f"first summand a={a} outside [0, N1={n1}]")
     if not 0 <= b <= n2:
@@ -204,7 +207,7 @@ def braced_bound(a: int, i: int, n: int) -> int:
         raise ValueError(f"dimension must be non-negative, got {a}")
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
-    s_i = comb(i + n - 1, i)
+    s_i = _dim_s(n, i)
     q, r = divmod(a, s_i)
     return q * kappa(s_i, i) + kappa(r, i)
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from math import comb
 from pathlib import Path
 
-from .bounds import braced_bound
+from .bounds import _dim_s, braced_bound
 from .macaulay import kappa
 
 DATA_RESOURCE = "level_comparisons.csv"
@@ -92,7 +91,7 @@ def compare_bounds(lh: LevelHilbert) -> LevelComparison:
         # decrement shrinks as the base grows, so c-i >= i+1 forces hGM up.
         low_half = i + 1 <= c - i
         plateau = h[i] == h[i + 1]
-        fits = comb(c - i + lh.n - 1, c - i) > h[i + 1]
+        fits = _dim_s(lh.n, c - i) > h[i + 1]
         flags.append(PropositionCheck(i, low_half, plateau, fits, low_half and plateau and fits))
         if flags[i].all_hold and hgm[i] < hg[i]:
             raise TheoremViolation(

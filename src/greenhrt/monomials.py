@@ -14,11 +14,10 @@ import random
 import reprlib
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement, compress
-from math import comb
 
 import numpy as np
 
-from .bounds import CapacityError, FreeModuleShape
+from .bounds import CapacityError, FreeModuleShape, _dim_s
 
 _DIVISOR_BLOCK_CELLS = 1 << 20  # rows x generators x variables per compare: ~1 MB
 # Ceiling on the cells (rows x variables) of one array of exponent rows:
@@ -54,7 +53,7 @@ def _exponent_rows(n: int, d: int) -> np.ndarray:
     # C(n+d-1, d) >= 2**min(d, n - 1) and n >= 2, so a large minimum is past the
     # ceiling before the exact binomial, which takes ~40 s at n = d = 10**6.
     if (min(d, n - 1) >= _MAX_EXPONENT_CELLS.bit_length() - 1
-            or (count := comb(n + d - 1, d)) * n > _MAX_EXPONENT_CELLS):
+            or (count := _dim_s(n, d)) * n > _MAX_EXPONENT_CELLS):
         raise ValueError(
             f"degree {d} in n={n} variables needs more than {_MAX_EXPONENT_CELLS} exponent cells"
         )
@@ -150,9 +149,9 @@ def lex_module(shape: FreeModuleShape, m: int, k: int) -> MonomialModule:
     if not 0 <= k <= sum(dims):
         raise CapacityError(f"slice size {k} outside [0, dim F_{m} = {sum(dims)}]")
     ideals = []
-    for f, size in zip(shape.degrees, dims):
+    for d, size in zip(shape.component_degrees(m), dims):
         take = min(k, size)
-        gens = _exponent_rows(shape.n, m - f)[:take].tolist() if take else []
+        gens = _exponent_rows(shape.n, d)[:take].tolist() if take else []
         ideals.append(MonomialIdeal(shape.n, gens))
         k -= take
     return MonomialModule(shape, tuple(ideals))
@@ -199,8 +198,7 @@ def degree_slice(module: MonomialModule, m: int) -> DegreeSlice:
     """Enumerate F_m once and mark the basis monomials that lie in M."""
     n = module.shape.n
     exps, member = [], []
-    for ideal, f in zip(module.components, module.shape.degrees):
-        d = m - f
+    for ideal, d in zip(module.components, module.shape.component_degrees(m)):
         rows = _exponent_rows(n, d) if d >= 0 else np.empty((0, n), dtype=np.int64)
         # Generators above degree d divide nothing there and may not fit int64.
         gens = ideal.exps[ideal.exps.sum(axis=1) <= d].astype(rows.dtype, copy=False)

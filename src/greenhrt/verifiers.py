@@ -11,11 +11,10 @@ import itertools
 import random
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
-from .bounds import FreeModuleShape, _BoundProfile, rank2_bound, scaled_bound
+from .bounds import FreeModuleShape, _BoundProfile, _dim_s, rank2_bound, scaled_bound
 from .macaulay import _greedy, _kappa_tables, kappa
 from .monomials import MonomialModule, _exponent_rows, random_monomial_module
 from .oracle import DEFAULT_PRIME, DEFAULT_TRIALS, generic_restriction_dim
@@ -134,8 +133,7 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     if d1 < d2 or d2 < 1:
         raise ValueError(f"need d1 >= d2 >= 1, got d1={d1}, d2={d2}")
     out = VerificationOutcome("rank2", {"n": n, "d1": d1, "d2": d2})
-    n1 = comb(n + d1 - 1, d1)
-    n2 = comb(n + d2 - 1, d2)
+    n1, n2 = _dim_s(n, d1), _dim_s(n, d2)
     # Every row visits every b, so kappa(b, d2) is computed once per b.
     kb = [kappa(b, d2) for b in range(n2 + 1)]
     # The bound depends on a + b alone: one admissible split per sum.
@@ -203,10 +201,7 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     # and none that no case asks for.
     kappa_memo: dict[int, dict[int, int]] = {}
     for degrees in degree_tuples:
-        # Shift the degree tuple into a free-module shape at m = max degree, so
-        # the piecewise bound applies; the pivot condition is identical.
-        m = degrees[0]
-        profile = _BoundProfile(FreeModuleShape(n=n, degrees=tuple(m - d for d in degrees)), m)
+        profile = _BoundProfile(n, degrees)
         caps, total = profile.caps, profile.total
         memos = [(d, kappa_memo.setdefault(d, {})) for d in degrees]
         # The bound depends on h = sum(values) and on this tuple's profile.

@@ -225,7 +225,7 @@ def test_profile_matches_the_per_call_reference():
     boundaries = 0
     for shape in _criterion_9_shapes():
         for m in range(-1, 7):
-            profile = _BoundProfile(shape, m)
+            profile = _BoundProfile(shape.n, shape.component_degrees(m))
             dim = shape.dim(m)
             for h in range(dim + 1):
                 want = _module_bound_reference(h, m, shape)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greenhrt import cli, monomials
-from greenhrt.bounds import CapacityError, FreeModuleShape, module_bound
+from greenhrt.bounds import CapacityError, FreeModuleShape, _dim_s, module_bound
 from greenhrt.macaulay import kappa
 from greenhrt.monomials import (
     MonomialIdeal,
@@ -90,9 +90,11 @@ def test_enumeration_counts_and_order():
         for d in range(9):
             monos = _rows(n, d)
             assert len(monos) == comb(n + d - 1, d)
+            assert _dim_s(n, d) == len(monos)
             assert all(sum(m) == d for m in monos)
             # lex-decreasing, no duplicates
             assert all(a > b for a, b in zip(monos, monos[1:]))
+        assert _dim_s(n, -1) == 0
     # n = 1 keeps any degree exact
     assert _rows(1, 10**30) == [(10**30,)]
 
@@ -522,7 +524,7 @@ def test_exponent_cell_ceiling_is_checked_before_allocating(monkeypatch):
         with pytest.raises(ValueError, match="degree 3 in n=3 variables needs more than 18"):
             build()  # C(5, 3) rows of 3 cells
     # C(n+d-1, d) >= 2**min(d, n - 1): past the ceiling without the binomial.
-    monkeypatch.setattr(monomials, "comb", lambda *args: pytest.fail(f"comb{args}"))
+    monkeypatch.setattr(monomials, "_dim_s", lambda *args: pytest.fail(f"_dim_s{args}"))
     for n, d in ((5, 4), (10**6, 10**6), (10**40, 10**40)):
         with pytest.raises(ValueError, match=f"degree {d} in n={n} variables"):
             _exponent_rows(n, d)
