@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import FreeModuleShape, _BoundProfile, _dim_s, rank2_bound, scaled_bound
-from .macaulay import _greedy, _kappa_tables, kappa
+from .macaulay import _kappa_tables, kappa
 from .monomials import MonomialModule, _exponent_rows, random_monomial_module
 from .oracle import DEFAULT_PRIME, DEFAULT_TRIALS, generic_restriction_dim
 
@@ -102,6 +102,29 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     return out
 
 
+def _successor_walk(a_max: int, d: int) -> Iterator[list[int]]:
+    """Base-d numerators of a = 1..a_max in turn, with no binomial.
+
+    One list is yielded, updated in place from a to a + 1 in amortised O(1).
+    With terminal degree delta = d - len + 1: if delta >= 2, append delta - 1,
+    as C(delta - 1, delta - 1) = 1; if delta = 1, add 1 to the last numerator
+    and, while it equals the one before it, pop it and add 1 to that one, as
+    C(x, i + 1) + C(x, i) = C(x + 1, i + 1). Each pop undoes one append.
+    """
+    nums = [d]
+    yield nums
+    for _ in range(a_max - 1):
+        delta = d - len(nums) + 1
+        if delta >= 2:
+            nums.append(delta - 1)
+        else:
+            x = nums.pop() + 1
+            while nums and nums[-1] == x:
+                x = nums.pop() + 1
+            nums.append(x)
+        yield nums
+
+
 def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     """kappa(a-1,d) = kappa(a,d) exactly when the base-d representation of a
     terminates with numerator equal to its degree."""
@@ -112,15 +135,18 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max})
     tables = _kappa_tables(a_max, d_max)
     for d in range(1, d_max + 1):
-        # The stall side comes from the table, the tail side from the
-        # numerators of one greedy pass: two independent formulations.
-        values = tables[d].tolist()
-        for a in range(1, a_max + 1):
-            prev, cur = values[a - 1], values[a]
-            nums = _greedy(a, d)[0]
-            tail_hits = nums[-1] == d - len(nums) + 1
-            if (prev == cur) != tail_hits:
-                _record(out, {"a": a, "d": d, "ends_at_delta": tail_hits}, prev, cur)
+        # The stall side comes from the block-recurrence table, the tail side
+        # from the numerators of the successor walk, which uses no binomial:
+        # two independent formulations.
+        table = tables[d]
+        stalls = np.diff(table) == 0
+        tails = np.fromiter(
+            (nums[-1] == d - len(nums) + 1 for nums in _successor_walk(a_max, d)),
+            dtype=bool, count=a_max,
+        )
+        for (i,) in np.argwhere(stalls != tails):
+            _record(out, {"a": int(i) + 1, "d": d, "ends_at_delta": bool(tails[i])},
+                    int(table[i]), int(table[i + 1]))
         out.cases += a_max
     return out
 

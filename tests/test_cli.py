@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from greenhrt import verifiers
+from greenhrt import macaulay, verifiers
 from greenhrt.cli import COMMANDS, Group, main
 
 
@@ -376,6 +376,50 @@ def test_herz_range_errors_name_the_value(capsys):
     ):
         code, out, err = run(capsys, ["verify", "herz", flag, value])
         assert (code, out, err) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize(
+    "statement, a_fit, d_max, degrees",
+    [("herz", 49, 2, 2), ("kappa-lemma", 12, 3, 4)],
+)
+def test_kappa_table_cells_are_capped(capsys, monkeypatch, statement, a_fit, d_max, degrees):
+    # herz tabulates a <= a_max at d_max degrees, kappa-lemma a <= 2 a_max at
+    # d_max + 1. With the ceiling at 100 cells, a_fit fills exactly 100 (so
+    # the ceiling is inclusive); one more is an input error naming a_max, not
+    # a traceback.
+    monkeypatch.setattr(macaulay, "_MAX_TABLE_CELLS", 100)
+    argv = ["verify", statement, "--d-max", str(d_max), "--format", "json", "--a-max"]
+    code, out, err = run(capsys, argv + [str(a_fit)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["counterexamples"] == []
+    code, out, err = run(capsys, argv + [str(a_fit + 1)])
+    top = (a_fit + 1) * (2 if statement == "kappa-lemma" else 1)
+    assert (code, out) == (2, "")
+    assert err == (f"error: a_max and d_max too large: kappa tables for a <= {top} "
+                   f"at {degrees} degrees need more than 100 cells\n")
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the table ceiling")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "herz", "--a-max", "10000000000", "--d-max", "2"],
+        ["verify", "kappa-lemma", "--a-max", "100000000000", "--d-max", "2"],
+        ["verify", "herz", "--a-max", "3000", "--d-max", "100000"],
+    ],
+    ids=["herz-a", "kappa-lemma-a", "herz-d"],
+)
+def test_huge_kappa_tables_are_refused_before_numpy(capsys, monkeypatch, argv):
+    # Each once ended in numpy's _ArrayMemoryError traceback with exit 1, the
+    # counterexample code. The ceiling is checked before numpy is touched.
+    monkeypatch.setattr(macaulay, "np", _NoNumpy())
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a_max and d_max too large: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

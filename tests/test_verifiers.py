@@ -16,7 +16,7 @@ from test_monomials import brute_monomials
 from greenhrt import bounds, monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, module_bound, rank2_bound
 from greenhrt.cli import COMMANDS, main
-from greenhrt.macaulay import kappa, macaulay_rep
+from greenhrt.macaulay import _greedy, kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
     _record,
@@ -339,6 +339,44 @@ def test_herz_matches_per_case_reference(monkeypatch):
             outcome = check_herz_tail(a_max, d_max)
             assert (outcome.cases, outcome.counterexamples) == expected, (a_max, d_max)
             assert bool(outcome.counterexamples) == (kappa_fn is skewed), (a_max, d_max)
+
+
+@pytest.mark.parametrize("a_max, d", [(20_000, d) for d in range(1, 9)] + [(5_000, 25), (5_000, 40)])
+def test_successor_walk_matches_greedy(a_max, d):
+    # The walk must give the greedy numerators at every a. At d = 25 and 40,
+    # a = 1..d appends a numerator each step (terminal degree >= 2 all the
+    # way down), and a = d + 1 pops d - 1 numerators in one cascade.
+    lengths = []
+    for a, nums in enumerate(verifiers._successor_walk(a_max, d), 1):
+        assert tuple(nums) == _greedy(a, d)[0], (a, d)
+        lengths.append(len(nums))
+    assert len(lengths) == a_max
+    assert max(lengths) == d
+    assert max(x - y for x, y in zip(lengths, lengths[1:])) == d - 1
+
+
+@pytest.mark.parametrize("a, d", [(15, 3), (16, 3), (2, 1), (400, 6)])
+def test_herz_tail_side_mutant_is_recorded(monkeypatch, a, d):
+    # A walk whose tail flag is flipped at one (a, d) must give exactly that
+    # counterexample, with the table's kappa(a - 1, d) and kappa(a, d); a tail
+    # side read from the table instead of the walk would record nothing.
+    real = verifiers._successor_walk
+
+    def flipped(a_max, e):
+        for b, nums in enumerate(real(a_max, e), 1):
+            if (b, e) == (a, d):
+                delta = e - len(nums) + 1
+                nums = nums[:-1] + [nums[-1] + 1 if nums[-1] == delta else delta]
+            yield nums
+
+    monkeypatch.setattr(verifiers, "_successor_walk", flipped)
+    rep = macaulay_rep(a, d)
+    ends = rep.numerators[-1] == rep.delta
+    outcome = check_herz_tail(400, 6)
+    assert outcome.cases == 6 * 400
+    assert outcome.counterexamples == [
+        {"a": a, "d": d, "ends_at_delta": not ends, "lhs": kappa(a - 1, d), "rhs": kappa(a, d)}
+    ]
 
 
 def _low_total(h, r, total):
