@@ -15,6 +15,7 @@ one pivot search plus kappa of the head.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -104,16 +105,21 @@ class _BoundProfile:
     dims[i] = d_i and caps[i] = N_i per component; suffix[j] = N_j + ... + N_r
     with 1-based j and suffix[r+1] = 0; terms[i] = kappa(N_i, d_i), the term
     of a component filled to capacity; tail[j] = the sum of the terms after
-    pivot j.
+    pivot j. Every term, and the head's, is read through ``kappa(h, d)``: a
+    caller that already holds kappa values passes its lookup, which must
+    agree with green_bound.
     """
 
-    __slots__ = ("dims", "caps", "suffix", "terms", "tail")
+    __slots__ = ("dims", "caps", "suffix", "terms", "tail", "kappa")
 
-    def __init__(self, n: int, dims: tuple[int, ...]) -> None:
+    def __init__(
+        self, n: int, dims: tuple[int, ...], kappa: Callable[[int, int], int] = green_bound
+    ) -> None:
         self.dims = dims
+        self.kappa = kappa
         self.caps = tuple(_dim_s(n, d) for d in dims)
         # An empty term is 0 without a bound: green_bound refuses the d_i < 0 it can meet.
-        self.terms = tuple(green_bound(v, d) if v else 0 for v, d in zip(self.caps, dims))
+        self.terms = tuple(kappa(v, d) if v else 0 for v, d in zip(self.caps, dims))
         r = len(dims)
         self.suffix = [0] * (r + 2)
         self.tail = [0] * (r + 1)
@@ -131,7 +137,7 @@ class _BoundProfile:
     def head(self, h: int, j: int) -> tuple[int, int]:
         """The head h - suffix[j+1] at pivot j and its term kappa(head, d_j)."""
         head = h - self.suffix[j + 1]
-        return head, green_bound(head, self.dims[j - 1]) if head else 0
+        return head, self.kappa(head, self.dims[j - 1]) if head else 0
 
     def total(self, h: int) -> int:
         """The bound at h, 0 <= h <= dim F_m, at the largest admissible pivot."""

@@ -11,6 +11,7 @@ import itertools
 import random
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import add, gt
 
 import numpy as np
 
@@ -48,8 +49,33 @@ def _record(outcome: VerificationOutcome, inputs: dict, lhs, rhs) -> None:
 
 
 # Rows of the superadditivity comparison per block: a block's lhs and mask
-# are _LEMMA_BLOCK_ROWS x (a_max + 1) instead of the full square.
+# hold at most _LEMMA_BLOCK_ROWS rows of a_max + 1 cells, and at most
+# _LEMMA_BLOCK_CELLS cells unless one row alone is wider, instead of the
+# full square.
 _LEMMA_BLOCK_ROWS = 256
+_LEMMA_BLOCK_CELLS = 1 << 20
+
+# The most cases verify higher and verify rank2 take on, checked before any
+# case or table is built.
+_MAX_CASES = 1 << 26
+
+# Cases per block of verify higher: one block's values, sides and sums are
+# held at once, whatever r and samples are.
+_HIGHER_BLOCK = 1 << 12
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
@@ -66,7 +92,7 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     # entries: uint16 at a_max <= 2000, since 0 <= kappa(a, d) <= a.
     hi = max(int(tables[d].max()) for d in range(1, d_max + 1))
     dtype = np.min_scalar_type(2 * hi)
-    rows = min(_LEMMA_BLOCK_ROWS, a_max + 1)
+    rows = min(_LEMMA_BLOCK_ROWS, a_max + 1, max(1, _LEMMA_BLOCK_CELLS // (a_max + 1)))
     lhs = np.empty((rows, a_max + 1), dtype=dtype)
     mask = np.empty((rows, a_max + 1), dtype=bool)
     for d in range(1, d_max + 1):
@@ -158,8 +184,14 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
         raise ValueError(f"need at least one variable, got n={n}")
     if d1 < d2 or d2 < 1:
         raise ValueError(f"need d1 >= d2 >= 1, got d1={d1}, d2={d2}")
+    # N_i = C(n+d_i-1, d_i) >= 2^min(d_i, n-1): a huge n or d is refused
+    # before any binomial.
+    if (min(d1, n - 1) + min(d2, n - 1) >= _MAX_CASES.bit_length()
+            or ((n1 := _dim_s(n, d1)) + 1) * ((n2 := _dim_s(n, d2)) + 1) > _MAX_CASES):
+        raise ValueError(
+            f"n, d1 and d2 too large: n={n}, d1={d1}, d2={d2} give more than {_MAX_CASES} cases"
+        )
     out = VerificationOutcome("rank2", {"n": n, "d1": d1, "d2": d2})
-    n1, n2 = _dim_s(n, d1), _dim_s(n, d2)
     # Every row visits every b, so kappa(b, d2) is computed once per b.
     kb = [kappa(b, d2) for b in range(n2 + 1)]
     # The bound depends on a + b alone: one admissible split per sum.
@@ -175,24 +207,36 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     return out
 
 
-def _samples(
+def _corner_blocks(caps: Sequence[int]) -> Iterator[list[tuple[int, ...]]]:
+    """Every corner, each a_i in {0, caps[i]}, in product order: blocks of
+    at most _HIGHER_BLOCK cases, one column of values per component."""
+    corners = itertools.product(*[(0, c) for c in caps])
+    while block := list(zip(*itertools.islice(corners, _HIGHER_BLOCK))):
+        yield block
+
+
+def _sample_blocks(
     getrandbits: Callable[[int], int], caps: Sequence[int], samples: int
-) -> Iterator[tuple[int, ...]]:
-    """`samples` tuples, entry i uniform in 0..caps[i], drawn as randint does.
+) -> Iterator[list[list[int]]]:
+    """`samples` cases, entry i uniform in 0..caps[i] and drawn as randint
+    does: blocks of at most _HIGHER_BLOCK cases, one column per component.
 
     randint(0, c) is _randbelow(c + 1): draw (c + 1).bit_length() bits and
     draw again while the value passes c. Calling getrandbits directly skips
-    randint's three Python call layers but consumes the same stream.
+    randint's three Python call layers; one flat loop draws a block's
+    entries in case order, so it consumes the same stream.
     """
+    r = len(caps)
     draws = [(c, (c + 1).bit_length()) for c in caps]
-    for _ in range(samples):
+    for start in range(0, samples, _HIGHER_BLOCK):
         values = []
-        for c, k in draws:
+        append = values.append
+        for c, k in draws * min(_HIGHER_BLOCK, samples - start):
             v = getrandbits(k)
             while v > c:
                 v = getrandbits(k)
-            values.append(v)
-        yield tuple(values)
+            append(v)
+        yield [values[i::r] for i in range(r)]
 
 
 def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> VerificationOutcome:
@@ -205,7 +249,10 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     included; piecewise formulas break at boundaries, so uniform sampling
     alone would under-test them. Each sampled a_i is drawn with
     ``getrandbits`` exactly as ``random.Random(seed).randint(0, N_i)`` draws
-    it, so a seed gives the same cases as a ``randint`` loop would.
+    it, so a seed gives the same cases as a ``randint`` loop would. A degree
+    tuple's cases are checked in blocks of at most _HIGHER_BLOCK, so memory
+    does not grow with r or samples; more than _MAX_CASES cases in all are
+    refused before any tuple is built.
     """
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if d_max < 1:
@@ -216,38 +263,52 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
         raise ValueError(f"need at least one variable, got n={n}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
+    # C(d_max+r-1, r) tuples of length r, each with 2^r corners plus its
+    # samples; 2^r alone passes the ceiling by r = 27.
+    cases = 0
+    for r in range(1, r_max + 1):
+        # Non-increasing r-tuples over 1..d_max count as degree-r monomials
+        # in d_max variables.
+        cases += _dim_s(d_max, r) * (2**r + samples)
+        if cases > _MAX_CASES:
+            raise ValueError(
+                f"d_max, r_max and samples too large: d_max={d_max}, r_max={r_max}, "
+                f"samples={samples} give more than {_MAX_CASES} cases"
+            )
     degree_tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
     out = VerificationOutcome(
         "higher",
         {"n": n, "tuples": len(degree_tuples), "samples": samples, "seed": seed},
     )
     getrandbits = random.Random(seed).getrandbits
-    # kappa(a, d) by degree, shared by every tuple of this call; filled on
-    # demand, never tabulated over [0, N_i], so no value is computed twice
-    # and none that no case asks for.
-    kappa_memo: dict[int, dict[int, int]] = {}
+    # kappa(a, d) by degree, shared by every tuple of this call and by both
+    # sides (the bound's terms read it too); filled on demand, never
+    # tabulated over [0, N_i], so no value is computed twice and none that
+    # no case asks for.
+    kappa_memo = _Memo(lambda d: _Memo(lambda a: kappa(a, d)))
+
+    def memo_kappa(a: int, d: int) -> int:
+        return kappa_memo[d][a]
+
     for degrees in degree_tuples:
-        profile = _BoundProfile(n, degrees)
-        caps, total = profile.caps, profile.total
-        memos = [(d, kappa_memo.setdefault(d, {})) for d in degrees]
+        profile = _BoundProfile(n, degrees, kappa=memo_kappa)
+        caps = profile.caps
         # The bound depends on h = sum(values) and on this tuple's profile.
-        bound_memo: dict[int, int] = {}
-        corner_values = itertools.product(*[(0, c) for c in caps])
-        sampled = _samples(getrandbits, caps, samples)
-        for values in itertools.chain(corner_values, sampled):
-            lhs = 0
-            for a, (d, memo) in zip(values, memos):
-                k = memo.get(a)
-                if k is None:
-                    k = memo[a] = kappa(a, d)
-                lhs += k
-            h = sum(values)
-            rhs = bound_memo.get(h)
-            if rhs is None:
-                rhs = bound_memo[h] = total(h)
-            if lhs > rhs:
-                _record(out, {"values": list(values), "degrees": list(degrees), "n": n}, lhs, rhs)
-            out.cases += 1
+        bound = _Memo(profile.total)
+        memos = [kappa_memo[d] for d in degrees]
+        blocks = itertools.chain(_corner_blocks(caps), _sample_blocks(getrandbits, caps, samples))
+        for cols in blocks:
+            lhs = map(memos[0].__getitem__, cols[0])
+            h = cols[0]
+            for memo, col in zip(memos[1:], cols[1:]):
+                lhs = map(add, lhs, map(memo.__getitem__, col))
+                h = list(map(add, h, col))
+            lhs = list(lhs)
+            rhs = list(map(bound.__getitem__, h))
+            for i in itertools.compress(range(len(h)), map(gt, lhs, rhs)):
+                values = [col[i] for col in cols]
+                _record(out, {"values": values, "degrees": list(degrees), "n": n}, lhs[i], rhs[i])
+            out.cases += len(h)
     return out
 
 

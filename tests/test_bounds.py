@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greenhrt import verifiers
 from greenhrt.bounds import (
     BoundBreakdown,
     CapacityError,
@@ -222,14 +223,25 @@ def _raised(fn, *args, **kwargs):
 def test_profile_matches_the_per_call_reference():
     # m from -1 puts m below some generator degrees: those capacities are 0,
     # suffix sums repeat and pivots tie (at m = -1 every h = 0 takes pivot r).
+    # The memo-lookup profile reads kappa through one memo per degree, as
+    # check_higher passes it; its totals and breakdowns must be the same.
+    memo = verifiers._Memo(lambda d: verifiers._Memo(lambda a: green_bound(a, d)))
     boundaries = 0
     for shape in _criterion_9_shapes():
         for m in range(-1, 7):
-            profile = _BoundProfile(shape.n, shape.component_degrees(m))
+            dims = shape.component_degrees(m)
+            profiles = (_BoundProfile(shape.n, dims),
+                        _BoundProfile(shape.n, dims, kappa=lambda a, d: memo[d][a]))
             dim = shape.dim(m)
             for h in range(dim + 1):
                 want = _module_bound_reference(h, m, shape)
-                assert profile.total(h) == want.total, (shape, m, h)
+                for profile in profiles:
+                    j = profile.pivot(h)
+                    assert profile.total(h) == want.total, (shape, m, h)
+                    assert (j, *profile.head(h, j), profile.terms[j:]) == (
+                        want.j, want.head, want.head_term, want.tail_terms), (shape, m, h)
+                if want.head:
+                    assert want.head in memo[dims[want.j - 1]], (shape, m, h)
                 assert module_bound(h, m, shape) == want, (shape, m, h)
             # Each suffix boundary h = N_j + ... + N_r, with every pivot
             # forced: the admissible ones give the reference's breakdown,

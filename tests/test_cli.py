@@ -399,6 +399,61 @@ def test_kappa_table_cells_are_capped(capsys, monkeypatch, statement, a_fit, d_m
                    f"at {degrees} degrees need more than 100 cells\n")
 
 
+@pytest.mark.parametrize(
+    "argv, fit, message",
+    [
+        (["verify", "higher", "--n", "2", "--d-max", "2", "--r-max", "2", "--samples", "3"], 31,
+         "d_max, r_max and samples too large: d_max=2, r_max=2, samples=3 give more than 30 cases"),
+        (["verify", "rank2", "--n", "2", "--d1", "2", "--d2", "1"], 12,
+         "n, d1 and d2 too large: n=2, d1=2, d2=1 give more than 11 cases"),
+    ],
+    ids=["higher", "rank2"],
+)
+def test_sweep_cases_are_capped(capsys, monkeypatch, argv, fit, message):
+    # higher runs 2 x (2 + 3) + 3 x (4 + 3) = 31 cases, rank2 (3 + 1) x (2 + 1)
+    # = 12. A ceiling of exactly that many runs them (the ceiling is
+    # inclusive); one fewer is an input error, not a partial run.
+    monkeypatch.setattr(verifiers, "_MAX_CASES", fit)
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cases"] == fit
+    monkeypatch.setattr(verifiers, "_MAX_CASES", fit - 1)
+    assert run(capsys, argv + ["--format", "json"]) == (2, "", f"error: {message}\n")
+
+
+def _no_binomial(n, d):
+    raise AssertionError(f"dim S_{d} in n={n} variables computed before the case ceiling")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "higher", "--n", "3", "--d-max", "60", "--r-max", "8", "--samples", "0"],
+         "d_max, r_max and samples too large: d_max=60, r_max=8, samples=0 give more than "
+         "67108864 cases"),
+        (["verify", "higher", "--n", "1", "--d-max", "1", "--r-max", "10000000000000"],
+         "d_max, r_max and samples too large: d_max=1, r_max=10000000000000, samples=100 give "
+         "more than 67108864 cases"),
+        (["verify", "rank2", "--n", "50", "--d1", "50", "--d2", "50"],
+         "n, d1 and d2 too large: n=50, d1=50, d2=50 give more than 67108864 cases"),
+        (["verify", "rank2", "--n", "1000000", "--d1", "1000000", "--d2", "1"],
+         "n, d1 and d2 too large: n=1000000, d1=1000000, d2=1 give more than 67108864 cases"),
+    ],
+    ids=["higher-d", "higher-r", "rank2-square", "rank2-huge-n"],
+)
+def test_huge_sweeps_are_refused_before_any_case(capsys, monkeypatch, argv, message):
+    # Each once ran for minutes or more (higher at d_max = 60, r_max = 8 was
+    # building ~4e9 degree tuples; rank2 at n = d = 50 has ~C(99, 50)^2
+    # cases). rank2 refuses these from 2^min(d, n - 1) <= dim S_d, before
+    # any binomial; higher stops summing its count once it passes the ceiling.
+    built = []
+    monkeypatch.setattr(verifiers, "nonincreasing_tuples", lambda *args: built.append(args))
+    if argv[1] == "rank2":
+        monkeypatch.setattr(verifiers, "_dim_s", _no_binomial)
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert built == []
+
+
 class _NoNumpy:
     def __getattr__(self, name):
         raise AssertionError(f"numpy.{name} used before the table ceiling")

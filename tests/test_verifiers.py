@@ -286,6 +286,39 @@ def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
         assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
 
 
+def test_kappa_lemma_row_blocks_are_capped_by_cells(monkeypatch):
+    # With the cell ceiling patched below two rows, every block is one row;
+    # with it at two or three rows, the last block is short. The counterexamples
+    # must be the reference's, in the same order, either way.
+    def wobbly(a, d):
+        return (a * a * (d + 1)) % 17 + a // (d + 1)
+
+    monkeypatch.setattr(verifiers, "_kappa_tables", _tables_of(wobbly))
+    monkeypatch.setattr(verifiers, "kappa", wobbly)
+    allocated = []
+
+    class RecordingNumpy:
+        # numpy, with each np.empty shape in check_kappa_lemma recorded.
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype):
+            allocated.append(shape)
+            return np.empty(shape, dtype)
+
+    monkeypatch.setattr(verifiers, "np", RecordingNumpy())
+    a_max, d_max = 40, 2
+    expected = _kappa_lemma_pair_sums_reference(a_max, d_max, wobbly)
+    assert len(expected) > 100
+    for cells, rows in ((1, 1), (81, 1), (82, 2), (3 * 41 + 40, 3)):
+        monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_CELLS", cells)
+        allocated.clear()
+        outcome = check_kappa_lemma(a_max, d_max)
+        assert allocated == [(rows, a_max + 1)] * 2, cells
+        assert outcome.counterexamples == expected, cells
+        assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
+
+
 @pytest.mark.parametrize("bits", [8, 16, 32])
 def test_kappa_lemma_pair_sums_cross_dtype_limits(monkeypatch, bits):
     # Head entries reach just over 2^(bits-1), so every table entry fits in
@@ -441,15 +474,48 @@ def test_higher_memos_match_per_case_reference(monkeypatch):
                     assert bool(outcome.counterexamples) == (mutant is _low_total)
 
 
-def test_higher_samples_draw_the_randint_stream():
+def test_higher_samples_draw_the_randint_stream(monkeypatch):
     # Caps on both sides of every 32-bit word boundary of getrandbits, and
-    # c = 0, which still draws one bit, as randint(0, 0) does.
+    # c = 0, which still draws one bit, as randint(0, 0) does. With the block
+    # size patched down, the draws span several blocks and must still follow
+    # one randint loop.
     caps = [0, 1, 2, 3, 2**32 - 1, 2**32, comb(51, 12), 2**64 - 1, 2**64, 3**50]
-    for seed in range(200):
-        rng, ref = random.Random(seed), random.Random(seed)
-        drawn = list(verifiers._samples(rng.getrandbits, caps, 10))
-        assert drawn == [tuple(ref.randint(0, c) for c in caps) for _ in range(10)], seed
-        assert rng.getstate() == ref.getstate(), seed
+    for block, samples, sizes in ((verifiers._HIGHER_BLOCK, 10, [10]),
+                                  (3, 10, [3, 3, 3, 1]), (5, 10, [5, 5])):
+        monkeypatch.setattr(verifiers, "_HIGHER_BLOCK", block)
+        for seed in range(200):
+            rng, ref = random.Random(seed), random.Random(seed)
+            blocks = list(verifiers._sample_blocks(rng.getrandbits, caps, samples))
+            assert [len(col) for cols in blocks for col in cols] == [
+                size for size in sizes for _ in caps]
+            drawn = [t for cols in blocks for t in zip(*cols)]
+            assert drawn == [tuple(ref.randint(0, c) for c in caps)
+                             for _ in range(samples)], (block, seed)
+            assert rng.getstate() == ref.getstate(), (block, seed)
+
+
+def test_higher_blocks_stay_within_the_block_size(monkeypatch):
+    # At r = 14 a tuple has 2^14 corners, and 5000 samples pass one block
+    # too; every block must still hold at most _HIGHER_BLOCK cases, and the
+    # blocks must cover every case once.
+    sizes = []
+
+    def recording(blocks):
+        def wrapped(*args):
+            for cols in blocks(*args):
+                assert len({len(col) for col in cols}) == 1
+                sizes.append(len(cols[0]))
+                yield cols
+        return wrapped
+
+    monkeypatch.setattr(verifiers, "_corner_blocks", recording(verifiers._corner_blocks))
+    monkeypatch.setattr(verifiers, "_sample_blocks", recording(verifiers._sample_blocks))
+    outcome = check_higher(2, 1, 14, 5000, 3)
+    block = verifiers._HIGHER_BLOCK
+    assert outcome.ok
+    assert outcome.cases == sum(2**r + 5000 for r in range(1, 15)) == sum(sizes)
+    assert max(sizes) == block < 2**14
+    assert sizes.count(5000 - block) == 14
 
 
 def test_higher_wide_caps_match_the_randint_reference(monkeypatch):
