@@ -45,9 +45,6 @@ import numpy as np
 _ROW_LIMIT = 1 << 16
 _ROW_TOP = 1 << 64
 _BINOM_ROWS: dict[int, list[int]] = {}
-# Ceiling on the cells (entries times degrees) of one _kappa_tables call, the
-# same 2^26 as monomials' exponent rows: 512 MiB of int64.
-_MAX_TABLE_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -191,14 +188,9 @@ def _kappa_tables(A: int, d_max: int) -> dict[int, np.ndarray]:
     C(m, e) <= a < C(m+1, e), from the first C(m, e-1) entries of degree
     e - 1 plus C(m-1, e); block m = e - 1 is a = 0 alone. One numpy add per
     block, none per entry. Entries are at most a <= A, so int64 is exact.
-    More than _MAX_TABLE_CELLS cells raise ValueError before any allocation;
-    the message names a_max, the sweeps' field that sets A.
+    The (A + 1) * d_max cells are not checked here: the callers bound them
+    through their case counts before they ask for a table.
     """
-    if (A + 1) * d_max > _MAX_TABLE_CELLS:
-        raise ValueError(
-            f"a_max and d_max too large: kappa tables for a <= {A} at {d_max} degrees "
-            f"need more than {_MAX_TABLE_CELLS} cells"
-        )
     prev = np.arange(-1, A, dtype=np.int64)
     prev[0] = 0
     tables = {1: prev}

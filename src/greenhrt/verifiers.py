@@ -48,20 +48,25 @@ def _record(outcome: VerificationOutcome, inputs: dict, lhs, rhs) -> None:
     outcome.counterexamples.append({**inputs, "lhs": lhs, "rhs": rhs})
 
 
-# Rows of the superadditivity comparison per block: a block's lhs and mask
-# hold at most _LEMMA_BLOCK_ROWS rows of a_max + 1 cells, and at most
-# _LEMMA_BLOCK_CELLS cells unless one row alone is wider, instead of the
-# full square.
+# Rows per block of the superadditivity comparison, instead of the full square.
 _LEMMA_BLOCK_ROWS = 256
-_LEMMA_BLOCK_CELLS = 1 << 20
 
-# The most cases verify higher and verify rank2 take on, checked before any
-# case or table is built.
+# The most cases a verify sweep other than scaled takes on, checked from its
+# closed-form count before any case or table is built.
 _MAX_CASES = 1 << 26
 
 # Cases per block of verify higher: one block's values, sides and sums are
 # held at once, whatever r and samples are.
 _HIGHER_BLOCK = 1 << 12
+
+
+def _refuse_above(cases: int, **fields) -> None:
+    """Raise ValueError naming the fields when cases passes _MAX_CASES."""
+    if cases > _MAX_CASES:
+        *rest, last = fields
+        values = ", ".join(f"{k}={v}" for k, v in fields.items())
+        raise ValueError(f"{', '.join(rest)} and {last} too large: {values} give more than "
+                         f"{_MAX_CASES} cases")
 
 
 class _Memo(dict):
@@ -81,18 +86,21 @@ class _Memo(dict):
 def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     """Superadditivity kappa(a,d)+kappa(b,d) <= kappa(a+b,d) and degree
     monotonicity kappa(a,d+1) <= kappa(a,d), exhaustively for a,b <= a_max
-    and d <= d_max."""
+    and d <= d_max. Its (2 a_max + 1)(d_max + 1) table cells never pass its
+    cases, so the case ceiling bounds them too, and a_max <= 8190."""
     if a_max < 1:
         raise ValueError(f"a_max must be at least 1, got {a_max}")
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
-    out = VerificationOutcome("kappa-lemma", {"a_max": a_max, "d_max": d_max})
+    cases = d_max * ((a_max + 1) ** 2 + (a_max + 1))
+    _refuse_above(cases, a_max=a_max, d_max=d_max)
+    out = VerificationOutcome("kappa-lemma", {"a_max": a_max, "d_max": d_max}, cases)
     tables = _kappa_tables(2 * a_max, d_max + 1)
     # The narrowest unsigned dtype that holds every pair sum of table
     # entries: uint16 at a_max <= 2000, since 0 <= kappa(a, d) <= a.
     hi = max(int(tables[d].max()) for d in range(1, d_max + 1))
     dtype = np.min_scalar_type(2 * hi)
-    rows = min(_LEMMA_BLOCK_ROWS, a_max + 1, max(1, _LEMMA_BLOCK_CELLS // (a_max + 1)))
+    rows = min(_LEMMA_BLOCK_ROWS, a_max + 1)
     lhs = np.empty((rows, a_max + 1), dtype=dtype)
     mask = np.empty((rows, a_max + 1), dtype=bool)
     for d in range(1, d_max + 1):
@@ -124,7 +132,6 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
                 kappa(int(a), d + 1),
                 kappa(int(a), d),
             )
-        out.cases += (a_max + 1) ** 2 + (a_max + 1)
     return out
 
 
@@ -153,12 +160,15 @@ def _successor_walk(a_max: int, d: int) -> Iterator[list[int]]:
 
 def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     """kappa(a-1,d) = kappa(a,d) exactly when the base-d representation of a
-    terminates with numerator equal to its degree."""
+    terminates with numerator equal to its degree. Its (a_max + 1) d_max table
+    cells are at most 1.5 times its cases, as a_max >= 2."""
     if a_max < 2:
         raise ValueError(f"a_max must be at least 2, got {a_max}")
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
-    out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max})
+    cases = a_max * d_max
+    _refuse_above(cases, a_max=a_max, d_max=d_max)
+    out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max}, cases)
     tables = _kappa_tables(a_max, d_max)
     for d in range(1, d_max + 1):
         # The stall side comes from the block-recurrence table, the tail side
@@ -173,7 +183,6 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
         for (i,) in np.argwhere(stalls != tails):
             _record(out, {"a": int(i) + 1, "d": d, "ends_at_delta": bool(tails[i])},
                     int(table[i]), int(table[i + 1]))
-        out.cases += a_max
     return out
 
 
@@ -184,14 +193,14 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
         raise ValueError(f"need at least one variable, got n={n}")
     if d1 < d2 or d2 < 1:
         raise ValueError(f"need d1 >= d2 >= 1, got d1={d1}, d2={d2}")
-    # N_i = C(n+d_i-1, d_i) >= 2^min(d_i, n-1): a huge n or d is refused
-    # before any binomial.
-    if (min(d1, n - 1) + min(d2, n - 1) >= _MAX_CASES.bit_length()
-            or ((n1 := _dim_s(n, d1)) + 1) * ((n2 := _dim_s(n, d2)) + 1) > _MAX_CASES):
-        raise ValueError(
-            f"n, d1 and d2 too large: n={n}, d1={d1}, d2={d2} give more than {_MAX_CASES} cases"
-        )
-    out = VerificationOutcome("rank2", {"n": n, "d1": d1, "d2": d2})
+    ranges = {"n": n, "d1": d1, "d2": d2}
+    # N_i = C(n+d_i-1, d_i) >= 2^min(d_i, n-1): a huge n or d is refused from
+    # that lower bound, clipped past the ceiling, before any binomial.
+    _refuse_above(1 << min(min(d1, n - 1) + min(d2, n - 1), _MAX_CASES.bit_length()), **ranges)
+    n1, n2 = _dim_s(n, d1), _dim_s(n, d2)
+    cases = (n1 + 1) * (n2 + 1)
+    _refuse_above(cases, **ranges)
+    out = VerificationOutcome("rank2", ranges, cases)
     # Every row visits every b, so kappa(b, d2) is computed once per b.
     kb = [kappa(b, d2) for b in range(n2 + 1)]
     # The bound depends on a + b alone: one admissible split per sum.
@@ -203,7 +212,6 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
             rhs = bound[a + b]
             if lhs > rhs:
                 _record(out, {"a": a, "b": b, "d1": d1, "d2": d2, "n": n}, lhs, rhs)
-            out.cases += 1
     return out
 
 
@@ -270,15 +278,12 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
         # Non-increasing r-tuples over 1..d_max count as degree-r monomials
         # in d_max variables.
         cases += _dim_s(d_max, r) * (2**r + samples)
-        if cases > _MAX_CASES:
-            raise ValueError(
-                f"d_max, r_max and samples too large: d_max={d_max}, r_max={r_max}, "
-                f"samples={samples} give more than {_MAX_CASES} cases"
-            )
+        _refuse_above(cases, d_max=d_max, r_max=r_max, samples=samples)
     degree_tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
     out = VerificationOutcome(
         "higher",
         {"n": n, "tuples": len(degree_tuples), "samples": samples, "seed": seed},
+        cases,
     )
     getrandbits = random.Random(seed).getrandbits
     # kappa(a, d) by degree, shared by every tuple of this call and by both
@@ -308,7 +313,6 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
             for i in itertools.compress(range(len(h)), map(gt, lhs, rhs)):
                 values = [col[i] for col in cols]
                 _record(out, {"values": values, "degrees": list(degrees), "n": n}, lhs[i], rhs[i])
-            out.cases += len(h)
     return out
 
 
@@ -322,14 +326,15 @@ def nonincreasing_tuples(d_max: int, r: int) -> list[tuple[int, ...]]:
 
 def check_lex_restriction(n: int, d: int) -> VerificationOutcome:
     """Restricting a lex segment to one fewer variable drops its codimension
-    exactly to kappa of the codimension, for every segment size."""
+    exactly to kappa of the codimension, for every segment size k <= dim S_d.
+    The rows go first: their ceiling refuses a huge n or d before any binomial."""
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if d < 0:
         raise ValueError(f"degree must be non-negative, got d={d}")
-    out = VerificationOutcome("lex-restriction", {"n": n, "d": d})
     xn_free = _exponent_rows(n, d)[:, -1] == 0
-    dim = len(xn_free)
+    dim = _dim_s(n, d)
+    out = VerificationOutcome("lex-restriction", {"n": n, "d": d}, dim + 1)
     # The lex segment of size k is the first k rows, so running counts give
     # the x_n-free members of every segment.
     segment_free = [0, *np.cumsum(xn_free).tolist()]
@@ -339,7 +344,6 @@ def check_lex_restriction(n: int, d: int) -> VerificationOutcome:
         expected = kappa(dim - k, d) if d >= 1 else dim - k
         if specialized_codim != expected:
             _record(out, {"n": n, "d": d, "k": k}, specialized_codim, expected)
-        out.cases += 1
     return out
 
 
@@ -353,7 +357,9 @@ def check_scaled_corollary(
     seed: int = 0,
 ) -> VerificationOutcome:
     """Sampled restriction of F/M stays under (n-1)/(n+d-1) of its dimension
-    for modules presented over free modules generated in degree zero."""
+    for modules presented over free modules generated in degree zero. A case
+    is one oracle report: samples + 1 modules per (n, r), each at d = 0..d_max
+    but d = 0 at n = 1. Its count is not held to _MAX_CASES."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if r_max < 1:
@@ -376,6 +382,7 @@ def check_scaled_corollary(
             "trials": trials,
             "seed": seed,
         },
+        r_max * (samples + 1) * (n_max * (d_max + 1) - 1),
     )
     rng = random.Random(seed)
     for n in range(1, n_max + 1):
@@ -409,5 +416,4 @@ def check_scaled_corollary(
                             lhs,
                             str(rhs),
                         )
-                    out.cases += 1
     return out

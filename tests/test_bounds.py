@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,14 @@ from greenhrt.bounds import (
     CapacityError,
     FreeModuleShape,
     _BoundProfile,
+    _dim_s,
     braced_bound,
     green_bound,
     module_bound,
     rank2_bound,
     scaled_bound,
 )
-from greenhrt.macaulay import kappa
+from greenhrt.macaulay import _kappa_tables, kappa
 
 
 def nondecreasing_tuples(values, r):
@@ -281,6 +283,43 @@ def test_rank2_is_shifted_module_bound():
                                 rank2_bound(a, b, d1, d2, n)
                                 == module_bound(a + b, m, shape).total
                             )
+
+
+# Far below any kappa sum: a pad of -1 would leak -1 + kappa(k) into the max.
+_NO_SPLIT = -(1 << 40)
+
+
+def _max_plus_bound(n, dims, tables):
+    # G(h), the largest sum kappa(a_i, d_i) over the splits 0 <= a_i <= N_i
+    # with sum a_i = h: the max-plus convolution of the kappa rows. Row h of
+    # the window view over the padded G, reversed, holds G(h - k) at k.
+    g = tables[dims[0]][: _dim_s(n, dims[0]) + 1]
+    for d in dims[1:]:
+        row = tables[d][: _dim_s(n, d) + 1]
+        pad = np.full(len(row) - 1, _NO_SPLIT)
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, g, pad]), len(row))
+        g = (windows[:, ::-1] + row).max(axis=1)
+    return g.tolist()
+
+
+def test_bounds_are_the_max_plus_convolution_of_kappa_rows():
+    # The bound is the kappa sum of one split (the fill order), so G >= bound;
+    # G <= bound is the inequality the paper proves. So both sides must agree
+    # at every h: this pins attainment, which verify higher and verify rank2
+    # (lhs <= rhs only) cannot. G reads only the kappa tables, not the pivots.
+    # The ranges are the sweeps pool's: 250 degree tuples, 24 rank2 triples.
+    tables = _kappa_tables(_dim_s(4, 5), 5)
+    for n in (2, 3):
+        for dims in (t for r in range(1, 5) for t in verifiers.nonincreasing_tuples(5, r)):
+            profile = _BoundProfile(n, dims)
+            g = _max_plus_bound(n, dims, tables)
+            assert g == [profile.total(h) for h in range(profile.suffix[1] + 1)], (n, dims)
+    for n in (1, 2, 3, 4):
+        for d1, d2 in ((3, 1), (3, 3), (4, 2), (4, 4), (5, 3), (5, 5)):
+            g = _max_plus_bound(n, (d1, d2), tables)
+            for a in range(_dim_s(n, d1) + 1):
+                for b in range(_dim_s(n, d2) + 1):
+                    assert rank2_bound(a, b, d1, d2, n) == g[a + b], (n, d1, d2, a, b)
 
 
 def test_braced_examples():

@@ -379,40 +379,24 @@ def test_herz_range_errors_name_the_value(capsys):
 
 
 @pytest.mark.parametrize(
-    "statement, a_fit, d_max, degrees",
-    [("herz", 49, 2, 2), ("kappa-lemma", 12, 3, 4)],
-)
-def test_kappa_table_cells_are_capped(capsys, monkeypatch, statement, a_fit, d_max, degrees):
-    # herz tabulates a <= a_max at d_max degrees, kappa-lemma a <= 2 a_max at
-    # d_max + 1. With the ceiling at 100 cells, a_fit fills exactly 100 (so
-    # the ceiling is inclusive); one more is an input error naming a_max, not
-    # a traceback.
-    monkeypatch.setattr(macaulay, "_MAX_TABLE_CELLS", 100)
-    argv = ["verify", statement, "--d-max", str(d_max), "--format", "json", "--a-max"]
-    code, out, err = run(capsys, argv + [str(a_fit)])
-    assert (code, err) == (0, "")
-    assert json.loads(out)["counterexamples"] == []
-    code, out, err = run(capsys, argv + [str(a_fit + 1)])
-    top = (a_fit + 1) * (2 if statement == "kappa-lemma" else 1)
-    assert (code, out) == (2, "")
-    assert err == (f"error: a_max and d_max too large: kappa tables for a <= {top} "
-                   f"at {degrees} degrees need more than 100 cells\n")
-
-
-@pytest.mark.parametrize(
     "argv, fit, message",
     [
         (["verify", "higher", "--n", "2", "--d-max", "2", "--r-max", "2", "--samples", "3"], 31,
          "d_max, r_max and samples too large: d_max=2, r_max=2, samples=3 give more than 30 cases"),
         (["verify", "rank2", "--n", "2", "--d1", "2", "--d2", "1"], 12,
          "n, d1 and d2 too large: n=2, d1=2, d2=1 give more than 11 cases"),
+        (["verify", "herz", "--a-max", "49", "--d-max", "2"], 98,
+         "a_max and d_max too large: a_max=49, d_max=2 give more than 97 cases"),
+        (["verify", "kappa-lemma", "--a-max", "12", "--d-max", "3"], 546,
+         "a_max and d_max too large: a_max=12, d_max=3 give more than 545 cases"),
     ],
-    ids=["higher", "rank2"],
+    ids=["higher", "rank2", "herz", "kappa-lemma"],
 )
 def test_sweep_cases_are_capped(capsys, monkeypatch, argv, fit, message):
     # higher runs 2 x (2 + 3) + 3 x (4 + 3) = 31 cases, rank2 (3 + 1) x (2 + 1)
-    # = 12. A ceiling of exactly that many runs them (the ceiling is
-    # inclusive); one fewer is an input error, not a partial run.
+    # = 12, herz 49 x 2 = 98 and kappa-lemma 3 x (13^2 + 13) = 546. A ceiling
+    # of exactly that many runs them (the ceiling is inclusive); one fewer is
+    # an input error, not a partial run.
     monkeypatch.setattr(verifiers, "_MAX_CASES", fit)
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert (code, err) == (0, "")
@@ -423,6 +407,10 @@ def test_sweep_cases_are_capped(capsys, monkeypatch, argv, fit, message):
 
 def _no_binomial(n, d):
     raise AssertionError(f"dim S_{d} in n={n} variables computed before the case ceiling")
+
+
+def _no_table(A, d_max):
+    raise AssertionError(f"kappa tables for a <= {A} at {d_max} degrees built before the ceiling")
 
 
 @pytest.mark.parametrize(
@@ -438,16 +426,26 @@ def _no_binomial(n, d):
          "n, d1 and d2 too large: n=50, d1=50, d2=50 give more than 67108864 cases"),
         (["verify", "rank2", "--n", "1000000", "--d1", "1000000", "--d2", "1"],
          "n, d1 and d2 too large: n=1000000, d1=1000000, d2=1 give more than 67108864 cases"),
+        (["verify", "kappa-lemma", "--a-max", "200000", "--d-max", "1"],
+         "a_max and d_max too large: a_max=200000, d_max=1 give more than 67108864 cases"),
+        (["verify", "kappa-lemma", "--a-max", "10000000", "--d-max", "2"],
+         "a_max and d_max too large: a_max=10000000, d_max=2 give more than 67108864 cases"),
+        (["verify", "herz", "--a-max", "3000", "--d-max", "100000"],
+         "a_max and d_max too large: a_max=3000, d_max=100000 give more than 67108864 cases"),
     ],
-    ids=["higher-d", "higher-r", "rank2-square", "rank2-huge-n"],
+    ids=["higher-d", "higher-r", "rank2-square", "rank2-huge-n", "kappa-lemma-a",
+         "kappa-lemma-table", "herz-d"],
 )
 def test_huge_sweeps_are_refused_before_any_case(capsys, monkeypatch, argv, message):
     # Each once ran for minutes or more (higher at d_max = 60, r_max = 8 was
     # building ~4e9 degree tuples; rank2 at n = d = 50 has ~C(99, 50)^2
-    # cases). rank2 refuses these from 2^min(d, n - 1) <= dim S_d, before
-    # any binomial; higher stops summing its count once it passes the ceiling.
+    # cases; kappa-lemma at a_max = 200000 has ~4e10). rank2 refuses these from
+    # 2^min(d, n - 1) <= dim S_d, before any binomial; higher stops summing
+    # its count once it passes the ceiling; kappa-lemma and herz never ask
+    # for a kappa table.
     built = []
     monkeypatch.setattr(verifiers, "nonincreasing_tuples", lambda *args: built.append(args))
+    monkeypatch.setattr(verifiers, "_kappa_tables", _no_table)
     if argv[1] == "rank2":
         monkeypatch.setattr(verifiers, "_dim_s", _no_binomial)
     assert run(capsys, argv) == (2, "", f"error: {message}\n")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -394,7 +395,7 @@ def test_certify_builds_one_plan_and_each_trial_matches_the_single_form_path(mon
     monkeypatch.setattr(oracle, "_restriction_plan", counting)
     rng = random.Random(17)
     ranked = 0
-    for case in range(60):
+    for case in range(100):
         n = rng.randint(1, 4)
         shape = FreeModuleShape(n=n, degrees=tuple(sorted(rng.randint(0, 2) for _ in range(2))))
         m = rng.randint(2, 5)
@@ -429,6 +430,82 @@ def test_large_rank_deficient_blocks_keep_their_dims(n, degrees, gens, m, shapes
     report = generic_restriction_dim(module, m, trials=1, seed=0)
     assert report.dims == (dim,)
     assert dim <= sl.xn_free_quotient_dim and report.holds
+
+
+def _disjoint_support_dim(module, m):
+    # Exact generic dim (F/(M + l F))_m when each component's generators have
+    # pairwise disjoint supports and number k < n. They form a regular
+    # sequence, so S/I is Cohen-Macaulay of dimension n - k >= 1 and a generic
+    # l is a non-zero-divisor on it: the restriction's Hilbert series is
+    # prod_i (1 - t^e_i) / (1 - t)^(n-1), e_i the generator degrees (Stanley
+    # 1978; Bruns-Herzog ch. 4). n >= 2, so [t^j] (1 - t)^(1-n) = C(j+n-2, j).
+    n, total = module.shape.n, 0
+    for f, ideal in zip(module.shape.degrees, module.components):
+        numerator = [1]
+        for g in ideal.gens:
+            e = sum(g)
+            numerator = [c - (numerator[i - e] if i >= e else 0)
+                         for i, c in enumerate(numerator + [0] * e)]
+        total += sum(c * comb(m - f - i + n - 2, n - 2)
+                     for i, c in enumerate(numerator) if i <= m - f)
+    return total
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+@pytest.mark.parametrize(
+    "n, degrees, gens, m, dim",
+    [
+        (4, (0, 1), ([(0, 0, 0, 1)], [(1, 0, 0, 1)]), 20, 60),
+        (6, (0,), ([(1, 0, 0, 0, 0, 1)],), 9, 385),
+        (5, (0, 1), ([(0, 0, 0, 0, 8)], [(0, 1, 0, 0, 7)]), 16, 1500),
+    ],
+    ids=["tall-2", "tall-1", "wide-2"],
+)
+def test_large_blocks_meet_the_disjoint_support_closed_form(n, degrees, gens, m, dim, p):
+    # The large blocks above have one generator per component, so their
+    # generic dims are known exactly; every trial must reach them, at a
+    # small prime and at the largest one allowed.
+    module = MonomialModule(FreeModuleShape(n=n, degrees=degrees),
+                            tuple(MonomialIdeal(n, g) for g in gens))
+    assert _disjoint_support_dim(module, m) == dim
+    report = generic_restriction_dim(module, m, p=p, trials=2, seed=0)
+    assert report.dims == (dim, dim)
+
+
+def _disjoint_support_module(rng, n, degrees):
+    # Per component: k < n generators on disjoint, shuffled sets of variables.
+    components = []
+    for _ in degrees:
+        variables = rng.sample(range(n), n)
+        k = rng.randint(0, n - 1)
+        gens = []
+        for i in range(k):
+            support = variables[i::k]
+            g = [0] * n
+            for v in support[: rng.randint(1, len(support))]:
+                g[v] = rng.randint(1, 3)
+            gens.append(tuple(g))
+        components.append(MonomialIdeal(n, gens))
+    return MonomialModule(FreeModuleShape(n=n, degrees=degrees), tuple(components))
+
+
+@pytest.mark.parametrize("p", [32003, 2**31 - 1])
+def test_disjoint_support_modules_meet_the_closed_form(p):
+    # Seeded modules with k < n disjoint-support generators per component: the
+    # oracle must give the closed form's exact dim in every trial. In many of
+    # them the dim is below the x_n-free count, so elimination does work.
+    rng = random.Random(17)
+    ranked = 0
+    for case in range(100):
+        n = rng.randint(2, 6)
+        degrees = tuple(sorted(rng.randint(0, 2) for _ in range(rng.randint(1, 2))))
+        module = _disjoint_support_module(rng, n, degrees)
+        m = rng.randint(2, 10)
+        expected = _disjoint_support_dim(module, m)
+        report = generic_restriction_dim(module, m, p=p, trials=2, seed=case)
+        assert report.dims == (expected, expected), (case, n, degrees, module, m)
+        ranked += expected < degree_slice(module, m).xn_free_quotient_dim
+    assert ranked >= 40
 
 
 def test_certify_flags_lex_slices():

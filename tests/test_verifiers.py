@@ -132,9 +132,16 @@ def test_scaled_corollary_builds_one_slice_per_case(monkeypatch):
 
     monkeypatch.setattr(monomials, "degree_slice", counting)
     monkeypatch.setattr(oracle, "degree_slice", counting)
-    outcome = check_scaled_corollary(n_max=2, r_max=2, d_max=3, samples=1)
-    assert outcome.ok and outcome.cases == 28
-    assert len(calls) == 28
+    # The closed-form count is the only one: each case must be one report.
+    # n_max = 1 skips d = 0; d_max = 0 leaves d = 0 alone at n >= 2.
+    counts = []
+    for n_max, r_max, d_max, samples in ((2, 2, 3, 1), (1, 2, 2, 1), (1, 1, 1, 0),
+                                         (3, 1, 0, 2), (2, 3, 1, 0)):
+        calls.clear()
+        outcome = check_scaled_corollary(n_max, r_max, d_max, samples)
+        assert outcome.ok and outcome.cases == len(calls), (n_max, r_max, d_max, samples)
+        counts.append(outcome.cases)
+    assert counts == [28, 8, 1, 6, 9]
 
 
 def test_scaled_corollary_sweep_small():
@@ -286,10 +293,10 @@ def test_kappa_lemma_window_matches_pair_sums_reference(monkeypatch):
         assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
 
 
-def test_kappa_lemma_row_blocks_are_capped_by_cells(monkeypatch):
-    # With the cell ceiling patched below two rows, every block is one row;
-    # with it at two or three rows, the last block is short. The counterexamples
-    # must be the reference's, in the same order, either way.
+def test_kappa_lemma_short_row_blocks_match_the_reference(monkeypatch):
+    # With the block patched to one row, every block is one row; at two or
+    # three rows, the last of the 41 rows' blocks is short. The
+    # counterexamples must be the reference's, in the same order, either way.
     def wobbly(a, d):
         return (a * a * (d + 1)) % 17 + a // (d + 1)
 
@@ -310,12 +317,12 @@ def test_kappa_lemma_row_blocks_are_capped_by_cells(monkeypatch):
     a_max, d_max = 40, 2
     expected = _kappa_lemma_pair_sums_reference(a_max, d_max, wobbly)
     assert len(expected) > 100
-    for cells, rows in ((1, 1), (81, 1), (82, 2), (3 * 41 + 40, 3)):
-        monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_CELLS", cells)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_ROWS", rows)
         allocated.clear()
         outcome = check_kappa_lemma(a_max, d_max)
-        assert allocated == [(rows, a_max + 1)] * 2, cells
-        assert outcome.counterexamples == expected, cells
+        assert allocated == [(rows, a_max + 1)] * 2, rows
+        assert outcome.counterexamples == expected, rows
         assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
 
 
