@@ -39,9 +39,10 @@ import numpy as np
 # most _ROW_LIMIT entries and stopped after the first entry above _ROW_TOP: a
 # full degree-3 row covers a < C(65538, 3) ~ 4.7e13, and as C(i+k, i) >= 2^k
 # for k <= i, no row of degree 64 or more passes 66 entries. _pick_past_row
-# places every remainder past a row's end. A pass creates a row at degree i
-# only when rem > i, and that pick then takes at least C(i+1, i) = i + 1, so
-# one pass over a adds at most ~sqrt(2a) rows, however large d is.
+# places every remainder past a row's end. A pass visits degree i only while
+# rem > i, and that pick then takes at least C(i+1, i) = i + 1, so one pass
+# over a adds at most ~sqrt(2a) rows, however large d is. Rows are never
+# dropped: the cache holds one for each degree any pass has picked at.
 _ROW_LIMIT = 1 << 16
 _ROW_TOP = 1 << 64
 _BINOM_ROWS: dict[int, list[int]] = {}
@@ -101,17 +102,22 @@ class MacaulayRep:
         return "+".join(f"C({a},{i})" for a, i in self.terms())
 
 
-def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
-    """Numerators of the base-d representation of a, and kappa(a, d).
+def _greedy(a: int, d: int) -> tuple[list[int], int, int]:
+    """The non-unit numerators of the base-d representation of a, the length
+    of its unit tail, and kappa(a, d).
 
     The greedy choice (largest numerator whose binomial still fits) is the
     standard constructive proof of uniqueness; maximality forces the strict
-    decrease of the numerators automatically. With row[k] = C(i + k, i), the
-    pick a_i = i + idx contributes C(a_i - 1, i) = row[idx - 1] to kappa
-    (zero when idx = 0); past a full row, _pick_past_row supplies the pick
-    and both binomials. At degree 2 the pick is m = (1 + isqrt(8 rem + 1))
-    // 2, the largest m with m(m - 1)/2 <= rem, and C(m - 1, 2) = C(m, 2) -
-    (m - 1); at degree 1 it is rem itself, contributing rem - 1.
+    decrease of the numerators automatically. The pass runs while rem > i:
+    once rem <= i, C(i + 1, i) > rem from there down, so each later pick is
+    C(j, j) = 1 and adds C(j - 1, j) = 0 to kappa. The representation ends
+    in rem such picks at degrees i, i - 1, ..., i - rem + 1, with
+    i = d - len(numerators). With row[k] = C(i + k, i), the pick a_i = i +
+    idx (idx >= 1, as C(i + 1, i) = i + 1 <= rem) contributes C(a_i - 1, i)
+    = row[idx - 1] to kappa; past a full row, _pick_past_row supplies the
+    pick and both binomials. At degree 2 the pick is m = (1 + isqrt(8 rem +
+    1)) // 2, the largest m with m(m - 1)/2 <= rem, and C(m - 1, 2) = C(m,
+    2) - (m - 1); at degree 1 it is rem itself, contributing rem - 1.
     """
     if d < 1:
         raise ValueError(f"representation base must be >= 1, got d={d}")
@@ -121,10 +127,11 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
     kap = 0
     rem = a
     i = d
-    while rem > 0:
+    while rem > i:
         if i == 1:
             nums.append(rem)
             kap += rem - 1
+            rem = 0
             break
         if i == 2:
             m = (1 + isqrt(8 * rem + 1)) // 2
@@ -136,11 +143,6 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
             continue
         row = _BINOM_ROWS.get(i)
         if row is None:
-            if rem <= i:
-                # C(i + 1, i) > rem from here down: each pick is C(j, j) = 1
-                # and adds C(j - 1, j) = 0 to kappa.
-                nums.extend(range(i, i - rem, -1))
-                break
             row = _BINOM_ROWS[i] = [1]
         while row[-1] <= rem:
             if len(row) == _ROW_LIMIT or row[-1] > _ROW_TOP:
@@ -151,14 +153,13 @@ def _greedy(a: int, d: int) -> tuple[tuple[int, ...], int]:
                 break
             row.append(comb(i + len(row), i))
         else:
-            # largest m with C(m, i) <= rem; idx >= 0 since C(i,i) = 1 <= rem
+            # largest m with C(m, i) <= rem
             idx = bisect_right(row, rem) - 1
             nums.append(i + idx)
-            if idx:
-                kap += row[idx - 1]
+            kap += row[idx - 1]
             rem -= row[idx]
         i -= 1
-    return tuple(nums), kap
+    return nums, rem, kap
 
 
 def _pick_past_row(rem: int, i: int) -> tuple[int, int, int]:
@@ -211,10 +212,12 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
     The greedy numerators are valid by construction (tests check them against
     ``MacaulayRep``'s validation), so the result skips ``__post_init__``.
     """
-    nums = _greedy(a, d)[0]
+    nums, tail, _ = _greedy(a, d)
+    i = d - len(nums)
+    nums.extend(range(i, i - tail, -1))
     rep = object.__new__(MacaulayRep)
     object.__setattr__(rep, "d", d)
-    object.__setattr__(rep, "numerators", nums)
+    object.__setattr__(rep, "numerators", tuple(nums))
     return rep
 
 
@@ -234,9 +237,10 @@ def kappa(a: int, d: int) -> int:
     kappa(a, d) = C(a_d - 1, d) + ... + C(a_delta - 1, delta), with terms
     where the numerator drops below the degree contributing zero. Always
     satisfies kappa(a, d) <= a. Accumulated in the same greedy pass that
-    finds the numerators; no representation object is built.
+    finds the numerators, one step per pick that is not C(j, j); the unit
+    tail adds 0 and is never listed, and no representation object is built.
     """
-    return _greedy(a, d)[1]
+    return _greedy(a, d)[2]
 
 
 def rep_compare(a: int, b: int, d: int) -> int:
@@ -249,6 +253,10 @@ def rep_compare(a: int, b: int, d: int) -> int:
     delta >= 1), so a zero of the padding sorts below any numerator, just as
     a tuple's end sorts below any further entry, and the order is the same.
     """
-    na = _greedy(a, d)[0]
-    nb = _greedy(b, d)[0]
+    na, tail, _ = _greedy(a, d)
+    i = d - len(na)
+    na.extend(range(i, i - tail, -1))
+    nb, tail, _ = _greedy(b, d)
+    i = d - len(nb)
+    nb.extend(range(i, i - tail, -1))
     return (na > nb) - (na < nb)

@@ -55,18 +55,25 @@ _LEMMA_BLOCK_ROWS = 256
 # closed-form count before any case or table is built.
 _MAX_CASES = 1 << 26
 
+# The most degrees (kappa-lemma, herz) or degree tuples (higher) a sweep
+# walks, checked after its case count: each one costs a kappa table, a
+# bound profile or a kappa memo however few cases it holds, so the case
+# ceiling alone does not bound them.
+_MAX_DEGREES = 1 << 18
+
 # Cases per block of verify higher: one block's values, sides and sums are
 # held at once, whatever r and samples are.
 _HIGHER_BLOCK = 1 << 12
 
 
-def _refuse_above(cases: int, **fields) -> None:
-    """Raise ValueError naming the fields when cases passes _MAX_CASES."""
-    if cases > _MAX_CASES:
+def _refuse_above(count: int, limit: int, unit: str, **fields) -> None:
+    """Raise ValueError naming the fields when count passes limit."""
+    if count > limit:
         *rest, last = fields
+        names = f"{', '.join(rest)} and {last}" if rest else last
         values = ", ".join(f"{k}={v}" for k, v in fields.items())
-        raise ValueError(f"{', '.join(rest)} and {last} too large: {values} give more than "
-                         f"{_MAX_CASES} cases")
+        verb = "give" if rest else "gives"
+        raise ValueError(f"{names} too large: {values} {verb} more than {limit} {unit}")
 
 
 class _Memo(dict):
@@ -87,13 +94,16 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     """Superadditivity kappa(a,d)+kappa(b,d) <= kappa(a+b,d) and degree
     monotonicity kappa(a,d+1) <= kappa(a,d), exhaustively for a,b <= a_max
     and d <= d_max. Its (2 a_max + 1)(d_max + 1) table cells never pass its
-    cases, so the case ceiling bounds them too, and a_max <= 8190."""
+    cases, so the case ceiling bounds them too, and a_max <= 8190. Each
+    degree costs a table and a pass however small a_max is, so more than
+    _MAX_DEGREES degrees are refused too."""
     if a_max < 1:
         raise ValueError(f"a_max must be at least 1, got {a_max}")
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     cases = d_max * ((a_max + 1) ** 2 + (a_max + 1))
-    _refuse_above(cases, a_max=a_max, d_max=d_max)
+    _refuse_above(cases, _MAX_CASES, "cases", a_max=a_max, d_max=d_max)
+    _refuse_above(d_max, _MAX_DEGREES, "degrees", d_max=d_max)
     out = VerificationOutcome("kappa-lemma", {"a_max": a_max, "d_max": d_max}, cases)
     tables = _kappa_tables(2 * a_max, d_max + 1)
     # The narrowest unsigned dtype that holds every pair sum of table
@@ -161,13 +171,15 @@ def _successor_walk(a_max: int, d: int) -> Iterator[list[int]]:
 def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     """kappa(a-1,d) = kappa(a,d) exactly when the base-d representation of a
     terminates with numerator equal to its degree. Its (a_max + 1) d_max table
-    cells are at most 1.5 times its cases, as a_max >= 2."""
+    cells are at most 1.5 times its cases, as a_max >= 2; as in kappa-lemma,
+    more than _MAX_DEGREES degrees are refused."""
     if a_max < 2:
         raise ValueError(f"a_max must be at least 2, got {a_max}")
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     cases = a_max * d_max
-    _refuse_above(cases, a_max=a_max, d_max=d_max)
+    _refuse_above(cases, _MAX_CASES, "cases", a_max=a_max, d_max=d_max)
+    _refuse_above(d_max, _MAX_DEGREES, "degrees", d_max=d_max)
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max}, cases)
     tables = _kappa_tables(a_max, d_max)
     for d in range(1, d_max + 1):
@@ -196,10 +208,11 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     ranges = {"n": n, "d1": d1, "d2": d2}
     # N_i = C(n+d_i-1, d_i) >= 2^min(d_i, n-1): a huge n or d is refused from
     # that lower bound, clipped past the ceiling, before any binomial.
-    _refuse_above(1 << min(min(d1, n - 1) + min(d2, n - 1), _MAX_CASES.bit_length()), **ranges)
+    _refuse_above(1 << min(min(d1, n - 1) + min(d2, n - 1), _MAX_CASES.bit_length()),
+                  _MAX_CASES, "cases", **ranges)
     n1, n2 = _dim_s(n, d1), _dim_s(n, d2)
     cases = (n1 + 1) * (n2 + 1)
-    _refuse_above(cases, **ranges)
+    _refuse_above(cases, _MAX_CASES, "cases", **ranges)
     out = VerificationOutcome("rank2", ranges, cases)
     # Every row visits every b, so kappa(b, d2) is computed once per b.
     kb = [kappa(b, d2) for b in range(n2 + 1)]
@@ -258,9 +271,11 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     alone would under-test them. Each sampled a_i is drawn with
     ``getrandbits`` exactly as ``random.Random(seed).randint(0, N_i)`` draws
     it, so a seed gives the same cases as a ``randint`` loop would. A degree
-    tuple's cases are checked in blocks of at most _HIGHER_BLOCK, so memory
-    does not grow with r or samples; more than _MAX_CASES cases in all are
-    refused before any tuple is built.
+    tuple's cases are checked in blocks of at most _HIGHER_BLOCK, so a
+    block's memory does not grow with r or samples; the kappa memo holds one
+    entry per distinct (d, a) a case or its bound reads. More than
+    _MAX_CASES cases or _MAX_DEGREES degree tuples in all are refused before
+    any tuple is built.
     """
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if d_max < 1:
@@ -272,18 +287,19 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     # C(d_max+r-1, r) tuples of length r, each with 2^r corners plus its
-    # samples; 2^r alone passes the ceiling by r = 27.
-    cases = 0
+    # samples; 2^r alone passes the ceiling by r = 27. A tuple has at least
+    # two corners, so the tuples stay below the cases.
+    cases = tuples = 0
     for r in range(1, r_max + 1):
         # Non-increasing r-tuples over 1..d_max count as degree-r monomials
         # in d_max variables.
-        cases += _dim_s(d_max, r) * (2**r + samples)
-        _refuse_above(cases, d_max=d_max, r_max=r_max, samples=samples)
-    degree_tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
+        count = _dim_s(d_max, r)
+        tuples += count
+        cases += count * (2**r + samples)
+        _refuse_above(cases, _MAX_CASES, "cases", d_max=d_max, r_max=r_max, samples=samples)
+    _refuse_above(tuples, _MAX_DEGREES, "degree tuples", d_max=d_max, r_max=r_max)
     out = VerificationOutcome(
-        "higher",
-        {"n": n, "tuples": len(degree_tuples), "samples": samples, "seed": seed},
-        cases,
+        "higher", {"n": n, "tuples": tuples, "samples": samples, "seed": seed}, cases
     )
     getrandbits = random.Random(seed).getrandbits
     # kappa(a, d) by degree, shared by every tuple of this call and by both
@@ -295,7 +311,7 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     def memo_kappa(a: int, d: int) -> int:
         return kappa_memo[d][a]
 
-    for degrees in degree_tuples:
+    for degrees in (t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)):
         profile = _BoundProfile(n, degrees, kappa=memo_kappa)
         caps = profile.caps
         # The bound depends on h = sum(values) and on this tuple's profile.

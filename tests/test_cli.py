@@ -38,6 +38,13 @@ def test_kappa_of_a_huge_value_is_exact(capsys):
     assert json.loads(out)["kappa"] == 999999942851192434021569196250
 
 
+def test_kappa_at_a_huge_degree_prints_at_once(capsys):
+    # Its representation is 10^8 unit picks C(j, j), which add 0 and are
+    # never listed (this once ended in a MemoryError traceback).
+    assert run(capsys, ["kappa", "100000000", "100000000"]) == (
+        0, "kappa(100000000,100000000) = 0\n", "")
+
+
 def test_bound_green(capsys):
     code, out, _ = run(capsys, ["bound", "green", "5", "2", "--format", "json"])
     assert code == 0
@@ -432,9 +439,21 @@ def _no_table(A, d_max):
          "a_max and d_max too large: a_max=10000000, d_max=2 give more than 67108864 cases"),
         (["verify", "herz", "--a-max", "3000", "--d-max", "100000"],
          "a_max and d_max too large: a_max=3000, d_max=100000 give more than 67108864 cases"),
+        # Past both ceilings the case count is named.
+        (["verify", "kappa-lemma", "--a-max", "10", "--d-max", "10000000"],
+         "a_max and d_max too large: a_max=10, d_max=10000000 give more than 67108864 cases"),
+        (["verify", "kappa-lemma", "--a-max", "1", "--d-max", "262145"],
+         "d_max too large: d_max=262145 gives more than 262144 degrees"),
+        (["verify", "herz", "--a-max", "2", "--d-max", "262145"],
+         "d_max too large: d_max=262145 gives more than 262144 degrees"),
+        (["verify", "higher", "--n", "2", "--d-max", "1000000", "--r-max", "1", "--samples", "0"],
+         "d_max and r_max too large: d_max=1000000, r_max=1 give more than 262144 degree tuples"),
+        (["verify", "higher", "--n", "2", "--d-max", "1000", "--r-max", "2", "--samples", "30"],
+         "d_max and r_max too large: d_max=1000, r_max=2 give more than 262144 degree tuples"),
     ],
     ids=["higher-d", "higher-r", "rank2-square", "rank2-huge-n", "kappa-lemma-a",
-         "kappa-lemma-table", "herz-d"],
+         "kappa-lemma-table", "herz-d", "kappa-lemma-cases-first", "kappa-lemma-degrees",
+         "herz-degrees", "higher-degree-tuples", "higher-degree-pairs"],
 )
 def test_huge_sweeps_are_refused_before_any_case(capsys, monkeypatch, argv, message):
     # Each once ran for minutes or more (higher at d_max = 60, r_max = 8 was
@@ -442,7 +461,11 @@ def test_huge_sweeps_are_refused_before_any_case(capsys, monkeypatch, argv, mess
     # cases; kappa-lemma at a_max = 200000 has ~4e10). rank2 refuses these from
     # 2^min(d, n - 1) <= dim S_d, before any binomial; higher stops summing
     # its count once it passes the ceiling; kappa-lemma and herz never ask
-    # for a kappa table.
+    # for a kappa table. Past the case ceiling, each degree (kappa-lemma,
+    # herz) or degree tuple (higher) still costs a table, a bound profile or
+    # a kappa memo however few cases it holds: higher at d_max = 10^6,
+    # r_max = 1 has 2M cases but took ~20 s and ~900 MB, and kappa-lemma at
+    # a_max = 1, d_max = 300000 ~12 s.
     built = []
     monkeypatch.setattr(verifiers, "nonincreasing_tuples", lambda *args: built.append(args))
     monkeypatch.setattr(verifiers, "_kappa_tables", _no_table)
@@ -450,6 +473,30 @@ def test_huge_sweeps_are_refused_before_any_case(capsys, monkeypatch, argv, mess
         monkeypatch.setattr(verifiers, "_dim_s", _no_binomial)
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv, fit, message",
+    [
+        (["verify", "kappa-lemma", "--a-max", "3", "--d-max", "4"], 4,
+         "d_max too large: d_max=4 gives more than 3 degrees"),
+        (["verify", "herz", "--a-max", "5", "--d-max", "3"], 3,
+         "d_max too large: d_max=3 gives more than 2 degrees"),
+        (["verify", "higher", "--n", "2", "--d-max", "3", "--r-max", "2", "--samples", "1"], 9,
+         "d_max and r_max too large: d_max=3, r_max=2 give more than 8 degree tuples"),
+    ],
+    ids=["kappa-lemma", "herz", "higher"],
+)
+def test_sweep_degrees_are_capped(capsys, monkeypatch, argv, fit, message):
+    # higher has 3 + 6 = 9 degree tuples. The ceiling is inclusive, as the
+    # case ceiling is.
+    monkeypatch.setattr(verifiers, "_MAX_DEGREES", fit)
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    if argv[1] == "higher":
+        assert json.loads(out)["ranges"]["tuples"] == fit
+    monkeypatch.setattr(verifiers, "_MAX_DEGREES", fit - 1)
+    assert run(capsys, argv + ["--format", "json"]) == (2, "", f"error: {message}\n")
 
 
 class _NoNumpy:

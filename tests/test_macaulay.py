@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from math import comb, isqrt
 
 import numpy as np
@@ -355,3 +356,43 @@ def test_small_remainders_finish_without_rows(monkeypatch):
             assert macaulay_rep(a, d).numerators == ref, (a, d)
             assert len(macaulay._BINOM_ROWS) <= isqrt(2 * a), (a, d)
             assert kappa(a, d) == sum(comb(a_i - 1, d - k) for k, a_i in enumerate(ref)), (a, d)
+
+
+def test_unit_tails_end_the_pass_at_every_degree(monkeypatch):
+    # Once rem <= i, every later pick is C(j, j) = 1 and adds 0 to kappa. The
+    # pass stops there whether or not degree i has a cached row, so kappa
+    # makes no bisection for a <= d (a walk of the unit picks makes ~a), and
+    # one per non-unit pick otherwise.
+    for i in range(3, 1001):
+        assert kappa(i + 1, i) == 1  # the pick C(i + 1, i) caches row i
+    assert all(i in macaulay._BINOM_ROWS for i in range(3, 1001))
+    calls = []
+    real_bisect = macaulay.bisect_right
+
+    def counting_bisect(row, x):
+        calls.append(x)
+        return real_bisect(row, x)
+
+    monkeypatch.setattr(macaulay, "bisect_right", counting_bisect)
+    for a in range(1001):
+        assert kappa(a, 1000) == 0, a
+    assert calls == []
+    assert kappa(1001, 1000) == 1 and len(calls) == 1
+    # The representation still lists its unit tail, and compares by it.
+    assert macaulay_rep(1000, 1000).numerators == tuple(range(1000, 0, -1))
+    assert macaulay_rep(1003, 1000).numerators == (1001, 999, 998)
+    assert rep_compare(999, 1000, 1000) == -1 and rep_compare(1000, 1000, 1000) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("a, expected", [(10**8, 0), (2 * 10**8, 1)])
+def test_kappa_at_a_huge_degree_lists_no_unit_tail(a, expected):
+    # A unit tail of ~10^8 picks once took 10^8 list entries (a MemoryError
+    # under a 2 GB address-space limit); kappa never lists it now.
+    tracemalloc.start()
+    try:
+        assert kappa(a, 10**8) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

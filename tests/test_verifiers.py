@@ -13,10 +13,10 @@ from test_bounds import _module_bound_reference
 from test_cli import _leaf_paths
 from test_monomials import brute_monomials
 
-from greenhrt import bounds, monomials, oracle, verifiers
+from greenhrt import bounds, macaulay, monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, module_bound, rank2_bound
 from greenhrt.cli import COMMANDS, main
-from greenhrt.macaulay import _greedy, kappa, macaulay_rep
+from greenhrt.macaulay import kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
     _record,
@@ -388,7 +388,7 @@ def test_successor_walk_matches_greedy(a_max, d):
     # way down), and a = d + 1 pops d - 1 numerators in one cascade.
     lengths = []
     for a, nums in enumerate(verifiers._successor_walk(a_max, d), 1):
-        assert tuple(nums) == _greedy(a, d)[0], (a, d)
+        assert tuple(nums) == macaulay_rep(a, d).numerators, (a, d)
         lengths.append(len(nums))
     assert len(lengths) == a_max
     assert max(lengths) == d
@@ -631,6 +631,31 @@ def test_higher_work_is_bounded_by_cases(monkeypatch):
     # Corners repeat a_i in {0, N_i} across tuples, so the memo saves calls.
     assert calls["kappa"] < per_case_kappa
     assert 0 < calls["bound"] <= outcome.cases
+
+
+def test_higher_bisects_only_non_unit_picks(monkeypatch):
+    # At n = 2 each cap is d + 1, so almost every value drawn at degree d
+    # is at most d: a unit tail whose picks add 0 to kappa. Walking it took
+    # ~265 bisections per kappa call at d_max = 1000; the pass now stops
+    # where the tail starts.
+    calls = {"kappa": 0, "bisect": 0}
+    real_kappa, real_bisect = verifiers.kappa, macaulay.bisect_right
+
+    def counting_kappa(a, d):
+        calls["kappa"] += 1
+        return real_kappa(a, d)
+
+    def counting_bisect(row, x):
+        calls["bisect"] += 1
+        return real_bisect(row, x)
+
+    monkeypatch.setattr(verifiers, "kappa", counting_kappa)
+    monkeypatch.setattr(macaulay, "bisect_right", counting_bisect)
+    outcome = check_higher(2, 1000, 1, 100, 0)
+    assert outcome.ok and outcome.cases == 1000 * (2 + 100)
+    assert outcome.ranges["tuples"] == 1000
+    assert calls["kappa"] > 1000
+    assert calls["bisect"] < 2 * calls["kappa"]
 
 
 # Each verify leaf's flags, in the order of its library call's arguments,
