@@ -16,6 +16,7 @@ import json
 import sys
 from collections.abc import Callable
 from functools import cache
+from math import isqrt
 from typing import NamedTuple
 
 from . import bounds, level, macaulay, monomials, oracle, verifiers
@@ -47,6 +48,10 @@ def _load_module(path: str) -> monomials.MonomialModule:
 
 
 def cmd_rep(args) -> int:
+    # The representation lists at most min(a, d) numerators.
+    if args.a >= 0 and args.d >= 1:
+        verifiers._refuse_above(min(args.a, args.d), verifiers._MAX_DEGREES, "degrees",
+                                a=args.a, d=args.d)
     rep = macaulay.macaulay_rep(args.a, args.d)
     payload = {
         "a": args.a,
@@ -59,12 +64,21 @@ def cmd_rep(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    # A non-unit pick at degree i takes at least i + 1, so the greedy pass
+    # visits at most min(d, isqrt(2a)) degrees.
+    if args.a >= 0 and args.d >= 1:
+        verifiers._refuse_above(min(args.d, isqrt(2 * args.a)), verifiers._MAX_DEGREES,
+                                "degrees", a=args.a, d=args.d)
     value = macaulay.kappa(args.a, args.d)
     _emit(args, {"a": args.a, "d": args.d, "kappa": value}, f"kappa({args.a},{args.d}) = {value}")
     return 0
 
 
 def cmd_bound_green(args) -> int:
+    # kappa(h, d) at d >= 1: the same pass as cmd_kappa.
+    if args.h >= 0 and args.d >= 1:
+        verifiers._refuse_above(min(args.d, isqrt(2 * args.h)), verifiers._MAX_DEGREES,
+                                "degrees", h=args.h, d=args.d)
     value = bounds.green_bound(args.h, args.d)
     _emit(args, {"h": args.h, "d": args.d, "bound": value}, f"green_bound({args.h},{args.d}) = {value}")
     return 0

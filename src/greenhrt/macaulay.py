@@ -248,15 +248,13 @@ def rep_compare(a: int, b: int, d: int) -> int:
 
     Returns -1, 0 or 1. Lexicographic order on the padded vectors agrees
     with the integer order of a and b; that agreement is a testable fact,
-    not an assumption of the implementation. The unpadded tuples are
-    compared: every numerator is at least 1 (the terminal one is at least
-    delta >= 1), so a zero of the padding sorts below any numerator, just as
-    a tuple's end sorts below any further entry, and the order is the same.
+    not an assumption of the implementation. The greedy pass's (non-unit
+    numerators, tail length) pairs are compared, and no unit is listed: a
+    non-unit numerator at degree j is above j, a unit equals j and padding
+    is 0, so where the non-unit lists differ, or one is a prefix of the
+    other, list order decides as the padded vectors do; equal lists fall
+    through to the tails, and the longer tail is the larger number.
     """
-    na, tail, _ = _greedy(a, d)
-    i = d - len(na)
-    na.extend(range(i, i - tail, -1))
-    nb, tail, _ = _greedy(b, d)
-    i = d - len(nb)
-    nb.extend(range(i, i - tail, -1))
-    return (na > nb) - (na < nb)
+    pa = _greedy(a, d)[:2]
+    pb = _greedy(b, d)[:2]
+    return (pa > pb) - (pa < pb)

@@ -145,27 +145,29 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     return out
 
 
-def _successor_walk(a_max: int, d: int) -> Iterator[list[int]]:
-    """Base-d numerators of a = 1..a_max in turn, with no binomial.
+def _successor_walk(a_max: int, d: int) -> Iterator[tuple[list[int], int]]:
+    """``_greedy(a, d)[:2]`` for a = 1..a_max in turn, with no binomial.
 
-    One list is yielded, updated in place from a to a + 1 in amortised O(1).
-    With terminal degree delta = d - len + 1: if delta >= 2, append delta - 1,
-    as C(delta - 1, delta - 1) = 1; if delta = 1, add 1 to the last numerator
-    and, while it equals the one before it, pop it and add 1 to that one, as
-    C(x, i + 1) + C(x, i) = C(x + 1, i + 1). Each pop undoes one append.
+    The list is updated in place from a to a + 1 in amortised O(1), from
+    ([], 1) as 1 = C(d, d). While fewer than d degrees are filled, one unit
+    joins the tail. Otherwise x carries: a tail i, ..., 1 plus 1 is C(i + 1,
+    i), so x = i + 1; with no tail, x is the last numerator plus 1. While x
+    equals the numerator before it, that one is popped and x becomes it plus
+    1, as C(x, j + 1) + C(x, j) = C(x + 1, j + 1). Each pop undoes one append.
     """
-    nums = [d]
-    yield nums
+    nums: list[int] = []
+    tail = 1
+    yield nums, tail
     for _ in range(a_max - 1):
-        delta = d - len(nums) + 1
-        if delta >= 2:
-            nums.append(delta - 1)
+        if len(nums) + tail < d:
+            tail += 1
         else:
-            x = nums.pop() + 1
+            x = d - len(nums) + 1 if tail else nums.pop() + 1
             while nums and nums[-1] == x:
                 x = nums.pop() + 1
             nums.append(x)
-        yield nums
+            tail = 0
+        yield nums, tail
 
 
 def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
@@ -184,13 +186,12 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     tables = _kappa_tables(a_max, d_max)
     for d in range(1, d_max + 1):
         # The stall side comes from the block-recurrence table, the tail side
-        # from the numerators of the successor walk, which uses no binomial:
+        # from the unit tail of the successor walk, which uses no binomial:
         # two independent formulations.
         table = tables[d]
         stalls = np.diff(table) == 0
         tails = np.fromiter(
-            (nums[-1] == d - len(nums) + 1 for nums in _successor_walk(a_max, d)),
-            dtype=bool, count=a_max,
+            (tail > 0 for _, tail in _successor_walk(a_max, d)), dtype=bool, count=a_max
         )
         for (i,) in np.argwhere(stalls != tails):
             _record(out, {"a": int(i) + 1, "d": d, "ends_at_delta": bool(tails[i])},
@@ -334,10 +335,8 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
 
 def nonincreasing_tuples(d_max: int, r: int) -> list[tuple[int, ...]]:
     """All non-increasing tuples of length r with entries in 1..d_max."""
-    return [
-        tuple(sorted(tup, reverse=True))
-        for tup in itertools.combinations_with_replacement(range(1, d_max + 1), r)
-    ]
+    # combinations_with_replacement yields non-decreasing tuples in order.
+    return [t[::-1] for t in itertools.combinations_with_replacement(range(1, d_max + 1), r)]
 
 
 def check_lex_restriction(n: int, d: int) -> VerificationOutcome:

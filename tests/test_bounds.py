@@ -292,10 +292,13 @@ _NO_SPLIT = -(1 << 40)
 def _max_plus_bound(n, dims, tables):
     # G(h), the largest sum kappa(a_i, d_i) over the splits 0 <= a_i <= N_i
     # with sum a_i = h: the max-plus convolution of the kappa rows. Row h of
-    # the window view over the padded G, reversed, holds G(h - k) at k.
-    g = tables[dims[0]][: _dim_s(n, dims[0]) + 1]
-    for d in dims[1:]:
-        row = tables[d][: _dim_s(n, d) + 1]
+    # the window view over the padded G, reversed, holds G(h - k) at k. Below
+    # degree 1 a row is green_bound's: h itself at d_i = 0 (N_i = 1), and
+    # the single entry 0 at d_i < 0 (N_i = 0).
+    rows = [tables[d][: _dim_s(n, d) + 1] if d >= 1 else np.arange(_dim_s(n, d) + 1)
+            for d in dims]
+    g = rows[0]
+    for row in rows[1:]:
         pad = np.full(len(row) - 1, _NO_SPLIT)
         windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, g, pad]), len(row))
         g = (windows[:, ::-1] + row).max(axis=1)
@@ -307,13 +310,22 @@ def test_bounds_are_the_max_plus_convolution_of_kappa_rows():
     # G <= bound is the inequality the paper proves. So both sides must agree
     # at every h: this pins attainment, which verify higher and verify rank2
     # (lhs <= rhs only) cannot. G reads only the kappa tables, not the pivots.
-    # The ranges are the sweeps pool's: 250 degree tuples, 24 rank2 triples.
-    tables = _kappa_tables(_dim_s(4, 5), 5)
-    for n in (2, 3):
-        for dims in (t for r in range(1, 5) for t in verifiers.nonincreasing_tuples(5, r)):
-            profile = _BoundProfile(n, dims)
-            g = _max_plus_bound(n, dims, tables)
-            assert g == [profile.total(h) for h in range(profile.suffix[1] + 1)], (n, dims)
+    # The ranges are the sweeps pool's (250 degree tuples, 24 rank2 triples)
+    # and the shapes of the acceptance battery's criterion 9 at m <= 6, whose
+    # component degrees m - f_i reach 0 and below.
+    tables = _kappa_tables(_dim_s(4, 6), 6)
+    cases = [(n, dims) for n in (2, 3)
+             for r in range(1, 5) for dims in verifiers.nonincreasing_tuples(5, r)]
+    shapes = [FreeModuleShape(n, degrees) for n in (1, 2, 3) for r in (2, 3, 4)
+              for degrees in itertools.combinations_with_replacement((0, 1, 2), r)]
+    shapes += [FreeModuleShape(n, (f,) * r)
+               for n in (1, 2, 3) for r in (1, 2, 3, 4) for f in (0, 1, 2)]
+    shapes += [FreeModuleShape(n, (0,)) for n in (1, 2, 3, 4)]
+    cases += [(shape.n, shape.component_degrees(m)) for shape in shapes for m in range(7)]
+    for n, dims in cases:
+        profile = _BoundProfile(n, dims)
+        g = _max_plus_bound(n, dims, tables)
+        assert g == [profile.total(h) for h in range(profile.suffix[1] + 1)], (n, dims)
     for n in (1, 2, 3, 4):
         for d1, d2 in ((3, 1), (3, 3), (4, 2), (4, 4), (5, 3), (5, 5)):
             g = _max_plus_bound(n, (d1, d2), tables)

@@ -499,6 +499,61 @@ def test_sweep_degrees_are_capped(capsys, monkeypatch, argv, fit, message):
     assert run(capsys, argv + ["--format", "json"]) == (2, "", f"error: {message}\n")
 
 
+def _no_greedy(a, d):
+    raise AssertionError("Macaulay pass started before the degree ceiling")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kappa", "100000000000000", "10000000"],
+         "a and d too large: a=100000000000000, d=10000000 give more than 262144 degrees"),
+        (["kappa", "1000000000000", "1000000"],
+         "a and d too large: a=1000000000000, d=1000000 give more than 262144 degrees"),
+        (["bound", "green", "100000000000000", "10000000"],
+         "h and d too large: h=100000000000000, d=10000000 give more than 262144 degrees"),
+        (["rep", "10000000", "10000000"],
+         "a and d too large: a=10000000, d=10000000 give more than 262144 degrees"),
+    ],
+    ids=["kappa", "kappa-1e12", "bound-green", "rep"],
+)
+def test_long_macaulay_passes_are_refused_before_any_pick(capsys, monkeypatch, argv, message):
+    # Each once ended in a MemoryError traceback with exit 1 under a 2 GB
+    # address-space limit (kappa 10^12 in base 10^6 took 2.3 s and 320 MB).
+    # A pass visits at most min(d, isqrt(2a)) degrees, and a representation
+    # lists at most min(a, d) numerators; both are known before any pick.
+    monkeypatch.setattr(macaulay, "_greedy", _no_greedy)
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, fit, message",
+    [
+        (["kappa", "50", "20"], 10, "a and d too large: a=50, d=20 give more than 9 degrees"),
+        (["kappa", "50", "7"], 7, "a and d too large: a=50, d=7 give more than 6 degrees"),
+        (["bound", "green", "72", "20"], 12,
+         "h and d too large: h=72, d=20 give more than 11 degrees"),
+        (["rep", "9", "20"], 9, "a and d too large: a=9, d=20 give more than 8 degrees"),
+        (["rep", "30", "6"], 6, "a and d too large: a=30, d=6 give more than 5 degrees"),
+    ],
+    ids=["kappa-a", "kappa-d", "bound-green", "rep-a", "rep-d"],
+)
+def test_macaulay_pass_degrees_are_capped(capsys, monkeypatch, argv, fit, message):
+    # isqrt(100) = 10, isqrt(144) = 12. The ceiling is inclusive, as the
+    # sweeps' are; invalid input keeps its own error line.
+    monkeypatch.setattr(verifiers, "_MAX_DEGREES", fit)
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr(verifiers, "_MAX_DEGREES", fit - 1)
+    assert run(capsys, argv + ["--format", "json"]) == (2, "", f"error: {message}\n")
+    monkeypatch.setattr(verifiers, "_MAX_DEGREES", 0)
+    for bad, error in ((["kappa", "-1", "5"], "cannot represent negative integer -1"),
+                       (["rep", "5", "0"], "representation base must be >= 1, got d=0"),
+                       (["bound", "green", "-1", "5"], "dimension must be non-negative, got h=-1")):
+        assert run(capsys, bad) == (2, "", f"error: {error}\n")
+    assert run(capsys, ["bound", "green", "5", "0"]) == (0, "green_bound(5,0) = 5\n", "")
+
+
 class _NoNumpy:
     def __getattr__(self, name):
         raise AssertionError(f"numpy.{name} used before the table ceiling")

@@ -114,9 +114,10 @@ def test_round_trip_property(a, d):
 
 
 def test_greedy_reps_pass_validation_and_compare_unpadded():
-    # macaulay_rep skips MacaulayRep's validation and rep_compare skips the
-    # zero padding; here each greedy output is validated, and each comparison
-    # is checked against the padded vectors, a = 0 and prefix pairs included.
+    # macaulay_rep skips MacaulayRep's validation and rep_compare compares
+    # (non-unit numerators, tail length) pairs, not padded vectors; here each
+    # greedy output is validated, and each comparison is checked against the
+    # padded vectors, a = 0 and prefix pairs included.
     rng = random.Random(20261019)
     pairs = [(0, 0, d) for d in range(1, 13)] + [(0, 1, d) for d in range(1, 13)]
     # C(m, d) has numerators (m,), a proper prefix of C(m, d) + 1's (m, d - 1).
@@ -378,7 +379,8 @@ def test_unit_tails_end_the_pass_at_every_degree(monkeypatch):
         assert kappa(a, 1000) == 0, a
     assert calls == []
     assert kappa(1001, 1000) == 1 and len(calls) == 1
-    # The representation still lists its unit tail, and compares by it.
+    # The representation still lists its unit tail; rep_compare reads only
+    # its length.
     assert macaulay_rep(1000, 1000).numerators == tuple(range(1000, 0, -1))
     assert macaulay_rep(1003, 1000).numerators == (1001, 999, 998)
     assert rep_compare(999, 1000, 1000) == -1 and rep_compare(1000, 1000, 1000) == 0
@@ -392,6 +394,20 @@ def test_kappa_at_a_huge_degree_lists_no_unit_tail(a, expected):
     tracemalloc.start()
     try:
         assert kappa(a, 10**8) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("b, expected", [(10**8, 0), (10**8 + 1, -1)])
+def test_rep_compare_at_a_huge_degree_lists_no_unit_tail(b, expected):
+    # 10^8 in base 10^8 is a tail of 10^8 unit picks, and 10^8 + 1 is the
+    # single numerator 10^8 + 1. Listing the tails once took ~2 * 10^8 ints;
+    # the comparison reads each tail's length instead.
+    tracemalloc.start()
+    try:
+        assert rep_compare(10**8, b, 10**8) == expected
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

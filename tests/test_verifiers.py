@@ -383,31 +383,32 @@ def test_herz_matches_per_case_reference(monkeypatch):
 
 @pytest.mark.parametrize("a_max, d", [(20_000, d) for d in range(1, 9)] + [(5_000, 25), (5_000, 40)])
 def test_successor_walk_matches_greedy(a_max, d):
-    # The walk must give the greedy numerators at every a. At d = 25 and 40,
-    # a = 1..d appends a numerator each step (terminal degree >= 2 all the
-    # way down), and a = d + 1 pops d - 1 numerators in one cascade.
-    lengths = []
-    for a, nums in enumerate(verifiers._successor_walk(a_max, d), 1):
-        assert tuple(nums) == macaulay_rep(a, d).numerators, (a, d)
-        lengths.append(len(nums))
-    assert len(lengths) == a_max
-    assert max(lengths) == d
-    assert max(x - y for x, y in zip(lengths, lengths[1:])) == d - 1
+    # The walk must give the greedy pass's (non-unit numerators, tail) pair
+    # at every a. a = 1..d grows the unit tail C(d, d) + ... down to degree
+    # 1, and at a = d + 1 that d-unit tail carries into the single numerator
+    # d + 1, as C(d, d) + ... + C(1, 1) + 1 = C(d + 1, d).
+    steps = 0
+    for a, (nums, tail) in enumerate(verifiers._successor_walk(a_max, d), 1):
+        assert (nums, tail) == macaulay._greedy(a, d)[:2], (a, d)
+        if a == d:
+            assert (nums, tail) == ([], d)
+        if a == d + 1:
+            assert (nums, tail) == ([d + 1], 0)
+        steps += 1
+    assert steps == a_max
 
 
 @pytest.mark.parametrize("a, d", [(15, 3), (16, 3), (2, 1), (400, 6)])
 def test_herz_tail_side_mutant_is_recorded(monkeypatch, a, d):
-    # A walk whose tail flag is flipped at one (a, d) must give exactly that
-    # counterexample, with the table's kappa(a - 1, d) and kappa(a, d); a tail
-    # side read from the table instead of the walk would record nothing.
+    # A walk whose unit tail is flipped at one (a, d), present to absent or
+    # back, must give exactly that counterexample, with the table's
+    # kappa(a - 1, d) and kappa(a, d); a tail side read from the table
+    # instead of the walk would record nothing.
     real = verifiers._successor_walk
 
     def flipped(a_max, e):
-        for b, nums in enumerate(real(a_max, e), 1):
-            if (b, e) == (a, d):
-                delta = e - len(nums) + 1
-                nums = nums[:-1] + [nums[-1] + 1 if nums[-1] == delta else delta]
-            yield nums
+        for b, (nums, tail) in enumerate(real(a_max, e), 1):
+            yield nums, int(not tail) if (b, e) == (a, d) else tail
 
     monkeypatch.setattr(verifiers, "_successor_walk", flipped)
     rep = macaulay_rep(a, d)
