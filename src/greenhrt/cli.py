@@ -63,12 +63,15 @@ def cmd_rep(args) -> int:
     return 0
 
 
-def cmd_kappa(args) -> int:
+def _refuse_long_pass(a: int, d: int, /, **fields) -> None:
     # A non-unit pick at degree i takes at least i + 1, so the greedy pass
-    # visits at most min(d, isqrt(2a)) degrees.
+    # for kappa(a, d) visits at most min(d, isqrt(2a)) degrees.
+    verifiers._refuse_above(min(d, isqrt(2 * a)), verifiers._MAX_DEGREES, "degrees", **fields)
+
+
+def cmd_kappa(args) -> int:
     if args.a >= 0 and args.d >= 1:
-        verifiers._refuse_above(min(args.d, isqrt(2 * args.a)), verifiers._MAX_DEGREES,
-                                "degrees", a=args.a, d=args.d)
+        _refuse_long_pass(args.a, args.d, a=args.a, d=args.d)
     value = macaulay.kappa(args.a, args.d)
     _emit(args, {"a": args.a, "d": args.d, "kappa": value}, f"kappa({args.a},{args.d}) = {value}")
     return 0
@@ -77,8 +80,7 @@ def cmd_kappa(args) -> int:
 def cmd_bound_green(args) -> int:
     # kappa(h, d) at d >= 1: the same pass as cmd_kappa.
     if args.h >= 0 and args.d >= 1:
-        verifiers._refuse_above(min(args.d, isqrt(2 * args.h)), verifiers._MAX_DEGREES,
-                                "degrees", h=args.h, d=args.d)
+        _refuse_long_pass(args.h, args.d, h=args.h, d=args.d)
     value = bounds.green_bound(args.h, args.d)
     _emit(args, {"h": args.h, "d": args.d, "bound": value}, f"green_bound({args.h},{args.d}) = {value}")
     return 0
@@ -88,6 +90,12 @@ def cmd_bound_module(args) -> int:
     shape = bounds.FreeModuleShape(
         n=args.n, degrees=level._parse_int_list(args.degrees, "--degrees")
     )
+    profile = bounds._BoundProfile(shape.n, shape.component_degrees(args.m))
+    # The full terms are one pick each; the head's pass, kappa(head, d_j),
+    # is refused as cmd_kappa's is, before it runs.
+    if 0 <= args.h <= profile.suffix[1]:
+        j = profile.pivot(args.h)
+        _refuse_long_pass(args.h - profile.suffix[j + 1], profile.dims[j - 1], h=args.h, m=args.m)
     bb = bounds.module_bound(args.h, args.m, shape)
     payload = {
         "n": args.n,

@@ -261,6 +261,75 @@ def _sample_blocks(
         yield [values[i::r] for i in range(r)]
 
 
+def _box_fits(n: int, d_max: int, r_max: int, samples: int) -> bool:
+    """Whether check_higher certifies whole boxes: at every r <= r_max the
+    widest tuple (d_max,) * r, with N = dim S_{d_max}, evaluates its bound
+    at no more sums than it has cases (r N + 1 <= 2^r + samples), and each
+    max-plus step holds at most one block's cells ((r N + 1)(N + 1) <=
+    _HIGHER_BLOCK). Every other tuple's box is narrower."""
+    wide = _dim_s(n, d_max)
+    return all(r * wide + 1 <= 2**r + samples and (r * wide + 1) * (wide + 1) <= _HIGHER_BLOCK
+               for r in range(1, r_max + 1))
+
+
+def _box_sums(rows: Sequence[np.ndarray], windows: _Memo) -> np.ndarray:
+    """G(h), the largest rows[0][a_1] + ... + rows[-1][a_r] over the splits
+    a_1 + ... + a_r = h, for h = 0..sum(len(row) - 1): the max-plus
+    convolution of the rows, one step per row after the first.
+
+    A step pads G with k = len(row) - 1 entries on each side and gathers
+    row h of windows[len(G), k], the indices h - i + k for i = 0..k, so that
+    G(h - i) + row[i] lines up in column i. The pad is so negative that no
+    sum through it can win the max; -1 would leak -1 + row[i] into it.
+    """
+    g = rows[0]
+    for row in rows[1:]:
+        k = len(row) - 1
+        pad = np.full(k, -(1 << 62), dtype=np.int64)
+        g = (np.concatenate([pad, g, pad])[windows[len(g), k]] + row).max(axis=1)
+    return g
+
+
+def _degree_tuples(d_max: int, r_max: int, memos: Sequence[dict]) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing tuple with entries in 1..d_max and length 1..r_max,
+    by r ascending, then in ``nonincreasing_tuples(d_max, r)``'s order.
+
+    At r = r_max the tuples whose smallest degree is d are contiguous, and
+    no later tuple holds d: each dict in memos drops its entry for d there.
+    At r < r_max, d recurs in the levels above, so nothing is dropped.
+    """
+    for r in range(1, r_max):
+        yield from nonincreasing_tuples(d_max, r)
+    low = None
+    for degrees in nonincreasing_tuples(d_max, r_max):
+        if degrees[-1] != low:
+            for memo in memos:
+                memo.pop(low, None)
+            low = degrees[-1]
+        yield degrees
+
+
+def _boxes_hold(
+    n: int, d_max: int, r_max: int, kappa_memo: _Memo, memo_kappa: Callable[[int, int], int]
+) -> bool:
+    """Whether G(h) <= B(h) at every h of every degree tuple's box, stopping
+    at the first tuple where it fails. A degree's kappa row is built once,
+    from kappa_memo, and dropped with its memo entry."""
+    rows: dict[int, np.ndarray] = {}
+    # Column i of row h is h - i + k: one index array per (len(G), k).
+    windows = _Memo(lambda key: np.add.outer(np.arange(sum(key)), np.arange(key[1], -1, -1)))
+    for degrees in _degree_tuples(d_max, r_max, [kappa_memo, rows]):
+        profile = _BoundProfile(n, degrees, kappa=memo_kappa)
+        for d, cap in zip(degrees, profile.caps):
+            if d not in rows:
+                rows[d] = np.fromiter(map(kappa_memo[d].__getitem__, range(cap + 1)),
+                                      dtype=np.int64, count=cap + 1)
+        g = _box_sums([rows[d] for d in degrees], windows)
+        if any(map(gt, g.tolist(), map(profile.total, range(len(g))))):
+            return False
+    return True
+
+
 def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> VerificationOutcome:
     """sum kappa(a_i, d_i) <= piecewise bound over random and corner tuples.
 
@@ -274,9 +343,25 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     it, so a seed gives the same cases as a ``randint`` loop would. A degree
     tuple's cases are checked in blocks of at most _HIGHER_BLOCK, so a
     block's memory does not grow with r or samples; the kappa memo holds one
-    entry per distinct (d, a) a case or its bound reads. More than
-    _MAX_CASES cases or _MAX_DEGREES degree tuples in all are refused before
-    any tuple is built.
+    entry per distinct (d, a) a case or its bound reads, and at r = r_max
+    drops a degree once no later tuple holds it. More than _MAX_CASES cases
+    or _MAX_DEGREES degree tuples in all are refused before any tuple is
+    built.
+
+    Where ``_box_fits`` holds, decided once per call from n, d_max, r_max
+    and samples, each tuple's whole box 0 <= a_i <= N_i is checked first,
+    with no draw: G(h), the largest sum kappa(a_i, d_i) over the splits of
+    h (``_box_sums`` over kappa rows built once per degree through the same
+    memo as the cases), against B(h) = the profile's total at every h in
+    0..sum N_i. If G <= B at every h of every tuple, no case of the box,
+    corner or sample, can fail, so the call returns the cases it stands for
+    and no counterexample. Its conditions keep the bound evaluations per
+    tuple at most its cases, and each max-plus step within one block. If
+    any tuple has G > B at some h, the whole call runs the corners and the
+    seeded draws as above, from a fresh Random(seed), so every failing
+    output is the one the sampled cases give. Either way ``cases`` counts
+    the corners and samples (2^r + samples per tuple), not the box, so the
+    outcome reads the same on both paths.
     """
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if d_max < 1:
@@ -302,17 +387,19 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     out = VerificationOutcome(
         "higher", {"n": n, "tuples": tuples, "samples": samples, "seed": seed}, cases
     )
-    getrandbits = random.Random(seed).getrandbits
     # kappa(a, d) by degree, shared by every tuple of this call and by both
     # sides (the bound's terms read it too); filled on demand, never
-    # tabulated over [0, N_i], so no value is computed twice and none that
-    # no case asks for.
+    # tabulated over [0, N_i] on the sampled path, so no value is computed
+    # twice and none that no case asks for.
     kappa_memo = _Memo(lambda d: _Memo(lambda a: kappa(a, d)))
 
     def memo_kappa(a: int, d: int) -> int:
         return kappa_memo[d][a]
 
-    for degrees in (t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)):
+    if _box_fits(n, d_max, r_max, samples) and _boxes_hold(n, d_max, r_max, kappa_memo, memo_kappa):
+        return out
+    getrandbits = random.Random(seed).getrandbits
+    for degrees in _degree_tuples(d_max, r_max, [kappa_memo]):
         profile = _BoundProfile(n, degrees, kappa=memo_kappa)
         caps = profile.caps
         # The bound depends on h = sum(values) and on this tuple's profile.

@@ -535,23 +535,51 @@ def test_long_macaulay_passes_are_refused_before_any_pick(capsys, monkeypatch, a
          "h and d too large: h=72, d=20 give more than 11 degrees"),
         (["rep", "9", "20"], 9, "a and d too large: a=9, d=20 give more than 8 degrees"),
         (["rep", "30", "6"], 6, "a and d too large: a=30, d=6 give more than 5 degrees"),
+        (["bound", "module", "--n", "3", "--degrees", "0", "--m", "20", "--h", "72"], 12,
+         "h and m too large: h=72, m=20 give more than 11 degrees"),
+        (["bound", "module", "--n", "2", "--degrees", "0,1", "--m", "30", "--h", "40"], 4,
+         "h and m too large: h=40, m=30 give more than 3 degrees"),
     ],
-    ids=["kappa-a", "kappa-d", "bound-green", "rep-a", "rep-d"],
+    ids=["kappa-a", "kappa-d", "bound-green", "rep-a", "rep-d", "bound-module",
+         "bound-module-pivot"],
 )
 def test_macaulay_pass_degrees_are_capped(capsys, monkeypatch, argv, fit, message):
-    # isqrt(100) = 10, isqrt(144) = 12. The ceiling is inclusive, as the
-    # sweeps' are; invalid input keeps its own error line.
+    # isqrt(100) = 10, isqrt(144) = 12. bound module counts its head's pass:
+    # at n = 2, m = 30 the capacities are (31, 30), so h = 40 fills the
+    # second component and leaves a head of 10 at d = 30, isqrt(20) = 4. The
+    # ceiling is inclusive, as the sweeps' are; invalid input keeps its own
+    # error line.
     monkeypatch.setattr(verifiers, "_MAX_DEGREES", fit)
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert (code, err) == (0, "") and out
     monkeypatch.setattr(verifiers, "_MAX_DEGREES", fit - 1)
     assert run(capsys, argv + ["--format", "json"]) == (2, "", f"error: {message}\n")
     monkeypatch.setattr(verifiers, "_MAX_DEGREES", 0)
+    module = ["bound", "module", "--n", "2", "--degrees", "0,1", "--m", "2"]
     for bad, error in ((["kappa", "-1", "5"], "cannot represent negative integer -1"),
                        (["rep", "5", "0"], "representation base must be >= 1, got d=0"),
-                       (["bound", "green", "-1", "5"], "dimension must be non-negative, got h=-1")):
+                       (["bound", "green", "-1", "5"], "dimension must be non-negative, got h=-1"),
+                       (module + ["--h", "-1"], "dimension must be non-negative, got h=-1"),
+                       (module + ["--h", "6"], "h=6 exceeds dim F_2 = 5")):
         assert run(capsys, bad) == (2, "", f"error: {error}\n")
     assert run(capsys, ["bound", "green", "5", "0"]) == (0, "green_bound(5,0) = 5\n", "")
+
+
+def test_bound_module_head_pass_is_refused_before_it_runs(capsys, monkeypatch):
+    # It once ended in a MemoryError traceback with exit 1 under a 2 GB
+    # address-space limit: kappa(10^15, 10^8) picks about 10^7 times. The
+    # full term kappa(N_1, 10^8) is one pick and may run; the head's may not.
+    real_greedy = macaulay._greedy
+
+    def greedy(a, d):
+        assert a != 10**15, "head pass started before the degree ceiling"
+        return real_greedy(a, d)
+
+    monkeypatch.setattr(macaulay, "_greedy", greedy)
+    argv = ["bound", "module", "--n", "3", "--degrees", "0", "--m", "100000000",
+            "--h", "1000000000000000"]
+    assert run(capsys, argv) == (2, "", "error: h and m too large: h=1000000000000000, "
+                                        "m=100000000 give more than 262144 degrees\n")
 
 
 class _NoNumpy:

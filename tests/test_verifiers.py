@@ -9,14 +9,14 @@ from math import comb
 
 import numpy as np
 import pytest
-from test_bounds import _module_bound_reference
+from test_bounds import _max_plus_bound, _module_bound_reference
 from test_cli import _leaf_paths
 from test_monomials import brute_monomials
 
 from greenhrt import bounds, macaulay, monomials, oracle, verifiers
 from greenhrt.bounds import FreeModuleShape, module_bound, rank2_bound
 from greenhrt.cli import COMMANDS, main
-from greenhrt.macaulay import kappa, macaulay_rep
+from greenhrt.macaulay import _kappa_tables, kappa, macaulay_rep
 from greenhrt.verifiers import (
     VerificationOutcome,
     _record,
@@ -502,6 +502,152 @@ def test_higher_samples_draw_the_randint_stream(monkeypatch):
             assert rng.getstate() == ref.getstate(), (block, seed)
 
 
+def _decline_box(monkeypatch):
+    # check_higher then runs every corner and seeded draw.
+    monkeypatch.setattr(verifiers, "_box_fits", lambda *args: False)
+
+
+# The sweeps pool's check_higher arguments.
+_HIGHER_POOL = [(n, d_max, r_max, 100, 0)
+                for n in (2, 3) for d_max in (3, 4, 5) for r_max in (2, 4)]
+
+
+def _higher_json(capsys, args):
+    n, d_max, r_max, samples, seed = args
+    argv = ["verify", "higher", "--n", n, "--d-max", d_max, "--r-max", r_max,
+            "--samples", samples, "--seed", seed, "--format", "json"]
+    code = main([str(x) for x in argv])
+    return code, capsys.readouterr().out
+
+
+def test_higher_box_matches_the_sampled_path(capsys, monkeypatch):
+    # The box draws nothing and evaluates the bound at no more sums than a
+    # tuple has cases. Where it fails, under _low_total or under a bound 1
+    # too low at the full corner h = sum N_i alone, the call reruns the
+    # sampled path. Either way the outcome and the CLI JSON are the sampled
+    # path's.
+    small = [(n, d_max, r_max, samples, seed) for n in (1, 2, 3)
+             for d_max, r_max in ((2, 3), (4, 2), (3, 3)) for samples in (0, 7, 40)
+             for seed in (0, 5)]
+    assert all(verifiers._box_fits(*args[:4]) for args in _HIGHER_POOL)
+    assert 0 < sum(verifiers._box_fits(*args[:4]) for args in small) < len(small)
+    calls = {"draws": 0, "bound": 0}
+    real_samples, real_total = verifiers._sample_blocks, bounds._BoundProfile.total
+
+    def counting_samples(*args):
+        calls["draws"] += 1
+        return real_samples(*args)
+
+    def counting_total(self, h):
+        calls["bound"] += 1
+        return real_total(self, h)
+
+    def low_total(self, h):
+        return _low_total(h, len(self.caps), real_total(self, h))
+
+    def low_at_the_full_corner(self, h):
+        return real_total(self, h) - (h == self.suffix[1])
+
+    monkeypatch.setattr(verifiers, "_sample_blocks", counting_samples)
+    for total in (counting_total, low_total, low_at_the_full_corner):
+        monkeypatch.setattr(bounds._BoundProfile, "total", total)
+        for args in _HIGHER_POOL + small:
+            calls.update(draws=0, bound=0)
+            outcome = check_higher(*args)
+            if total is counting_total and verifiers._box_fits(*args[:4]):
+                assert calls["draws"] == 0 and calls["bound"] <= outcome.cases, args
+            cli = _higher_json(capsys, args)
+            with monkeypatch.context() as declined:
+                _decline_box(declined)
+                sampled = check_higher(*args)
+                assert cli == _higher_json(capsys, args), args
+            assert (outcome.cases, outcome.counterexamples) == (
+                sampled.cases, sampled.counterexamples), args
+            assert bool(outcome.counterexamples) == (total is not counting_total), args
+
+
+@pytest.mark.parametrize("raised", ["top", "odd"])
+def test_higher_box_reads_the_lhs_kappa(monkeypatch, raised):
+    # The bound never reads kappa(0, d), so raising it raises the left side
+    # alone. A box whose G read other kappa values than the cases (say the
+    # block-recurrence tables) would certify these boxes and record nothing.
+    def mutant(a, d):
+        bump = a == 0 and (d == d_max if raised == "top" else d % 2 == 1)
+        return kappa(a, d) + bump
+
+    monkeypatch.setattr(verifiers, "kappa", mutant)
+    for n in (1, 2, 3):
+        for d_max, r_max in ((3, 2), (2, 3)):
+            assert verifiers._box_fits(n, d_max, r_max, 30)
+            tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
+            for seed in (0, 5):
+                expected = _higher_reference(n, tuples, 30, seed)
+                outcome = check_higher(n, d_max, r_max, 30, seed)
+                assert (outcome.cases, outcome.counterexamples) == expected, (n, d_max, seed)
+                assert expected[1]
+
+
+def test_higher_box_sums_match_the_max_plus_reference(monkeypatch):
+    # The box certifies a tuple when G <= B, so a G below the true maximum
+    # would pass cases that fail. test_bounds' G folds the block-recurrence
+    # tables with sliding windows: an independent formulation.
+    tables = _kappa_tables(comb(3 + 5 - 1, 5), 5)
+    sums = []
+    real = verifiers._box_sums
+
+    def recording(rows, windows):
+        g = real(rows, windows)
+        sums.append(g.tolist())
+        return g
+
+    monkeypatch.setattr(verifiers, "_box_sums", recording)
+    for n, d_max, r_max, samples, seed in _HIGHER_POOL:
+        sums.clear()
+        assert check_higher(n, d_max, r_max, samples, seed).ok
+        tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
+        assert len(sums) == len(tuples)
+        for dims, g in zip(tuples, sums):
+            assert g == _max_plus_bound(n, dims, tables), (n, dims)
+
+
+def test_higher_box_is_chosen_by_its_two_conditions(monkeypatch):
+    # n = 2, d_max = 3: N = 4. (a) r N + 1 <= 2^r + samples is tightest at
+    # r = 2: 9 <= 4 + 5. (b) (r N + 1)(N + 1) <= _HIGHER_BLOCK is 45 cells
+    # at r = 2.
+    assert verifiers._box_fits(2, 3, 2, 5)
+    assert not verifiers._box_fits(2, 3, 2, 4)
+    assert verifiers._box_fits(2, 3, 1, 3) and not verifiers._box_fits(2, 3, 1, 2)
+    monkeypatch.setattr(verifiers, "_HIGHER_BLOCK", 45)
+    assert verifiers._box_fits(2, 3, 2, 100)
+    monkeypatch.setattr(verifiers, "_HIGHER_BLOCK", 44)
+    assert not verifiers._box_fits(2, 3, 2, 100)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["box", "sampled"])
+def test_higher_drops_each_degree_memo_after_its_last_tuple(monkeypatch, n):
+    # At r = r_max no tuple after those whose smallest degree is d holds d.
+    # Keeping every degree's memo to the end of the call took 578 MB max RSS
+    # at n = 2, d_max = 32768, r_max = 1 and 254 samples. At n = 3 the box
+    # is declined: a tuple of length 1 has N + 1 > 22 sums and 22 cases.
+    real = verifiers._degree_tuples
+    seen = []
+
+    def recording(d_max, r_max, memos):
+        for degrees in real(d_max, r_max, memos):
+            if len(degrees) == r_max:
+                seen.append(all(d >= degrees[-1] for memo in memos for d in memo))
+            yield degrees
+
+    monkeypatch.setattr(verifiers, "_degree_tuples", recording)
+    for d_max, r_max in ((300, 1), (6, 3)):
+        seen.clear()
+        assert verifiers._box_fits(n, d_max, r_max, 20) == (n == 1)
+        assert check_higher(n, d_max, r_max, 20, 0).ok
+        assert len(seen) == comb(d_max + r_max - 1, r_max) and all(seen)
+    tuples = list(real(4, 3, []))
+    assert tuples == [t for r in (1, 2, 3) for t in nonincreasing_tuples(4, r)]
+
+
 def test_higher_blocks_stay_within_the_block_size(monkeypatch):
     # At r = 14 a tuple has 2^14 corners, and 5000 samples pass one block
     # too; every block must still hold at most _HIGHER_BLOCK cases, and the
@@ -516,6 +662,7 @@ def test_higher_blocks_stay_within_the_block_size(monkeypatch):
                 yield cols
         return wrapped
 
+    _decline_box(monkeypatch)
     monkeypatch.setattr(verifiers, "_corner_blocks", recording(verifiers._corner_blocks))
     monkeypatch.setattr(verifiers, "_sample_blocks", recording(verifiers._sample_blocks))
     outcome = check_higher(2, 1, 14, 5000, 3)
