@@ -103,11 +103,14 @@ class _BoundProfile:
     """The part of the module bound that n and the component degrees fix.
 
     dims[i] = d_i and caps[i] = N_i per component; suffix[j] = N_j + ... + N_r
-    with 1-based j and suffix[r+1] = 0; terms[i] = kappa(N_i, d_i), the term
-    of a component filled to capacity; tail[j] = the sum of the terms after
-    pivot j. Every term, and the head's, is read through ``kappa(h, d)``: a
-    caller that already holds kappa values passes its lookup, which must
-    agree with green_bound.
+    with 1-based j and suffix[r+1] = 0; terms[i] = green_bound(N_i, d_i), the
+    term of a component filled to capacity; tail[j] = the sum of the terms
+    after pivot j. A full term needs no Macaulay pass: N_i = C(n + d_i - 1,
+    d_i) is its own representation, so at d_i >= 1 its term is kappa(N_i,
+    d_i) = C(n + d_i - 2, d_i) = dim S_{d_i} in n - 1 variables; at d_i = 0
+    it passes N_i through, and an empty component's term is 0. The head's
+    term is read through ``kappa(h, d)``: a caller that already holds kappa
+    values passes its lookup, which must agree with green_bound.
     """
 
     __slots__ = ("dims", "caps", "suffix", "terms", "tail", "kappa")
@@ -118,8 +121,7 @@ class _BoundProfile:
         self.dims = dims
         self.kappa = kappa
         self.caps = tuple(_dim_s(n, d) for d in dims)
-        # An empty term is 0 without a bound: green_bound refuses the d_i < 0 it can meet.
-        self.terms = tuple(kappa(v, d) if v else 0 for v, d in zip(self.caps, dims))
+        self.terms = tuple(_dim_s(n - 1, d) if d > 0 else v for v, d in zip(self.caps, dims))
         r = len(dims)
         self.suffix = [0] * (r + 2)
         self.tail = [0] * (r + 1)

@@ -91,8 +91,8 @@ def cmd_bound_module(args) -> int:
         n=args.n, degrees=level._parse_int_list(args.degrees, "--degrees")
     )
     profile = bounds._BoundProfile(shape.n, shape.component_degrees(args.m))
-    # The full terms are one pick each; the head's pass, kappa(head, d_j),
-    # is refused as cmd_kappa's is, before it runs.
+    # The full terms are closed form; the head's pass, kappa(head, d_j), is
+    # refused as cmd_kappa's is, before it runs.
     if 0 <= args.h <= profile.suffix[1]:
         j = profile.pivot(args.h)
         _refuse_long_pass(args.h - profile.suffix[j + 1], profile.dims[j - 1], h=args.h, m=args.m)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import module_bound
-from .monomials import DegreeSlice, MonomialModule, degree_slice
+from .monomials import _MAX_EXPONENT_CELLS, DegreeSlice, MonomialModule, degree_slice
 
 DEFAULT_PRIME = 32003
 DEFAULT_TRIALS = 3
@@ -165,12 +165,20 @@ def _restriction_plan(sl: DegreeSlice, p: int) -> _Plan:
         xn_free = rows[:, -1] == 0
         ranked = rows[inside & ~xn_free]
         columns = rows[~inside & xn_free, :-1]
+        # The mask and the entries' exponents are each held at once, so both
+        # are checked against the slice's own cell ceiling before they exist.
+        if len(ranked) * len(columns) > _MAX_EXPONENT_CELLS:
+            raise ValueError(f"a {len(ranked)} x {len(columns)} restriction block, "
+                             f"more than {_MAX_EXPONENT_CELLS} cells")
         fits = np.ones((len(ranked), len(columns)), dtype=bool)
         for k in range(columns.shape[1]):
             fits &= ranked[:, k, None] <= columns[:, k]
         row, column = np.nonzero(fits)
         if not row.size:
             continue  # no entry, so rank 0; always so at n = 1
+        if (cells + row.size) * columns.shape[1] > _MAX_EXPONENT_CELLS:
+            raise ValueError(f"{cells + row.size} restriction entries of {columns.shape[1]} "
+                             f"exponents, more than {_MAX_EXPONENT_CELLS} cells")
         blocks.append((row, column, slice(cells, cells + row.size), fits.shape))
         cells += row.size
         pivots.append(ranked[row, -1])
@@ -236,7 +244,10 @@ def generic_restriction_dim(
     if p <= 2 * dim_fm:
         raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
     sl = degree_slice(module, m)
-    plan = _restriction_plan(sl, p)
+    try:
+        plan = _restriction_plan(sl, p)
+    except ValueError as exc:  # a plan past the cell ceiling, which a large p allows
+        raise ValueError(f"m and p too large: m={m}, p={p} give {exc}") from None
     dims = tuple(
         _evaluate(plan, p, _trial_coefficients(shape.n, p, seed, t)) for t in range(trials)
     )

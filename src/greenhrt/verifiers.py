@@ -11,6 +11,7 @@ import itertools
 import random
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from math import comb
 from operator import add, gt
 
 import numpy as np
@@ -145,36 +146,50 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     return out
 
 
-def _successor_walk(a_max: int, d: int) -> Iterator[tuple[list[int], int]]:
-    """``_greedy(a, d)[:2]`` for a = 1..a_max in turn, with no binomial.
+def _unit_tails(a_max: int, d: int, rows: dict[int, np.ndarray]) -> np.ndarray:
+    """``_greedy(a, d)[1] > 0`` for a = 1..a_max, as one bool array: whether
+    the base-d representation of a ends in a unit tail.
 
-    The list is updated in place from a to a + 1 in amortised O(1), from
-    ([], 1) as 1 = C(d, d). While fewer than d degrees are filled, one unit
-    joins the tail. Otherwise x carries: a tail i, ..., 1 plus 1 is C(i + 1,
-    i), so x = i + 1; with no tail, x is the last numerator plus 1. While x
-    equals the numerator before it, that one is popped and x becomes it plus
-    1, as C(x, j + 1) + C(x, j) = C(x + 1, j + 1). Each pop undoes one append.
+    One greedy pass runs over the whole range at once, from rem = a and
+    degree i = d down. An entry whose remainder is at most i stops there,
+    and that remainder is its unit-tail length. Each live entry subtracts
+    the largest C(k, i) <= rem, found by searchsorted in rows[i] = [C(i, i),
+    C(i + 1, i), ...] up to its first entry above a_max (built on first use,
+    so every entry stays far inside int64); at i = 1 it picks rem itself and
+    ends at 0. The pass runs while some remainder exceeds i, as ``_greedy``
+    does, so a_max <= d costs no pass.
     """
-    nums: list[int] = []
-    tail = 1
-    yield nums, tail
-    for _ in range(a_max - 1):
-        if len(nums) + tail < d:
-            tail += 1
-        else:
-            x = d - len(nums) + 1 if tail else nums.pop() + 1
-            while nums and nums[-1] == x:
-                x = nums.pop() + 1
-            nums.append(x)
-            tail = 0
-        yield nums, tail
+    tails = np.ones(a_max, dtype=bool)
+    if a_max <= d:
+        return tails
+    at = np.arange(a_max)  # the live entries' positions
+    rem = at + 1
+    for i in range(d, 0, -1):
+        live = rem > i
+        if not live.any():
+            break
+        at, rem = at[live], rem[live]
+        if i == 1:
+            tails[at] = False
+            break
+        row = rows.get(i)
+        if row is None:
+            row = [1]
+            while row[-1] <= a_max:
+                row.append(comb(i + len(row), i))
+            row = rows[i] = np.array(row, dtype=np.int64)
+        rem = rem - row[np.searchsorted(row, rem, side="right") - 1]
+        tails[at[rem == 0]] = False
+    return tails
 
 
 def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     """kappa(a-1,d) = kappa(a,d) exactly when the base-d representation of a
-    terminates with numerator equal to its degree. Its (a_max + 1) d_max table
-    cells are at most 1.5 times its cases, as a_max >= 2; as in kappa-lemma,
-    more than _MAX_DEGREES degrees are refused."""
+    terminates with numerator equal to its degree. The stall side is
+    np.diff of the kappa table, the tail side ``_unit_tails``, one greedy
+    pass over a = 1..a_max per degree. Its (a_max + 1) d_max table cells
+    are at most 1.5 times its cases, as a_max >= 2; as in kappa-lemma, more
+    than _MAX_DEGREES degrees are refused."""
     if a_max < 2:
         raise ValueError(f"a_max must be at least 2, got {a_max}")
     if d_max < 1:
@@ -184,15 +199,14 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     _refuse_above(d_max, _MAX_DEGREES, "degrees", d_max=d_max)
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max}, cases)
     tables = _kappa_tables(a_max, d_max)
+    rows: dict[int, np.ndarray] = {}
     for d in range(1, d_max + 1):
         # The stall side comes from the block-recurrence table, the tail side
-        # from the unit tail of the successor walk, which uses no binomial:
-        # two independent formulations.
+        # from a greedy pass over a = 1..a_max that reads neither the table
+        # nor macaulay's pass: two independent formulations.
         table = tables[d]
         stalls = np.diff(table) == 0
-        tails = np.fromiter(
-            (tail > 0 for _, tail in _successor_walk(a_max, d)), dtype=bool, count=a_max
-        )
+        tails = _unit_tails(a_max, d, rows)
         for (i,) in np.argwhere(stalls != tails):
             _record(out, {"a": int(i) + 1, "d": d, "ends_at_delta": bool(tails[i])},
                     int(table[i]), int(table[i + 1]))

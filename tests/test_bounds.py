@@ -269,6 +269,18 @@ def test_profile_matches_the_per_call_reference():
     assert boundaries > 0
 
 
+def test_full_terms_are_closed_form():
+    # N = C(n + d - 1, d) is its own base-d representation, so its term is
+    # C(n + d - 2, d) at d >= 1 and N itself at d = 0; below degree 0 the
+    # component is empty. The profile builds them with no kappa call.
+    for n in range(1, 9):
+        dims = tuple(range(39, -3, -1))
+        profile = _BoundProfile(n, dims, kappa=lambda a, d: pytest.fail(f"kappa({a}, {d})"))
+        want = [green_bound(_dim_s(n, d), d) if d >= 0 else 0 for d in dims]
+        assert list(profile.terms) == want, n
+        assert [_dim_s(n - 1, d) for d in dims if d >= 1] == want[:-3], n
+
+
 def test_rank2_is_shifted_module_bound():
     for n in (1, 2, 3):
         for d1 in range(1, 5):

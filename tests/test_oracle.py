@@ -1,6 +1,7 @@
 """Prime-field restriction oracle: exactness, determinism, cross-checks."""
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -10,6 +11,7 @@ from test_monomials import brute_module_basis
 
 from greenhrt import oracle
 from greenhrt.bounds import FreeModuleShape, module_bound
+from greenhrt.cli import main
 from greenhrt.monomials import (
     MonomialIdeal,
     MonomialModule,
@@ -25,6 +27,36 @@ from greenhrt.oracle import (
     is_prime,
     rank_mod_p,
 )
+
+
+def test_plan_cells_are_checked_before_allocating(monkeypatch):
+    # n = 3, (x_3), m = 2: the block is x_1 x_3, x_2 x_3, x_3^2 against
+    # x_1^2, x_1 x_2, x_2^2, a 3 x 3 mask with 7 entries of 2 exponents.
+    module = MonomialModule(shape=FreeModuleShape(n=3, degrees=(0,)),
+                            components=(MonomialIdeal(3, [(0, 0, 1)]),))
+    sl = degree_slice(module, 2)
+    assert [size for *_, size in _restriction_plan(sl, 32003).blocks] == [(3, 3)]
+    monkeypatch.setattr(oracle, "_MAX_EXPONENT_CELLS", 14)
+    assert _restriction_plan(sl, 32003).exps.shape == (7, 2)
+    monkeypatch.setattr(oracle, "_MAX_EXPONENT_CELLS", 13)
+    with pytest.raises(ValueError, match="^7 restriction entries of 2 exponents, more than 13"):
+        _restriction_plan(sl, 32003)
+    monkeypatch.setattr(oracle, "_MAX_EXPONENT_CELLS", 8)
+    with pytest.raises(ValueError) as exc:
+        generic_restriction_dim(module, 2, p=32003)
+    assert str(exc.value) == ("m and p too large: m=2, p=32003 give a 3 x 3 restriction block,"
+                              " more than 8 cells")
+
+
+def test_large_prime_plan_is_refused(capsys, tmp_path):
+    # A prime above 2 dim F_m = 4,006,002 admits m = 2000, whose block would
+    # be a 2,001,000 x 2001 mask: the command ends in one error line.
+    module_file = tmp_path / "x3.json"
+    module_file.write_text(json.dumps({"n": 3, "degrees": [0], "components": [[[0, 0, 1]]]}))
+    argv = ["oracle", "certify", "--module", str(module_file), "--m", "2000", "--p", "4006007"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: m and p too large: m=2000, p=4006007 give a"
+                                   " 2001000 x 2001 restriction block, more than 67108864 cells\n")
 
 
 def test_is_prime():

@@ -382,35 +382,41 @@ def test_herz_matches_per_case_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("a_max, d", [(20_000, d) for d in range(1, 9)] + [(5_000, 25), (5_000, 40)])
-def test_successor_walk_matches_greedy(a_max, d):
-    # The walk must give the greedy pass's (non-unit numerators, tail) pair
-    # at every a. a = 1..d grows the unit tail C(d, d) + ... down to degree
-    # 1, and at a = d + 1 that d-unit tail carries into the single numerator
-    # d + 1, as C(d, d) + ... + C(1, 1) + 1 = C(d + 1, d).
-    steps = 0
-    for a, (nums, tail) in enumerate(verifiers._successor_walk(a_max, d), 1):
-        assert (nums, tail) == macaulay._greedy(a, d)[:2], (a, d)
-        if a == d:
-            assert (nums, tail) == ([], d)
-        if a == d + 1:
-            assert (nums, tail) == ([d + 1], 0)
-        steps += 1
-    assert steps == a_max
+def test_unit_tails_match_greedy(a_max, d):
+    # The whole-range pass must give the greedy pass's unit tail at every a.
+    # a = 1..d is its own unit tail C(d, d) + ... down to degree d - a + 1,
+    # and a = d + 1 is the single numerator d + 1, as C(d + 1, d) = d + 1.
+    tails = verifiers._unit_tails(a_max, d, {})
+    assert tails.dtype == bool and tails.shape == (a_max,)
+    expected = [macaulay._greedy(a, d)[1] > 0 for a in range(1, a_max + 1)]
+    assert tails.tolist() == expected
+    assert tails[: d].all() and not tails[d]
+
+
+@pytest.mark.parametrize("a_max, d", [(2, 2), (5, 5), (3, 7), (2, 262_144)])
+def test_unit_tails_are_all_tails_up_to_the_degree(a_max, d):
+    # a <= d is its own unit tail, so no entry makes a pick and no
+    # binomial row is built.
+    rows = {}
+    assert verifiers._unit_tails(a_max, d, rows).tolist() == [True] * a_max
+    assert rows == {}
 
 
 @pytest.mark.parametrize("a, d", [(15, 3), (16, 3), (2, 1), (400, 6)])
 def test_herz_tail_side_mutant_is_recorded(monkeypatch, a, d):
-    # A walk whose unit tail is flipped at one (a, d), present to absent or
-    # back, must give exactly that counterexample, with the table's
-    # kappa(a - 1, d) and kappa(a, d); a tail side read from the table
-    # instead of the walk would record nothing.
-    real = verifiers._successor_walk
+    # A tail side flipped at one (a, d), present to absent or back, must give
+    # exactly that counterexample, with the table's kappa(a - 1, d) and
+    # kappa(a, d); a tail side read from the table instead of the greedy
+    # pass would record nothing.
+    real = verifiers._unit_tails
 
-    def flipped(a_max, e):
-        for b, (nums, tail) in enumerate(real(a_max, e), 1):
-            yield nums, int(not tail) if (b, e) == (a, d) else tail
+    def flipped(a_max, e, rows):
+        tails = real(a_max, e, rows)
+        if e == d:
+            tails[a - 1] = not tails[a - 1]
+        return tails
 
-    monkeypatch.setattr(verifiers, "_successor_walk", flipped)
+    monkeypatch.setattr(verifiers, "_unit_tails", flipped)
     rep = macaulay_rep(a, d)
     ends = rep.numerators[-1] == rep.delta
     outcome = check_herz_tail(400, 6)
