@@ -14,21 +14,22 @@ up bisect cached binomial rows, where C(a_i - 1, i) is the row entry just
 below the one the pass picks. The rows are bounded; a remainder past a row's
 end is placed by an integer i-th root instead.
 
-The sweeps read kappa over a whole range at once from ``_kappa_tables``. The
-greedy pass gives Macaulay's block recurrence: for C(m, e) <= a < C(m+1, e),
-write a = C(m, e) + t with t < C(m, e-1); then
+The table sweeps read kappa over a whole range from ``_kappa_tables``, one
+degree at a time. The greedy pass gives Macaulay's block recurrence: for
+C(m, e) <= a < C(m+1, e), write a = C(m, e) + t with t < C(m, e-1); then
 
     kappa(a, e) = C(m-1, e) + kappa(t, e-1),
 
 so the degree-e table is the degree-(e-1) table's prefixes, shifted by
-constants, one block per m. The tables are int64 and exact, because
-0 <= kappa(a, e) <= a.
+constants, one block per m, and no other degree is needed to build it. The
+tables are int64 and exact, because 0 <= kappa(a, e) <= a.
 
 All arithmetic is exact; binomials are arbitrary-precision integers.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, factorial, isqrt
 
@@ -182,19 +183,20 @@ def _pick_past_row(rem: int, i: int) -> tuple[int, int, int]:
     return m, pick, pick * (m - i) // m
 
 
-def _kappa_tables(A: int, d_max: int) -> dict[int, np.ndarray]:
-    """kappa(a, e) for 0 <= a <= A, one int64 array per degree e = 1..d_max.
+def _kappa_tables(A: int, d_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(e, kappa(a, e) for 0 <= a <= A as one int64 array), e = 1..d_max.
 
     Degree 1 is a - 1 (0 at a = 0). Degree e >= 2 fills block m, the a with
     C(m, e) <= a < C(m+1, e), from the first C(m, e-1) entries of degree
     e - 1 plus C(m-1, e); block m = e - 1 is a = 0 alone. One numpy add per
     block, none per entry. Entries are at most a <= A, so int64 is exact.
-    The (A + 1) * d_max cells are not checked here: the callers bound them
-    through their case counts before they ask for a table.
+    Each degree is built when the caller asks for it, from degree e - 1
+    alone, so the generator holds two tables whatever d_max is; the callers
+    bound A and d_max through their case and degree counts.
     """
     prev = np.arange(-1, A, dtype=np.int64)
     prev[0] = 0
-    tables = {1: prev}
+    yield 1, prev
     for e in range(2, d_max + 1):
         table = np.empty(A + 1, dtype=np.int64)
         start, m = 0, e - 1
@@ -202,8 +204,8 @@ def _kappa_tables(A: int, d_max: int) -> dict[int, np.ndarray]:
             stop = min(start + comb(m, e - 1), A + 1)
             np.add(prev[: stop - start], comb(m - 1, e), out=table[start:stop])
             start, m = stop, m + 1
-        tables[e] = prev = table
-    return tables
+        yield e, table
+        prev = table
 
 
 def macaulay_rep(a: int, d: int) -> MacaulayRep:

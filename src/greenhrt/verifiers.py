@@ -49,7 +49,8 @@ def _record(outcome: VerificationOutcome, inputs: dict, lhs, rhs) -> None:
     outcome.counterexamples.append({**inputs, "lhs": lhs, "rhs": rhs})
 
 
-# Rows per block of the superadditivity comparison, instead of the full square.
+# Rows per block of _pair_hits, the one pair-sum comparator of kappa-lemma
+# and rank2: a block's sums and mask are held, never the full square.
 _LEMMA_BLOCK_ROWS = 256
 
 # The most cases a verify sweep other than scaled takes on, checked from its
@@ -91,13 +92,37 @@ class _Memo(dict):
         return value
 
 
+def _pair_hits(left: np.ndarray, right: np.ndarray, sums: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Every (a, b) with left[a] + right[b] > sums[a + b], in row-major order.
+
+    The three arrays share one dtype that holds every pair sum, which the
+    caller picks from values it already holds. Row a of the window view is
+    sums[a : a + len(right)], so the sums line up without an index array.
+    Pair sums are added _LEMMA_BLOCK_ROWS rows at a time into two buffers
+    allocated once per call, and only a block with a hit is searched.
+    """
+    rows = min(_LEMMA_BLOCK_ROWS, len(left))
+    lhs = np.empty((rows, len(right)), dtype=sums.dtype)
+    mask = np.empty((rows, len(right)), dtype=bool)
+    windows = np.lib.stride_tricks.sliding_window_view(sums, len(right))
+    for start in range(0, len(left), rows):
+        stop = min(start + rows, len(left))
+        block, hits = lhs[: stop - start], mask[: stop - start]
+        np.add(left[start:stop, None], right[None, :], out=block)
+        np.greater(block, windows[start:stop], out=hits)
+        if hits.any():
+            for a, b in np.argwhere(hits).tolist():
+                yield start + a, b
+
+
 def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     """Superadditivity kappa(a,d)+kappa(b,d) <= kappa(a+b,d) and degree
     monotonicity kappa(a,d+1) <= kappa(a,d), exhaustively for a,b <= a_max
-    and d <= d_max. Its (2 a_max + 1)(d_max + 1) table cells never pass its
-    cases, so the case ceiling bounds them too, and a_max <= 8190. Each
-    degree costs a table and a pass however small a_max is, so more than
-    _MAX_DEGREES degrees are refused too."""
+    and d <= d_max. Degree d reads the kappa tables of degrees d and d + 1,
+    2 a_max + 1 cells each, and no more than three are held at once; its
+    pair sums go through _pair_hits, and the case ceiling keeps a_max <=
+    8190. Each degree costs a table and a pass however small a_max is, so
+    more than _MAX_DEGREES degrees are refused too."""
     if a_max < 1:
         raise ValueError(f"a_max must be at least 1, got {a_max}")
     if d_max < 1:
@@ -106,43 +131,16 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     _refuse_above(cases, _MAX_CASES, "cases", a_max=a_max, d_max=d_max)
     _refuse_above(d_max, _MAX_DEGREES, "degrees", d_max=d_max)
     out = VerificationOutcome("kappa-lemma", {"a_max": a_max, "d_max": d_max}, cases)
-    tables = _kappa_tables(2 * a_max, d_max + 1)
-    # The narrowest unsigned dtype that holds every pair sum of table
-    # entries: uint16 at a_max <= 2000, since 0 <= kappa(a, d) <= a.
-    hi = max(int(tables[d].max()) for d in range(1, d_max + 1))
-    dtype = np.min_scalar_type(2 * hi)
-    rows = min(_LEMMA_BLOCK_ROWS, a_max + 1)
-    lhs = np.empty((rows, a_max + 1), dtype=dtype)
-    mask = np.empty((rows, a_max + 1), dtype=bool)
-    for d in range(1, d_max + 1):
-        table = tables[d].astype(dtype)
-        head = table[: a_max + 1]
-        # Row a of the window view is table[a : a + a_max + 1], so
-        # rhs[a, b] = kappa(a + b, d) without gathering an index array.
-        rhs = np.lib.stride_tricks.sliding_window_view(table, a_max + 1)
-        # Blocks of rows in order keep the counterexamples row-major.
-        for start in range(0, a_max + 1, rows):
-            stop = min(start + rows, a_max + 1)
-            block, hits = lhs[: stop - start], mask[: stop - start]
-            np.add(head[start:stop, None], head[None, :], out=block)
-            np.greater(block, rhs[start:stop], out=hits)
-            if not hits.any():
-                continue
-            for a, b in np.argwhere(hits):
-                a = start + int(a)
-                _record(
-                    out,
-                    {"a": a, "b": int(b), "d": d, "part": "superadditive"},
-                    kappa(a, d) + kappa(int(b), d),
-                    kappa(a + int(b), d),
-                )
-        for (a,) in np.argwhere(tables[d + 1][: a_max + 1] > head):
-            _record(
-                out,
-                {"a": int(a), "d": d, "part": "degree-monotone"},
-                kappa(int(a), d + 1),
-                kappa(int(a), d),
-            )
+    for (d, table), (_, upper) in itertools.pairwise(_kappa_tables(2 * a_max, d_max + 1)):
+        # The narrowest unsigned dtype that holds every pair sum of this
+        # degree's entries: uint16 at a_max <= 2000, since 0 <= kappa(a, d) <= a.
+        narrow = table.astype(np.min_scalar_type(2 * int(table.max())))
+        head = narrow[: a_max + 1]
+        for a, b in _pair_hits(head, head, narrow):
+            _record(out, {"a": a, "b": b, "d": d, "part": "superadditive"},
+                    kappa(a, d) + kappa(b, d), kappa(a + b, d))
+        for a in (upper[: a_max + 1] > table[: a_max + 1]).nonzero()[0].tolist():
+            _record(out, {"a": a, "d": d, "part": "degree-monotone"}, kappa(a, d + 1), kappa(a, d))
     return out
 
 
@@ -186,9 +184,9 @@ def _unit_tails(a_max: int, d: int, rows: dict[int, np.ndarray]) -> np.ndarray:
 def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     """kappa(a-1,d) = kappa(a,d) exactly when the base-d representation of a
     terminates with numerator equal to its degree. The stall side is
-    np.diff of the kappa table, the tail side ``_unit_tails``, one greedy
-    pass over a = 1..a_max per degree. Its (a_max + 1) d_max table cells
-    are at most 1.5 times its cases, as a_max >= 2; as in kappa-lemma, more
+    np.diff of the degree's kappa table, the tail side ``_unit_tails``, one
+    greedy pass over a = 1..a_max per degree. Each table has a_max + 1
+    cells, and no more than two are held at once; as in kappa-lemma, more
     than _MAX_DEGREES degrees are refused."""
     if a_max < 2:
         raise ValueError(f"a_max must be at least 2, got {a_max}")
@@ -198,13 +196,11 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
     _refuse_above(cases, _MAX_CASES, "cases", a_max=a_max, d_max=d_max)
     _refuse_above(d_max, _MAX_DEGREES, "degrees", d_max=d_max)
     out = VerificationOutcome("herz", {"a_max": a_max, "d_max": d_max}, cases)
-    tables = _kappa_tables(a_max, d_max)
     rows: dict[int, np.ndarray] = {}
-    for d in range(1, d_max + 1):
+    for d, table in _kappa_tables(a_max, d_max):
         # The stall side comes from the block-recurrence table, the tail side
         # from a greedy pass over a = 1..a_max that reads neither the table
         # nor macaulay's pass: two independent formulations.
-        table = tables[d]
         stalls = np.diff(table) == 0
         tails = _unit_tails(a_max, d, rows)
         for (i,) in np.argwhere(stalls != tails):
@@ -229,17 +225,15 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     cases = (n1 + 1) * (n2 + 1)
     _refuse_above(cases, _MAX_CASES, "cases", **ranges)
     out = VerificationOutcome("rank2", ranges, cases)
-    # Every row visits every b, so kappa(b, d2) is computed once per b.
+    ka = [kappa(a, d1) for a in range(n1 + 1)]
     kb = [kappa(b, d2) for b in range(n2 + 1)]
     # The bound depends on a + b alone: one admissible split per sum.
     bound = [rank2_bound(s - min(s, n2), min(s, n2), d1, d2, n) for s in range(n1 + n2 + 1)]
-    for a in range(n1 + 1):
-        ka = kappa(a, d1)
-        for b in range(n2 + 1):
-            lhs = ka + kb[b]
-            rhs = bound[a + b]
-            if lhs > rhs:
-                _record(out, {"a": a, "b": b, "d1": d1, "d2": d2, "n": n}, lhs, rhs)
+    # One dtype for both sides: signed only when the bound can be negative.
+    dtype = np.result_type(np.min_scalar_type(min(bound)),
+                           np.min_scalar_type(max(max(ka) + max(kb), max(bound))))
+    for a, b in _pair_hits(np.array(ka, dtype), np.array(kb, dtype), np.array(bound, dtype)):
+        _record(out, {"a": a, "b": b, "d1": d1, "d2": d2, "n": n}, ka[a] + kb[b], bound[a + b])
     return out
 
 

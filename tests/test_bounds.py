@@ -325,7 +325,7 @@ def test_bounds_are_the_max_plus_convolution_of_kappa_rows():
     # The ranges are the sweeps pool's (250 degree tuples, 24 rank2 triples)
     # and the shapes of the acceptance battery's criterion 9 at m <= 6, whose
     # component degrees m - f_i reach 0 and below.
-    tables = _kappa_tables(_dim_s(4, 6), 6)
+    tables = dict(_kappa_tables(_dim_s(4, 6), 6))
     cases = [(n, dims) for n in (2, 3)
              for r in range(1, 5) for dims in verifiers.nonincreasing_tuples(5, r)]
     shapes = [FreeModuleShape(n, degrees) for n in (1, 2, 3) for r in (2, 3, 4)

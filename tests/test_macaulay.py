@@ -255,7 +255,7 @@ def test_kappa_tables_match_scalar_kappa():
     # The block recurrence is a second formulation of kappa: every entry
     # must equal the greedy pass's value, and kappa(a, e) <= a keeps int64
     # exact.
-    tables = macaulay._kappa_tables(4000, 7)
+    tables = dict(macaulay._kappa_tables(4000, 7))
     assert sorted(tables) == list(range(1, 8))
     for e, table in tables.items():
         assert table.dtype == np.int64 and table.shape == (4001,)
@@ -265,7 +265,7 @@ def test_kappa_tables_match_scalar_kappa():
 
 def test_kappa_tables_block_edges_and_large_range():
     A = 10**6
-    tables = macaulay._kappa_tables(A, 5)
+    tables = dict(macaulay._kappa_tables(A, 5))
     for e in range(2, 6):
         table = tables[e]
         assert (table <= np.arange(A + 1)).all(), e
@@ -280,7 +280,7 @@ def test_kappa_tables_block_edges_and_large_range():
         for a in [rng.randrange(A + 1) for _ in range(2000)] + [A]:
             assert table[a] == kappa(a, e), (a, e)
     for A in (0, 1, 2):
-        small = macaulay._kappa_tables(A, 4)
+        small = dict(macaulay._kappa_tables(A, 4))
         for e in range(1, 5):
             assert small[e].tolist() == [kappa(a, e) for a in range(A + 1)]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -266,10 +267,8 @@ def _kappa_lemma_pair_sums_reference(a_max, d_max, kappa_fn):
 def _tables_of(kappa_fn):
     # Stand-in for verifiers._kappa_tables that tabulates kappa_fn.
     def tables(A, d_max):
-        return {
-            d: np.array([kappa_fn(a, d) for a in range(A + 1)], dtype=np.int64)
-            for d in range(1, d_max + 1)
-        }
+        for d in range(1, d_max + 1):
+            yield d, np.array([kappa_fn(a, d) for a in range(A + 1)], dtype=np.int64)
 
     return tables
 
@@ -321,7 +320,7 @@ def test_kappa_lemma_short_row_blocks_match_the_reference(monkeypatch):
         monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_ROWS", rows)
         allocated.clear()
         outcome = check_kappa_lemma(a_max, d_max)
-        assert allocated == [(rows, a_max + 1)] * 2, rows
+        assert allocated == [(rows, a_max + 1)] * 2 * d_max, rows
         assert outcome.counterexamples == expected, rows
         assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
 
@@ -347,6 +346,35 @@ def test_kappa_lemma_pair_sums_cross_dtype_limits(monkeypatch, bits):
     outcome = check_kappa_lemma(a_max, d_max)
     assert len(expected) > 100
     assert outcome.counterexamples == expected
+
+
+def _traced_peak(fn, *args):
+    # The smaller tracemalloc peak of two calls: numpy's sliding_window_view
+    # alone, a few thousand calls in a bare loop, now and then peaks at
+    # ~1 MB under tracemalloc, in one run of several.
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+@pytest.mark.parametrize("check, a_max, d_max, A", [(check_herz_tail, 2000, 200, 2000),
+                                                    (check_kappa_lemma, 250, 400, 500)])
+def test_table_sweeps_hold_a_few_kappa_tables(check, a_max, d_max, A):
+    # herz reads one kappa table of A + 1 int64 cells per degree, kappa-lemma
+    # two, and neither keeps the others: holding every degree's table peaked
+    # at 3.3 MB (herz, ~209 tables) and 1.9 MB (kappa-lemma). kappa-lemma
+    # also holds its two row-block buffers, uint16 sums and a bool mask. The
+    # allowance of 24 tables covers the few tables held at once and numpy's
+    # temporaries; the peaks were 8.8 and 11.4 tables past the buffers.
+    blocks = 3 * (a_max + 1) ** 2 if check is check_kappa_lemma else 0
+    assert check(a_max, d_max).ok
+    assert _traced_peak(check, a_max, d_max) < blocks + 24 * 8 * (A + 1)
 
 
 def _herz_reference(a_max, d_max, kappa_fn):
@@ -597,7 +625,7 @@ def test_higher_box_sums_match_the_max_plus_reference(monkeypatch):
     # The box certifies a tuple when G <= B, so a G below the true maximum
     # would pass cases that fail. test_bounds' G folds the block-recurrence
     # tables with sliding windows: an independent formulation.
-    tables = _kappa_tables(comb(3 + 5 - 1, 5), 5)
+    tables = dict(_kappa_tables(comb(3 + 5 - 1, 5), 5))
     sums = []
     real = verifiers._box_sums
 
@@ -700,23 +728,58 @@ def test_higher_wide_caps_match_the_randint_reference(monkeypatch):
 
 
 def test_rank2_hoisted_kappa_matches_per_case_reference(monkeypatch):
+    # Also with the pair blocks patched to one, two and three rows: every
+    # block is one row, or the last block is short, and at (3, 4, 2) the
+    # 16 x 7 window is not square.
     def skewed(a, d):
         return kappa(a, d) + (a + d) % 3
 
     monkeypatch.setattr(verifiers, "kappa", skewed)
-    for n, d1, d2 in ((1, 2, 1), (2, 3, 2), (3, 3, 3), (3, 4, 2)):
-        expected = []
-        n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
-        for a in range(n1 + 1):
-            for b in range(n2 + 1):
-                lhs = skewed(a, d1) + skewed(b, d2)
-                rhs = rank2_bound(a, b, d1, d2, n)
-                if lhs > rhs:
-                    expected.append({"a": a, "b": b, "d1": d1, "d2": d2, "n": n,
-                                     "lhs": lhs, "rhs": rhs})
-        outcome = check_rank2(n, d1, d2)
-        assert outcome.cases == (n1 + 1) * (n2 + 1)
-        assert outcome.counterexamples == expected and expected, (n, d1, d2)
+    for rows in (verifiers._LEMMA_BLOCK_ROWS, 1, 2, 3):
+        monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_ROWS", rows)
+        for n, d1, d2 in ((1, 2, 1), (2, 3, 2), (3, 3, 3), (3, 4, 2)):
+            expected = []
+            n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
+            for a in range(n1 + 1):
+                for b in range(n2 + 1):
+                    lhs = skewed(a, d1) + skewed(b, d2)
+                    rhs = rank2_bound(a, b, d1, d2, n)
+                    if lhs > rhs:
+                        expected.append({"a": a, "b": b, "d1": d1, "d2": d2, "n": n,
+                                         "lhs": lhs, "rhs": rhs})
+            outcome = check_rank2(n, d1, d2)
+            assert outcome.cases == (n1 + 1) * (n2 + 1)
+            assert outcome.counterexamples == expected and expected, (rows, n, d1, d2)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+def test_rank2_pair_sums_cross_dtype_limits(monkeypatch, bits):
+    # Every kappa value and bound fits in `bits` unsigned bits, but the
+    # largest pair sums do not: a dtype chosen for the entries rather than
+    # their pair sums wraps and loses counterexamples. The bound depends on
+    # a + b alone, as the real one does.
+    n, d1, d2 = 3, 5, 3
+    half = 2 ** (bits - 1)
+
+    def saturating(a, d):
+        return half * min(a, 8) // 8 + (a * a * (d + 1)) % 17
+
+    def near_half(a, b, d1, d2, n):
+        return half + (a + b) * 7 % 23
+
+    monkeypatch.setattr(verifiers, "kappa", saturating)
+    monkeypatch.setattr(verifiers, "rank2_bound", near_half)
+    n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
+    cells = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1)]
+    sums = [saturating(a, d1) + saturating(b, d2) for a, b in cells]
+    assert min(sums) < 2 ** bits < max(sums)
+    assert max(saturating(a, d) for a in range(n1 + 1) for d in (d1, d2)) < 2 ** bits
+    expected = [{"a": a, "b": b, "d1": d1, "d2": d2, "n": n,
+                 "lhs": lhs, "rhs": near_half(a, b, d1, d2, n)}
+                for (a, b), lhs in zip(cells, sums) if lhs > near_half(a, b, d1, d2, n)]
+    outcome = check_rank2(n, d1, d2)
+    assert len(expected) > 100
+    assert outcome.counterexamples == expected
 
 
 # The sweeps pool's check_rank2 arguments.
