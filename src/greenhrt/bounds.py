@@ -15,10 +15,12 @@ one pivot search plus kappa of the head.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from .macaulay import kappa
 
@@ -120,14 +122,14 @@ class _BoundProfile:
     ) -> None:
         self.dims = dims
         self.kappa = kappa
-        self.caps = tuple(_dim_s(n, d) for d in dims)
-        self.terms = tuple(_dim_s(n - 1, d) if d > 0 else v for v, d in zip(self.caps, dims))
+        caps = self.caps = tuple([_dim_s(n, d) for d in dims])
+        terms = self.terms = tuple([_dim_s(n - 1, d) if d > 0 else v for v, d in zip(caps, dims)])
         r = len(dims)
-        self.suffix = [0] * (r + 2)
-        self.tail = [0] * (r + 1)
+        suffix = self.suffix = [0] * (r + 2)
+        tail = self.tail = [0] * (r + 1)
         for i in range(r, 0, -1):
-            self.suffix[i] = self.suffix[i + 1] + self.caps[i - 1]
-            self.tail[i - 1] = self.tail[i] + self.terms[i - 1]
+            suffix[i] = suffix[i + 1] + caps[i - 1]
+            tail[i - 1] = tail[i] + terms[i - 1]
 
     def pivot(self, h: int) -> int:
         """The largest j with h <= suffix[j], for 0 <= h <= dim F_m."""
@@ -145,6 +147,24 @@ class _BoundProfile:
         """The bound at h, 0 <= h <= dim F_m, at the largest admissible pivot."""
         j = self.pivot(h)
         return self.head(h, j)[1] + self.tail[j]
+
+    def totals(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """total(h) at every h in 0..suffix[1], as one int64 array, where
+        rows[i][a] = kappa(a, dims[i]) for 0 <= a <= caps[i].
+
+        Pivot j takes the h in suffix[j+1] + 1..suffix[j], whose heads run
+        1..caps[j-1]: one slice of row j - 1 plus tail[j]. At h = 0 the head
+        is 0 at pivot r, whose term is 0 and tail[r] is 0.
+        """
+        caps, tail = self.caps, self.tail
+        out = np.empty(self.suffix[1] + 1, dtype=np.int64)
+        out[0] = 0
+        lo = 1
+        for j in range(len(caps), 0, -1):
+            cap = caps[j - 1]
+            np.add(rows[j - 1][1 : cap + 1], tail[j], out=out[lo : lo + cap])
+            lo += cap
+        return out
 
 
 def module_bound(h: int, m: int, shape: FreeModuleShape, pivot: int | None = None) -> BoundBreakdown:

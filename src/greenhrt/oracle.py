@@ -37,6 +37,11 @@ from .monomials import _MAX_EXPONENT_CELLS, DegreeSlice, MonomialModule, degree_
 DEFAULT_PRIME = 32003
 DEFAULT_TRIALS = 3
 
+# The most trials one report runs, checked before its plan is built: each
+# trial is a full rank pass over the plan's blocks, and the report keeps one
+# dimension per trial.
+_MAX_TRIALS = 1 << 10
+
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -234,11 +239,13 @@ def generic_restriction_dim(
     so equality is expected as well. Certification is probabilistic: a
     trial can only overestimate the generic dimension, never undershoot it.
     A failed check is reported in the verdict flags, not raised. p must be
-    a prime below 2**31 and above 2 dim F_m.
+    a prime below 2**31 and above 2 dim F_m, and trials at most _MAX_TRIALS.
     """
     _check_modulus(p)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials too large: trials={trials} gives more than {_MAX_TRIALS} trials")
     shape = module.shape
     dim_fm = shape.dim(m)
     if p <= 2 * dim_fm:

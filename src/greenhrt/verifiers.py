@@ -97,14 +97,21 @@ def _pair_hits(left: np.ndarray, right: np.ndarray, sums: np.ndarray) -> Iterato
 
     The three arrays share one dtype that holds every pair sum, which the
     caller picks from values it already holds. Row a of the window view is
-    sums[a : a + len(right)], so the sums line up without an index array.
+    sums[a : a + len(right)], so the sums line up without an index array;
+    the view is built from its shape and strides, so sums must reach the
+    last pair, len(sums) >= len(left) + len(right) - 1, or nothing is read.
     Pair sums are added _LEMMA_BLOCK_ROWS rows at a time into two buffers
     allocated once per call, and only a block with a hit is searched.
     """
+    if len(sums) < len(left) + len(right) - 1:
+        raise ValueError(f"sums has {len(sums)} entries, the pairs need "
+                         f"{len(left) + len(right) - 1}")
     rows = min(_LEMMA_BLOCK_ROWS, len(left))
     lhs = np.empty((rows, len(right)), dtype=sums.dtype)
     mask = np.empty((rows, len(right)), dtype=bool)
-    windows = np.lib.stride_tricks.sliding_window_view(sums, len(right))
+    step = sums.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        sums, shape=(len(left), len(right)), strides=(step, step), writeable=False)
     for start in range(0, len(left), rows):
         stop = min(start + rows, len(left))
         block, hits = lhs[: stop - start], mask[: stop - start]
@@ -280,30 +287,72 @@ def _box_fits(n: int, d_max: int, r_max: int, samples: int) -> bool:
                for r in range(1, r_max + 1))
 
 
-def _box_sums(rows: Sequence[np.ndarray], windows: _Memo) -> np.ndarray:
-    """G(h), the largest rows[0][a_1] + ... + rows[-1][a_r] over the splits
-    a_1 + ... + a_r = h, for h = 0..sum(len(row) - 1): the max-plus
-    convolution of the rows, one step per row after the first.
+# G's entry for a split out of range: so negative that no sum through it can
+# win a max-plus step; -1 would leak -1 + row[i] into it.
+_NO_SPLIT = np.array([-(1 << 62)], dtype=np.int64)
+_NO_SPLIT.setflags(write=False)
 
-    A step pads G with k = len(row) - 1 entries on each side and gathers
-    row h of windows[len(G), k], the indices h - i + k for i = 0..k, so that
-    G(h - i) + row[i] lines up in column i. The pad is so negative that no
-    sum through it can win the max; -1 would leak -1 + row[i] into it.
+
+def _split_columns(key: tuple[int, int]) -> np.ndarray:
+    """For key = (L, k): row h, column i holds h - i where 0 <= h - i < L,
+    else L, for h = 0..L + k - 1 and i = 0..k."""
+    length, k = key
+    before = np.subtract.outer(np.arange(length + k), np.arange(k + 1))
+    return np.where((before >= 0) & (before < length), before, length)
+
+
+def _max_plus_step(g: np.ndarray, row: np.ndarray, windows: _Memo) -> np.ndarray:
+    """G ⊕ row, the max-plus convolution: the largest g[h - i] + row[i] over
+    i, for h = 0..len(g) + len(row) - 2.
+
+    windows[len(G), k], with k = len(row) - 1, is ``_split_columns``'s index
+    array: gathered from G with _NO_SPLIT appended, G(h - i) + row[i] lines
+    up in column i of row h, and a split with h - i outside G reads
+    _NO_SPLIT.
     """
-    g = rows[0]
-    for row in rows[1:]:
-        k = len(row) - 1
-        pad = np.full(k, -(1 << 62), dtype=np.int64)
-        g = (np.concatenate([pad, g, pad])[windows[len(g), k]] + row).max(axis=1)
-    return g
+    return (np.concatenate((g, _NO_SPLIT))[windows[len(g), len(row) - 1]] + row).max(axis=1)
 
 
-def _degree_tuples(d_max: int, r_max: int, memos: Sequence[dict]) -> Iterator[tuple[int, ...]]:
+def _box_walk(d_max: int, r_max: int, rows: _Memo) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Every non-increasing tuple with entries in 1..d_max and length 1..r_max,
-    by r ascending, then in ``nonincreasing_tuples(d_max, r)``'s order.
+    with its G(h): the largest rows[d_1][a_1] + ... + rows[d_r][a_r] over the
+    splits a_1 + ... + a_r = h, for h = 0..sum(len(rows[d_i]) - 1).
+
+    Depth first, grouped by the smallest degree e ascending: (e,) has G =
+    rows[e], and (d, *t) extends t by its largest degree d >= t[0] in one
+    max-plus step. The convolution is commutative, so the order in which
+    the degrees join is free. Only the path from (e,) is held, at most r_max
+    tuples and their G. No tuple after group e holds e, so rows drops its
+    entry for e once the group is done.
+    """
+    windows = _Memo(_split_columns)  # one index array per (len(G), k)
+    for e in range(1, d_max + 1):
+        yield from _box_subtree((e,), rows[e], d_max, r_max, rows, windows)
+        del rows[e]
+
+
+def _box_subtree(
+    degrees: tuple[int, ...], g: np.ndarray, d_max: int, r_max: int, rows: _Memo, windows: _Memo
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(degrees, g), then depth first every tuple of length at most r_max
+    that extends degrees by degrees in degrees[0]..d_max, with its G. A
+    module-level generator, not a closure over itself: such a closure is a
+    reference cycle, and it would hold rows and windows until the cyclic
+    collector ran."""
+    yield degrees, g
+    if len(degrees) < r_max:
+        for d in range(degrees[0], d_max + 1):
+            yield from _box_subtree((d, *degrees), _max_plus_step(g, rows[d], windows),
+                                    d_max, r_max, rows, windows)
+
+
+def _degree_tuples(d_max: int, r_max: int, memo: dict) -> Iterator[tuple[int, ...]]:
+    """Every non-increasing tuple with entries in 1..d_max and length 1..r_max,
+    by r ascending, then in ``nonincreasing_tuples(d_max, r)``'s order: the
+    order of the sampled path's seeded draws.
 
     At r = r_max the tuples whose smallest degree is d are contiguous, and
-    no later tuple holds d: each dict in memos drops its entry for d there.
+    no later tuple holds d: memo drops its entry for d there.
     At r < r_max, d recurs in the levels above, so nothing is dropped.
     """
     for r in range(1, r_max):
@@ -311,29 +360,29 @@ def _degree_tuples(d_max: int, r_max: int, memos: Sequence[dict]) -> Iterator[tu
     low = None
     for degrees in nonincreasing_tuples(d_max, r_max):
         if degrees[-1] != low:
-            for memo in memos:
-                memo.pop(low, None)
+            memo.pop(low, None)
             low = degrees[-1]
         yield degrees
 
 
-def _boxes_hold(
-    n: int, d_max: int, r_max: int, kappa_memo: _Memo, memo_kappa: Callable[[int, int], int]
-) -> bool:
+def _boxes_hold(n: int, d_max: int, r_max: int) -> bool:
     """Whether G(h) <= B(h) at every h of every degree tuple's box, stopping
-    at the first tuple where it fails. A degree's kappa row is built once,
-    from kappa_memo, and dropped with its memo entry."""
-    rows: dict[int, np.ndarray] = {}
-    # Column i of row h is h - i + k: one index array per (len(G), k).
-    windows = _Memo(lambda key: np.add.outer(np.arange(sum(key)), np.arange(key[1], -1, -1)))
-    for degrees in _degree_tuples(d_max, r_max, [kappa_memo, rows]):
-        profile = _BoundProfile(n, degrees, kappa=memo_kappa)
-        for d, cap in zip(degrees, profile.caps):
-            if d not in rows:
-                rows[d] = np.fromiter(map(kappa_memo[d].__getitem__, range(cap + 1)),
-                                      dtype=np.int64, count=cap + 1)
-        g = _box_sums([rows[d] for d in degrees], windows)
-        if any(map(gt, g.tolist(), map(profile.total, range(len(g))))):
+    at the first tuple where it fails. The tuples and their G come from
+    ``_box_walk``, one max-plus step each; the box draws nothing, so their
+    order is free. B is the tuple's ``_BoundProfile.totals``, the library's
+    bound at every h as one array. A degree's row, kappa(a, d) for 0 <= a
+    <= N, is built once, when a tuple first holds d, and dropped once no
+    later tuple does: each kappa value is read once, so no memo is kept.
+    """
+    def row(d: int) -> np.ndarray:
+        cap = _dim_s(n, d)
+        return np.fromiter(map(kappa, range(cap + 1), itertools.repeat(d)), dtype=np.int64,
+                           count=cap + 1)
+
+    rows = _Memo(row)
+    for degrees, g in _box_walk(d_max, r_max, rows):
+        profile = _BoundProfile(n, degrees)
+        if (g > profile.totals([rows[d] for d in degrees])).any():
             return False
     return True
 
@@ -358,18 +407,20 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
 
     Where ``_box_fits`` holds, decided once per call from n, d_max, r_max
     and samples, each tuple's whole box 0 <= a_i <= N_i is checked first,
-    with no draw: G(h), the largest sum kappa(a_i, d_i) over the splits of
-    h (``_box_sums`` over kappa rows built once per degree through the same
-    memo as the cases), against B(h) = the profile's total at every h in
-    0..sum N_i. If G <= B at every h of every tuple, no case of the box,
-    corner or sample, can fail, so the call returns the cases it stands for
-    and no counterexample. Its conditions keep the bound evaluations per
-    tuple at most its cases, and each max-plus step within one block. If
-    any tuple has G > B at some h, the whole call runs the corners and the
-    seeded draws as above, from a fresh Random(seed), so every failing
-    output is the one the sampled cases give. Either way ``cases`` counts
-    the corners and samples (2^r + samples per tuple), not the box, so the
-    outcome reads the same on both paths.
+    with no draw (``_boxes_hold``): G(h), the largest sum kappa(a_i, d_i)
+    over the splits of h, against B(h), the profile's ``totals`` at every h
+    in 0..sum N_i. The tuples are walked depth first, grouped by their
+    smallest degree (``_box_walk``), so each costs one max-plus step from
+    the tuple it extends, and a degree's kappa row is dropped once its group
+    is done. If G <= B at every h of every tuple, no case of the box, corner
+    or sample, can fail, so the call returns the cases it stands for and no
+    counterexample. Its conditions keep the bound's length per tuple at most
+    its cases, and each max-plus step within one block. If any tuple has
+    G > B at some h, the whole call runs the corners and the seeded draws
+    as above, from a fresh Random(seed), so every failing output is the one
+    the sampled cases give. Either way ``cases`` counts the corners and
+    samples (2^r + samples per tuple), not the box, so the outcome reads the
+    same on both paths.
     """
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if d_max < 1:
@@ -395,6 +446,8 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     out = VerificationOutcome(
         "higher", {"n": n, "tuples": tuples, "samples": samples, "seed": seed}, cases
     )
+    if _box_fits(n, d_max, r_max, samples) and _boxes_hold(n, d_max, r_max):
+        return out
     # kappa(a, d) by degree, shared by every tuple of this call and by both
     # sides (the bound's terms read it too); filled on demand, never
     # tabulated over [0, N_i] on the sampled path, so no value is computed
@@ -404,10 +457,8 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     def memo_kappa(a: int, d: int) -> int:
         return kappa_memo[d][a]
 
-    if _box_fits(n, d_max, r_max, samples) and _boxes_hold(n, d_max, r_max, kappa_memo, memo_kappa):
-        return out
     getrandbits = random.Random(seed).getrandbits
-    for degrees in _degree_tuples(d_max, r_max, [kappa_memo]):
+    for degrees in _degree_tuples(d_max, r_max, kappa_memo):
         profile = _BoundProfile(n, degrees, kappa=memo_kappa)
         caps = profile.caps
         # The bound depends on h = sum(values) and on this tuple's profile.

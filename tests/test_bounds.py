@@ -281,6 +281,30 @@ def test_full_terms_are_closed_form():
         assert [_dim_s(n - 1, d) for d in dims if d >= 1] == want[:-3], n
 
 
+def test_totals_match_total_at_every_h():
+    # verify higher's box reads the bound as one array; it must be total(h)
+    # at every h, pivot by pivot. Rows come from kappa (green_bound's pass-
+    # through at d = 0, the lone entry 0 below degree 0), not from the box.
+    # Ranges: every tuple of the sweeps pool's 12 verify higher argv, every
+    # criterion-9 shape at m = -1..6, whose capacities reach 0 and 1, and
+    # n = 1, where every capacity is 1.
+    pool = [(n, d_max, r_max) for n in (2, 3) for d_max in (3, 4, 5) for r_max in (2, 4)]
+    cases = [(n, dims) for n, d_max, r_max in pool
+             for r in range(1, r_max + 1) for dims in verifiers.nonincreasing_tuples(d_max, r)]
+    cases += [(shape.n, shape.component_degrees(m))
+              for shape in _criterion_9_shapes() for m in range(-1, 7)]
+    cases += [(1, dims) for r in (1, 2, 3) for dims in verifiers.nonincreasing_tuples(12, r)]
+    cases += [(1, (262144,)), (1, (722, 722)), (1, (9, 0, -1))]
+    for n, dims in cases:
+        profile = _BoundProfile(n, dims)
+        rows = [np.array([green_bound(a, d) for a in range(cap + 1)] if d >= 0 else [0],
+                         dtype=np.int64) for d, cap in zip(dims, profile.caps)]
+        totals = profile.totals(rows)
+        assert totals.dtype == np.int64
+        assert totals.tolist() == [profile.total(h) for h in range(profile.suffix[1] + 1)], (
+            n, dims)
+
+
 def test_rank2_is_shifted_module_bound():
     for n in (1, 2, 3):
         for d1 in range(1, 5):

@@ -59,6 +59,36 @@ def test_large_prime_plan_is_refused(capsys, tmp_path):
                                    " 2001000 x 2001 restriction block, more than 67108864 cells\n")
 
 
+def test_trials_are_checked_before_the_plan(monkeypatch, capsys, tmp_path):
+    # With the ceiling patched down to 4: 4 trials run, 5 are refused before
+    # any plan is built, and each command that takes --trials ends in one
+    # error line naming it.
+    module = MonomialModule(shape=FreeModuleShape(n=3, degrees=(0,)),
+                            components=(MonomialIdeal(3, [(0, 0, 1)]),))
+    monkeypatch.setattr(oracle, "_MAX_TRIALS", 4)
+    assert generic_restriction_dim(module, 2, trials=4).dims == (1, 1, 1, 1)
+    plans = []
+    real_plan = oracle._restriction_plan
+    monkeypatch.setattr(oracle, "_restriction_plan", lambda *a: plans.append(a) or real_plan(*a))
+    message = "trials too large: trials=5 gives more than 4 trials"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generic_restriction_dim(module, 2, trials=5)
+    assert plans == []
+    module_file = tmp_path / "x3.json"
+    module_file.write_text(json.dumps({"n": 3, "degrees": [0], "components": [[[0, 0, 1]]]}))
+    for argv in (["oracle", "restrict", "--module", str(module_file), "--m", "2"],
+                 ["oracle", "certify", "--module", str(module_file), "--m", "2"],
+                 ["verify", "scaled", "--n-max", "2", "--r-max", "1", "--d-max", "1",
+                  "--samples", "0"]):
+        assert main([*argv, "--trials", "4"]) == 0, argv
+        capsys.readouterr()
+        built = len(plans)
+        assert built > 0
+        assert main([*argv, "--trials", "5"]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+        assert len(plans) == built, argv
+
+
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(32003)
     assert not is_prime(1) and not is_prime(0) and not is_prime(32001)

@@ -348,6 +348,25 @@ def test_kappa_lemma_pair_sums_cross_dtype_limits(monkeypatch, bits):
     assert outcome.counterexamples == expected
 
 
+def test_pair_hits_refuses_sums_too_short_for_its_view():
+    # The window view is built from its shape and strides alone: sums one
+    # short of the last pair, a = 2 with b = 3, would be read past its end.
+    # A strided sums (every other entry of a longer array) reads its own
+    # stride.
+    left = np.array([5, 0, 3], dtype=np.int64)
+    right = np.array([0, 1, 0, 7], dtype=np.int64)
+    values = np.array([4, 0, 2, 6, 1, 9], dtype=np.int64)
+    expected = [(a, b) for a in range(3) for b in range(4) if left[a] + right[b] > values[a + b]]
+    assert expected == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3), (2, 0), (2, 2), (2, 3)]
+    for short in (values[:5], values[:0], values[::2]):
+        with pytest.raises(ValueError, match=r"^sums has \d+ entries, the pairs need 6$"):
+            list(verifiers._pair_hits(left, right, short))
+    wide = np.zeros(12, dtype=np.int64)
+    wide[::2] = values
+    for sums in (values, wide[::2], np.append(values, -1)):
+        assert list(verifiers._pair_hits(left, right, sums)) == expected
+
+
 def _traced_peak(fn, *args):
     # The smaller tracemalloc peak of two calls: numpy's sliding_window_view
     # alone, a few thousand calls in a bare loop, now and then peaks at
@@ -464,14 +483,25 @@ def _no_total(h, r, total):
     return -1
 
 
-def _patch_profile_total(monkeypatch, mutant):
-    # check_higher reads each per-h total from its tuple's profile.
-    real_total = bounds._BoundProfile.total
+def _patch_profile_bound(monkeypatch, mutant):
+    # check_higher reads its tuple's bound from the profile: one h at a time
+    # through total on the sampled path, every h at once through totals on
+    # the box path. mutant(profile, h, total) replaces the bound at h in both.
+    real_total, real_totals = bounds._BoundProfile.total, bounds._BoundProfile.totals
 
     def total(self, h):
-        return mutant(h, len(self.caps), real_total(self, h))
+        return mutant(self, h, real_total(self, h))
+
+    def totals(self, rows):
+        bound = real_totals(self, rows).tolist()
+        return np.array([mutant(self, h, t) for h, t in enumerate(bound)], dtype=np.int64)
 
     monkeypatch.setattr(bounds._BoundProfile, "total", total)
+    monkeypatch.setattr(bounds._BoundProfile, "totals", totals)
+
+
+def _patch_profile_total(monkeypatch, mutant):
+    _patch_profile_bound(monkeypatch, lambda self, h, total: mutant(h, len(self.caps), total))
 
 
 def _higher_reference(n, degree_tuples, samples, seed, mutant=None):
@@ -566,25 +596,26 @@ def test_higher_box_matches_the_sampled_path(capsys, monkeypatch):
     assert all(verifiers._box_fits(*args[:4]) for args in _HIGHER_POOL)
     assert 0 < sum(verifiers._box_fits(*args[:4]) for args in small) < len(small)
     calls = {"draws": 0, "bound": 0}
-    real_samples, real_total = verifiers._sample_blocks, bounds._BoundProfile.total
+    real_samples = verifiers._sample_blocks
 
     def counting_samples(*args):
         calls["draws"] += 1
         return real_samples(*args)
 
-    def counting_total(self, h):
+    def counting_total(self, h, total):
         calls["bound"] += 1
-        return real_total(self, h)
+        return total
 
-    def low_total(self, h):
-        return _low_total(h, len(self.caps), real_total(self, h))
+    def low_total(self, h, total):
+        return _low_total(h, len(self.caps), total)
 
-    def low_at_the_full_corner(self, h):
-        return real_total(self, h) - (h == self.suffix[1])
+    def low_at_the_full_corner(self, h, total):
+        return total - (h == self.suffix[1])
 
-    monkeypatch.setattr(verifiers, "_sample_blocks", counting_samples)
     for total in (counting_total, low_total, low_at_the_full_corner):
-        monkeypatch.setattr(bounds._BoundProfile, "total", total)
+        monkeypatch.undo()  # each mutant wraps the real bound, not the last mutant
+        monkeypatch.setattr(verifiers, "_sample_blocks", counting_samples)
+        _patch_profile_bound(monkeypatch, total)
         for args in _HIGHER_POOL + small:
             calls.update(draws=0, bound=0)
             outcome = check_higher(*args)
@@ -624,23 +655,24 @@ def test_higher_box_reads_the_lhs_kappa(monkeypatch, raised):
 def test_higher_box_sums_match_the_max_plus_reference(monkeypatch):
     # The box certifies a tuple when G <= B, so a G below the true maximum
     # would pass cases that fail. test_bounds' G folds the block-recurrence
-    # tables with sliding windows: an independent formulation.
+    # tables with sliding windows: an independent formulation. The walk
+    # must visit every tuple once, in whatever order.
     tables = dict(_kappa_tables(comb(3 + 5 - 1, 5), 5))
     sums = []
-    real = verifiers._box_sums
+    real = verifiers._box_walk
 
-    def recording(rows, windows):
-        g = real(rows, windows)
-        sums.append(g.tolist())
-        return g
+    def recording(d_max, r_max, rows):
+        for degrees, g in real(d_max, r_max, rows):
+            sums.append((degrees, g.tolist()))
+            yield degrees, g
 
-    monkeypatch.setattr(verifiers, "_box_sums", recording)
+    monkeypatch.setattr(verifiers, "_box_walk", recording)
     for n, d_max, r_max, samples, seed in _HIGHER_POOL:
         sums.clear()
         assert check_higher(n, d_max, r_max, samples, seed).ok
         tuples = [t for r in range(1, r_max + 1) for t in nonincreasing_tuples(d_max, r)]
-        assert len(sums) == len(tuples)
-        for dims, g in zip(tuples, sums):
+        assert sorted(dims for dims, _ in sums) == sorted(tuples)
+        for dims, g in sums:
             assert g == _max_plus_bound(n, dims, tables), (n, dims)
 
 
@@ -659,26 +691,39 @@ def test_higher_box_is_chosen_by_its_two_conditions(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 3], ids=["box", "sampled"])
 def test_higher_drops_each_degree_memo_after_its_last_tuple(monkeypatch, n):
-    # At r = r_max no tuple after those whose smallest degree is d holds d.
-    # Keeping every degree's memo to the end of the call took 578 MB max RSS
-    # at n = 2, d_max = 32768, r_max = 1 and 254 samples. At n = 3 the box
-    # is declined: a tuple of length 1 has N + 1 > 22 sums and 22 cases.
-    real = verifiers._degree_tuples
+    # The box walks the tuples grouped by their smallest degree e, ascending,
+    # so no tuple after group e holds e: at every tuple, no kappa row may
+    # sit below its smallest degree. On the sampled path the same holds at
+    # r = r_max for the kappa memo. Keeping every degree's memo to the end
+    # of the call took 578 MB max RSS at n = 2, d_max = 32768, r_max = 1 and
+    # 254 samples. At n = 3 the box is declined: a tuple of length 1 has
+    # N + 1 > 22 sums and 22 cases.
     seen = []
+    real = verifiers._degree_tuples
+    if n == 1:
+        real_walk = verifiers._box_walk
 
-    def recording(d_max, r_max, memos):
-        for degrees in real(d_max, r_max, memos):
-            if len(degrees) == r_max:
-                seen.append(all(d >= degrees[-1] for memo in memos for d in memo))
-            yield degrees
+        def recording(d_max, r_max, rows):
+            for degrees, g in real_walk(d_max, r_max, rows):
+                seen.append(bool(rows) and all(d >= degrees[-1] for d in rows))
+                yield degrees, g
 
-    monkeypatch.setattr(verifiers, "_degree_tuples", recording)
+        monkeypatch.setattr(verifiers, "_box_walk", recording)
+    else:
+        def recording(d_max, r_max, memo):
+            for degrees in real(d_max, r_max, memo):
+                if len(degrees) == r_max:
+                    seen.append(all(d >= degrees[-1] for d in memo))
+                yield degrees
+
+        monkeypatch.setattr(verifiers, "_degree_tuples", recording)
     for d_max, r_max in ((300, 1), (6, 3)):
         seen.clear()
         assert verifiers._box_fits(n, d_max, r_max, 20) == (n == 1)
         assert check_higher(n, d_max, r_max, 20, 0).ok
-        assert len(seen) == comb(d_max + r_max - 1, r_max) and all(seen)
-    tuples = list(real(4, 3, []))
+        walked = range(1, r_max + 1) if n == 1 else [r_max]
+        assert len(seen) == sum(comb(d_max + r - 1, r) for r in walked) and all(seen)
+    tuples = list(real(4, 3, {}))
     assert tuples == [t for r in (1, 2, 3) for t in nonincreasing_tuples(4, r)]
 
 
