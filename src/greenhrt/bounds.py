@@ -34,6 +34,16 @@ def _dim_s(n: int, d: int) -> int:
     return comb(n + d - 1, d) if d >= 0 else 0
 
 
+def _refuse_above(count: int, limit: int, unit: str, **fields) -> None:
+    """Raise ValueError naming the fields when count passes limit."""
+    if count > limit:
+        *rest, last = fields
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        values = ", ".join(f"{k}={v}" for k, v in fields.items())
+        verb = "give" if rest else "gives"
+        raise ValueError(f"{names} too large: {values} {verb} more than {limit} {unit}")
+
+
 @dataclass(frozen=True)
 class FreeModuleShape:
     """Variable count n and sorted generator degrees of a graded free module."""
@@ -66,6 +76,21 @@ class FreeModuleShape:
     def dim(self, m: int) -> int:
         """dim F_m."""
         return sum(self.component_dims(m))
+
+
+# The most bits of a dim S_d that bound module and the oracle take, by the
+# lower bound C(n+d-1, d) >= 2^min(d, n-1), which needs no binomial. On a
+# 2-vCPU VM the widest balanced binomial it lets through, C(2^15 - 2,
+# 2^14 - 1), takes ~35 ms, and C(1999999, 10^6) took 48 s.
+_MAX_DIM_BITS = 1 << 14
+
+
+def _refuse_wide_slice(shape: FreeModuleShape, m: int) -> None:
+    """Raise ValueError naming n and m when dim S_d at d = m - f_1, the
+    widest component of F_m, has more than _MAX_DIM_BITS bits by its lower
+    bound 2^min(d, n-1): before any binomial is taken."""
+    _refuse_above(min(m - shape.degrees[0], shape.n - 1) + 1, _MAX_DIM_BITS, "bits in a dim S_d",
+                  n=shape.n, m=m)
 
 
 def green_bound(h: int, d: int) -> int:

@@ -90,6 +90,7 @@ def cmd_bound_module(args) -> int:
     shape = bounds.FreeModuleShape(
         n=args.n, degrees=level._parse_int_list(args.degrees, "--degrees")
     )
+    bounds._refuse_wide_slice(shape, args.m)
     profile = bounds._BoundProfile(shape.n, shape.component_degrees(args.m))
     # The full terms are closed form; the head's pass, kappa(head, d_j), is
     # refused as cmd_kappa's is, before it runs.

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import module_bound
+from .bounds import _refuse_wide_slice, module_bound
 from .monomials import _MAX_EXPONENT_CELLS, DegreeSlice, MonomialModule, degree_slice
 
 DEFAULT_PRIME = 32003
@@ -240,6 +240,8 @@ def generic_restriction_dim(
     trial can only overestimate the generic dimension, never undershoot it.
     A failed check is reported in the verdict flags, not raised. p must be
     a prime below 2**31 and above 2 dim F_m, and trials at most _MAX_TRIALS.
+    n and m whose widest dim S_d passes bounds._MAX_DIM_BITS bits are
+    refused before dim F_m is taken.
     """
     _check_modulus(p)
     if trials < 1:
@@ -247,6 +249,7 @@ def generic_restriction_dim(
     if trials > _MAX_TRIALS:
         raise ValueError(f"trials too large: trials={trials} gives more than {_MAX_TRIALS} trials")
     shape = module.shape
+    _refuse_wide_slice(shape, m)
     dim_fm = shape.dim(m)
     if p <= 2 * dim_fm:
         raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")

@@ -16,7 +16,14 @@ from operator import add, gt
 
 import numpy as np
 
-from .bounds import FreeModuleShape, _BoundProfile, _dim_s, rank2_bound, scaled_bound
+from .bounds import (
+    FreeModuleShape,
+    _BoundProfile,
+    _dim_s,
+    _refuse_above,
+    rank2_bound,
+    scaled_bound,
+)
 from .macaulay import _kappa_tables, kappa
 from .monomials import MonomialModule, _exponent_rows, random_monomial_module
 from .oracle import DEFAULT_PRIME, DEFAULT_TRIALS, generic_restriction_dim
@@ -68,16 +75,6 @@ _MAX_DEGREES = 1 << 18
 _HIGHER_BLOCK = 1 << 12
 
 
-def _refuse_above(count: int, limit: int, unit: str, **fields) -> None:
-    """Raise ValueError naming the fields when count passes limit."""
-    if count > limit:
-        *rest, last = fields
-        names = f"{', '.join(rest)} and {last}" if rest else last
-        values = ", ".join(f"{k}={v}" for k, v in fields.items())
-        verb = "give" if rest else "gives"
-        raise ValueError(f"{names} too large: {values} {verb} more than {limit} {unit}")
-
-
 class _Memo(dict):
     """A dict that fills a missing key with fn(key) on first lookup."""
 
@@ -92,34 +89,60 @@ class _Memo(dict):
         return value
 
 
-def _pair_hits(left: np.ndarray, right: np.ndarray, sums: np.ndarray) -> Iterator[tuple[int, int]]:
+def _pair_hits(
+    left: np.ndarray, right: np.ndarray | None, sums: np.ndarray
+) -> Iterator[tuple[int, int]]:
     """Every (a, b) with left[a] + right[b] > sums[a + b], in row-major order.
+    With right None, left is paired with itself.
 
-    The three arrays share one dtype that holds every pair sum, which the
-    caller picks from values it already holds. Row a of the window view is
+    The arrays share one dtype that holds every pair sum, which the caller
+    picks from values it already holds. Row a of the window view is
     sums[a : a + len(right)], so the sums line up without an index array;
     the view is built from its shape and strides, so sums must reach the
     last pair, len(sums) >= len(left) + len(right) - 1, or nothing is read.
-    Pair sums are added _LEMMA_BLOCK_ROWS rows at a time into two buffers
-    allocated once per call, and only a block with a hit is searched.
+    Pair sums are added in bands of _LEMMA_BLOCK_ROWS rows into two flat
+    buffers of that many rows allocated once per call, each band in a
+    contiguous prefix of them, and only a band with a hit is searched.
+
+    Paired with itself, the test is symmetric in a and b: band rows
+    [start, stop) are compared only with columns b >= start, at most
+    N (N + 1) / 2 + _LEMMA_BLOCK_ROWS N cells for N = len(left). A hit
+    (a, b) with b past the band is mirrored to (b, a) and yielded with row
+    b, ahead of that row's own columns, so the order is the full square's.
     """
+    paired = right is None
+    if paired:
+        right = left
     if len(sums) < len(left) + len(right) - 1:
         raise ValueError(f"sums has {len(sums)} entries, the pairs need "
                          f"{len(left) + len(right) - 1}")
     rows = min(_LEMMA_BLOCK_ROWS, len(left))
-    lhs = np.empty((rows, len(right)), dtype=sums.dtype)
-    mask = np.empty((rows, len(right)), dtype=bool)
+    lhs = np.empty(rows * len(right), dtype=sums.dtype)
+    mask = np.empty(rows * len(right), dtype=bool)
     step = sums.strides[0]
     windows = np.lib.stride_tricks.as_strided(
         sums, shape=(len(left), len(right)), strides=(step, step), writeable=False)
+    mirror: dict[int, list[int]] = {}  # row b: its hits (b, a) with a in earlier bands
     for start in range(0, len(left), rows):
         stop = min(start + rows, len(left))
-        block, hits = lhs[: stop - start], mask[: stop - start]
-        np.add(left[start:stop, None], right[None, :], out=block)
-        np.greater(block, windows[start:stop], out=hits)
-        if hits.any():
-            for a, b in np.argwhere(hits).tolist():
-                yield start + a, b
+        lo = start if paired else 0
+        shape = (stop - start, len(right) - lo)
+        block = lhs[: shape[0] * shape[1]].reshape(shape)
+        hits = mask[: shape[0] * shape[1]].reshape(shape)
+        np.add(left[start:stop, None], right[None, lo:], out=block)
+        np.greater(block, windows[start:stop, lo:], out=hits)
+        if not (mirror or hits.any()):
+            continue
+        found: dict[int, list[int]] = {}
+        for a, b in np.argwhere(hits).tolist():
+            found.setdefault(start + a, []).append(lo + b)
+        for a in sorted(found.keys() | {b for b in mirror if b < stop}):
+            for b in mirror.pop(a, ()):
+                yield a, b
+            for b in found.get(a, ()):
+                yield a, b
+                if paired and b >= stop:
+                    mirror.setdefault(b, []).append(a)
 
 
 def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
@@ -127,9 +150,11 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
     monotonicity kappa(a,d+1) <= kappa(a,d), exhaustively for a,b <= a_max
     and d <= d_max. Degree d reads the kappa tables of degrees d and d + 1,
     2 a_max + 1 cells each, and no more than three are held at once; its
-    pair sums go through _pair_hits, and the case ceiling keeps a_max <=
-    8190. Each degree costs a table and a pass however small a_max is, so
-    more than _MAX_DEGREES degrees are refused too."""
+    pair sums go through _pair_hits with the head paired with itself, so
+    each unordered pair {a, b} is compared about once and a hit is mirrored
+    to (b, a), and the case ceiling keeps a_max <= 8190. ``cases`` still
+    counts the full square. Each degree costs a table and a pass however
+    small a_max is, so more than _MAX_DEGREES degrees are refused too."""
     if a_max < 1:
         raise ValueError(f"a_max must be at least 1, got {a_max}")
     if d_max < 1:
@@ -143,7 +168,7 @@ def check_kappa_lemma(a_max: int, d_max: int) -> VerificationOutcome:
         # degree's entries: uint16 at a_max <= 2000, since 0 <= kappa(a, d) <= a.
         narrow = table.astype(np.min_scalar_type(2 * int(table.max())))
         head = narrow[: a_max + 1]
-        for a, b in _pair_hits(head, head, narrow):
+        for a, b in _pair_hits(head, None, narrow):
             _record(out, {"a": a, "b": b, "d": d, "part": "superadditive"},
                     kappa(a, d) + kappa(b, d), kappa(a + b, d))
         for a in (upper[: a_max + 1] > table[: a_max + 1]).nonzero()[0].tolist():
@@ -218,7 +243,9 @@ def check_herz_tail(a_max: int, d_max: int) -> VerificationOutcome:
 
 def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     """kappa(a,d1)+kappa(b,d2) <= rank2_bound(a,b,d1,d2,n), exhaustively over
-    all admissible a, b."""
+    all admissible a, b. The bound depends on a + b alone, so at d1 == d2
+    the check is symmetric: one kappa list is built and paired with itself
+    in _pair_hits."""
     if n < 1:
         raise ValueError(f"need at least one variable, got n={n}")
     if d1 < d2 or d2 < 1:
@@ -233,13 +260,15 @@ def check_rank2(n: int, d1: int, d2: int) -> VerificationOutcome:
     _refuse_above(cases, _MAX_CASES, "cases", **ranges)
     out = VerificationOutcome("rank2", ranges, cases)
     ka = [kappa(a, d1) for a in range(n1 + 1)]
-    kb = [kappa(b, d2) for b in range(n2 + 1)]
+    # At d1 == d2 the two sides are one list, and the check is symmetric in a, b.
+    kb = ka if d1 == d2 else [kappa(b, d2) for b in range(n2 + 1)]
     # The bound depends on a + b alone: one admissible split per sum.
     bound = [rank2_bound(s - min(s, n2), min(s, n2), d1, d2, n) for s in range(n1 + n2 + 1)]
     # One dtype for both sides: signed only when the bound can be negative.
     dtype = np.result_type(np.min_scalar_type(min(bound)),
                            np.min_scalar_type(max(max(ka) + max(kb), max(bound))))
-    for a, b in _pair_hits(np.array(ka, dtype), np.array(kb, dtype), np.array(bound, dtype)):
+    right = None if d1 == d2 else np.array(kb, dtype)
+    for a, b in _pair_hits(np.array(ka, dtype), right, np.array(bound, dtype)):
         _record(out, {"a": a, "b": b, "d1": d1, "d2": d2, "n": n}, ka[a] + kb[b], bound[a + b])
     return out
 

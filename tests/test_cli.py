@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from greenhrt import macaulay, verifiers
+from greenhrt import bounds, macaulay, verifiers
 from greenhrt.cli import COMMANDS, Group, main
 
 
@@ -708,3 +708,29 @@ def test_repeated_main_calls_share_no_state(capsys):
     capsys.readouterr()
     code, second, _ = run(capsys, good)
     assert code == 0 and second == first
+
+
+def test_wide_slices_are_refused_before_any_binomial(monkeypatch, capsys, tmp_path):
+    # With the ceiling patched down to 3 bits: at n = 4, dim S_2 >= 2^min(2, 3)
+    # has 3 bits and runs; m = 3 gives 4 bits and is refused before any
+    # binomial, with one error line naming n and m. At n = 3 the lower bound
+    # stops at 2^2 whatever m is.
+    monkeypatch.setattr(bounds, "_MAX_DIM_BITS", 3)
+    binomials = []
+    real_comb = bounds.comb
+    monkeypatch.setattr(bounds, "comb", lambda *a: binomials.append(a) or real_comb(*a))
+    module_file = tmp_path / "x4.json"
+    module_file.write_text(json.dumps({"n": 4, "degrees": [0, 1], "components": [[], []]}))
+    for argv in (["bound", "module", "--n", "4", "--degrees", "0,1", "--h", "1", "--m"],
+                 ["oracle", "certify", "--module", str(module_file), "--m"],
+                 ["oracle", "restrict", "--module", str(module_file), "--m"]):
+        binomials.clear()
+        assert main([*argv, "2"]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+        assert binomials, argv
+        binomials.clear()
+        assert main([*argv, "3"]) == 2, argv
+        assert capsys.readouterr() == (
+            "", "error: n and m too large: n=4, m=3 give more than 3 bits in a dim S_d\n"), argv
+        assert binomials == [], argv
+    assert main(["bound", "module", "--n", "3", "--degrees", "0", "--m", "50", "--h", "1"]) == 0

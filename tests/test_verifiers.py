@@ -320,7 +320,7 @@ def test_kappa_lemma_short_row_blocks_match_the_reference(monkeypatch):
         monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_ROWS", rows)
         allocated.clear()
         outcome = check_kappa_lemma(a_max, d_max)
-        assert allocated == [(rows, a_max + 1)] * 2 * d_max, rows
+        assert allocated == [rows * (a_max + 1)] * 2 * d_max, rows
         assert outcome.counterexamples == expected, rows
         assert outcome.cases == d_max * ((a_max + 1) ** 2 + (a_max + 1))
 
@@ -365,6 +365,72 @@ def test_pair_hits_refuses_sums_too_short_for_its_view():
     wide[::2] = values
     for sums in (values, wide[::2], np.append(values, -1)):
         assert list(verifiers._pair_hits(left, right, sums)) == expected
+
+
+def _pair_hits_reference(left, right, sums):
+    # Every cell of the full square, in Python integers.
+    return [(a, b) for a in range(len(left)) for b in range(len(right))
+            if int(left[a]) + int(right[b]) > int(sums[a + b])]
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_pair_hits_paired_with_itself_matches_the_full_square(monkeypatch, rows, bits):
+    # Values just below half the dtype's range, so the pair sums reach its
+    # top, and sums drawn among them: hits fall on and off the diagonal, in
+    # bands that end one short of, on and one past N. The hits must be the
+    # full square's, in its row-major order, from both the paired and the
+    # two-array call.
+    monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_ROWS", rows)
+    dtype = np.dtype(f"uint{bits}")
+    half = 2 ** (bits - 1)
+    rng = random.Random(f"pair-hits:{rows}:{bits}")
+    on = off = 0
+    for k in (1, 2, 3, 5):
+        for size in (k * rows - 1, k * rows, k * rows + 1):
+            if size < 1:
+                continue
+            values = np.array([rng.randint(half - 12, half - 1) for _ in range(size)], dtype)
+            sums = np.array([rng.randint(2 * half - 24, 2 * half - 1)
+                             for _ in range(2 * size - 1)], dtype)
+            expected = _pair_hits_reference(values, values, sums)
+            assert list(verifiers._pair_hits(values, None, sums)) == expected, (k, size)
+            assert list(verifiers._pair_hits(values, values, sums)) == expected, (k, size)
+            on += sum(a == b for a, b in expected)
+            off += sum(a != b for a, b in expected)
+    assert on > 0 and off > 0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, verifiers._LEMMA_BLOCK_ROWS])
+def test_kappa_lemma_compares_each_unordered_pair_about_once(monkeypatch, rows):
+    # Each np.add in verifiers adds one band of pair sums; its output shape
+    # is the band's cells. Per degree they must add up to at most
+    # N(N + 1)/2 + rows N, for N = a_max + 1, in ceil(N / rows) bands.
+    monkeypatch.setattr(verifiers, "_LEMMA_BLOCK_ROWS", rows)
+    bands = []
+
+    class RecordingNumpy:
+        # numpy, with the shape of each np.add output recorded.
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def add(self, *args, out):
+            bands.append(out.shape)
+            return np.add(*args, out=out)
+
+    monkeypatch.setattr(verifiers, "np", RecordingNumpy())
+    for a_max, d_max in ((40, 3), (3 * rows - 2, 2), (3 * rows - 1, 2), (3 * rows, 2),
+                         (600, 1)):
+        bands.clear()
+        assert check_kappa_lemma(a_max, d_max).ok
+        size = a_max + 1
+        per_degree = -(-size // min(rows, size))
+        assert len(bands) == d_max * per_degree, (a_max, d_max)
+        for d in range(d_max):
+            cells = sum(r * c for r, c in bands[d * per_degree : (d + 1) * per_degree])
+            assert cells <= size * (size + 1) // 2 + min(rows, size) * size, (a_max, d)
+            if rows == 1:
+                assert cells == size * (size + 1) // 2
 
 
 def _traced_peak(fn, *args):
@@ -868,6 +934,24 @@ def test_rank2_hoisted_bound_matches_per_cell_reference(monkeypatch):
             assert outcome.cases == (n1 + 1) * (n2 + 1)
             assert outcome.counterexamples == expected, (n, d1, d2)
             assert bool(expected) == (bound is low_bound), (n, d1, d2)
+
+
+def test_rank2_at_equal_degrees_reads_one_kappa_list(monkeypatch):
+    # At d1 == d2 both sides are kappa(., d1): the list is built once and
+    # paired with itself; at d1 > d2 each side has its own.
+    calls, pairings = [], []
+    real_hits = verifiers._pair_hits
+    monkeypatch.setattr(verifiers, "kappa", lambda a, d: calls.append(d) or kappa(a, d))
+    monkeypatch.setattr(verifiers, "_pair_hits",
+                        lambda left, right, sums: pairings.append(right is None)
+                        or real_hits(left, right, sums))
+    for n, d1, d2 in _RANK2_POOL:
+        calls.clear()
+        pairings.clear()
+        assert check_rank2(n, d1, d2).ok
+        n1, n2 = comb(n + d1 - 1, d1), comb(n + d2 - 1, d2)
+        assert len(calls) == (n1 + 1 if d1 == d2 else n1 + n2 + 2), (n, d1, d2)
+        assert pairings == [d1 == d2], (n, d1, d2)
 
 
 def test_higher_work_is_bounded_by_cases(monkeypatch):
