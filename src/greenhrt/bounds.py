@@ -11,11 +11,13 @@ alone. Every dimension it reads is one count, dim S_d = C(n+d-1, d), taken
 by ``_dim_s``. Everything in the bound except the head is fixed by n and the
 d_i: the capacities, their suffix sums and the full terms of the filled
 components. ``_BoundProfile`` builds that part once; the bound at h is then
-one pivot search plus kappa of the head.
+one pivot search plus kappa of the head. ``_append_block`` builds the bound
+at every h instead, one component at a time from the smallest degree up.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,14 +36,29 @@ def _dim_s(n: int, d: int) -> int:
     return comb(n + d - 1, d) if d >= 0 else 0
 
 
+def _too_large(limit: int, unit: str, **fields) -> ValueError:
+    """The ValueError naming the fields that give more than limit units."""
+    *rest, last = fields
+    names = f"{', '.join(rest)} and {last}" if rest else last
+    values = ", ".join(f"{k}={v}" for k, v in fields.items())
+    verb = "give" if rest else "gives"
+    return ValueError(f"{names} too large: {values} {verb} more than {limit} {unit}")
+
+
 def _refuse_above(count: int, limit: int, unit: str, **fields) -> None:
     """Raise ValueError naming the fields when count passes limit."""
     if count > limit:
-        *rest, last = fields
-        names = f"{', '.join(rest)} and {last}" if rest else last
-        values = ", ".join(f"{k}={v}" for k, v in fields.items())
-        verb = "give" if rest else "gives"
-        raise ValueError(f"{names} too large: {values} {verb} more than {limit} {unit}")
+        raise _too_large(limit, unit, **fields)
+
+
+def _refuse_unprintable(value: int, what: str, **fields) -> None:
+    """Raise ValueError naming the fields when the non-negative value has
+    more decimal digits than Python converts to a string,
+    sys.get_int_max_str_digits() (0 for no limit). As 10^limit > 2^(3 limit),
+    a value of at most 3 limit bits prints, and no power of 10 is taken."""
+    limit = sys.get_int_max_str_digits()
+    if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+        raise _too_large(limit, f"digits in {what}", **fields)
 
 
 @dataclass(frozen=True)
@@ -78,19 +95,35 @@ class FreeModuleShape:
         return sum(self.component_dims(m))
 
 
-# The most bits of a dim S_d that bound module and the oracle take, by the
-# lower bound C(n+d-1, d) >= 2^min(d, n-1), which needs no binomial. On a
-# 2-vCPU VM the widest balanced binomial it lets through, C(2^15 - 2,
-# 2^14 - 1), takes ~35 ms, and C(1999999, 10^6) took 48 s.
+# The most bits of a dim S_d that bound module and the oracle take, by a
+# lower bound that needs no binomial (``_dim_s_bits``). On a 2-vCPU VM the
+# widest balanced binomial it lets through, C(2^15 - 2, 2^14 - 1), takes
+# ~35 ms, and C(1999999, 10^6) took 48 s.
 _MAX_DIM_BITS = 1 << 14
+
+
+def _dim_s_bits(n: int, d: int) -> int:
+    """A lower bound on the bit length of dim S_d = C(n+d-1, d), with no
+    binomial and no float. With a = d and b = n - 1, C(a+b, a) >= ((a+b)/a)^a
+    and, the binomial being symmetric, >= ((a+b)/b)^b. Each quotient is
+    floored to an integer q and then to 2^(q.bit_length() - 1), so C >= 2^k
+    for the larger k = a (q_a.bit_length() - 1) or b (q_b.bit_length() - 1),
+    and at least min(a, b), since the smaller side's quotient is >= 2. At d
+    < 0 dim S_d is 0, and at d = 0 or n = 1 it is 1."""
+    if d < 0:
+        return 0
+    a, b = d, n - 1
+    if not (a and b):
+        return 1
+    return 1 + max(a * (((a + b) // a).bit_length() - 1), b * (((a + b) // b).bit_length() - 1))
 
 
 def _refuse_wide_slice(shape: FreeModuleShape, m: int) -> None:
     """Raise ValueError naming n and m when dim S_d at d = m - f_1, the
     widest component of F_m, has more than _MAX_DIM_BITS bits by its lower
-    bound 2^min(d, n-1): before any binomial is taken."""
-    _refuse_above(min(m - shape.degrees[0], shape.n - 1) + 1, _MAX_DIM_BITS, "bits in a dim S_d",
-                  n=shape.n, m=m)
+    bound ``_dim_s_bits``: before any binomial is taken."""
+    _refuse_above(_dim_s_bits(shape.n, m - shape.degrees[0]), _MAX_DIM_BITS,
+                  "bits in a dim S_d", n=shape.n, m=m)
 
 
 def green_bound(h: int, d: int) -> int:
@@ -126,18 +159,25 @@ class BoundBreakdown:
     capacities: tuple[int, ...]
 
 
+def _full_term(n: int, d: int) -> int:
+    """green_bound(N, d) for N = dim S_d: the term of a component filled to
+    capacity. It needs no Macaulay pass: N = C(n + d - 1, d) is its own
+    representation, so at d >= 1 it is kappa(N, d) = C(n + d - 2, d) = dim
+    S_d in n - 1 variables; at d = 0 it passes N = 1 through, and an empty
+    component (d < 0) has term 0."""
+    return _dim_s(n - 1, d) if d > 0 else _dim_s(n, d)
+
+
 class _BoundProfile:
     """The part of the module bound that n and the component degrees fix.
 
     dims[i] = d_i and caps[i] = N_i per component; suffix[j] = N_j + ... + N_r
-    with 1-based j and suffix[r+1] = 0; terms[i] = green_bound(N_i, d_i), the
-    term of a component filled to capacity; tail[j] = the sum of the terms
-    after pivot j. A full term needs no Macaulay pass: N_i = C(n + d_i - 1,
-    d_i) is its own representation, so at d_i >= 1 its term is kappa(N_i,
-    d_i) = C(n + d_i - 2, d_i) = dim S_{d_i} in n - 1 variables; at d_i = 0
-    it passes N_i through, and an empty component's term is 0. The head's
-    term is read through ``kappa(h, d)``: a caller that already holds kappa
-    values passes its lookup, which must agree with green_bound.
+    with 1-based j and suffix[r+1] = 0; terms[i] = ``_full_term(n, d_i)``,
+    the term of a component filled to capacity; tail[j] = the sum of the
+    terms after pivot j. The head's term is read through ``kappa(h, d)``: a
+    caller that already holds kappa values passes its lookup, which must
+    agree with green_bound. verify higher's box builds no profile: it reads
+    the same bound at every h a block at a time (``_append_block``).
     """
 
     __slots__ = ("dims", "caps", "suffix", "terms", "tail", "kappa")
@@ -148,7 +188,7 @@ class _BoundProfile:
         self.dims = dims
         self.kappa = kappa
         caps = self.caps = tuple([_dim_s(n, d) for d in dims])
-        terms = self.terms = tuple([_dim_s(n - 1, d) if d > 0 else v for v, d in zip(caps, dims)])
+        terms = self.terms = tuple([_full_term(n, d) for d in dims])
         r = len(dims)
         suffix = self.suffix = [0] * (r + 2)
         tail = self.tail = [0] * (r + 1)
@@ -173,23 +213,29 @@ class _BoundProfile:
         j = self.pivot(h)
         return self.head(h, j)[1] + self.tail[j]
 
-    def totals(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """total(h) at every h in 0..suffix[1], as one int64 array, where
-        rows[i][a] = kappa(a, dims[i]) for 0 <= a <= caps[i].
 
-        Pivot j takes the h in suffix[j+1] + 1..suffix[j], whose heads run
-        1..caps[j-1]: one slice of row j - 1 plus tail[j]. At h = 0 the head
-        is 0 at pivot r, whose term is 0 and tail[r] is 0.
-        """
-        caps, tail = self.caps, self.tail
-        out = np.empty(self.suffix[1] + 1, dtype=np.int64)
-        out[0] = 0
-        lo = 1
-        for j in range(len(caps), 0, -1):
-            cap = caps[j - 1]
-            np.add(rows[j - 1][1 : cap + 1], tail[j], out=out[lo : lo + cap])
-            lo += cap
-        return out
+# The bound of the empty tuple: 0 at h = 0 and no full term.
+_EMPTY_BOUND = np.zeros(1, dtype=np.int64)
+_EMPTY_BOUND.setflags(write=False)
+
+
+def _append_block(
+    n: int, d: int, row: np.ndarray, bound: np.ndarray, full: int
+) -> tuple[np.ndarray, int]:
+    """The bound at every h of the degree tuple (d, *t) and the sum of its
+    full terms, from bound[h] = ``_BoundProfile(n, t).total(h)`` for h in
+    0..S = sum N_i over t and full, the sum of t's ``_full_term``s. d must
+    be at least every degree of t, and row[a] = kappa(a, d) for 0 <= a <=
+    N_d, as int64.
+
+    The largest degree is filled last. So up to h = S, where every component
+    of t is full, (d, *t) has t's bound, and past it one block: pivot 1 at
+    head a = 1..N_d gives row[a] + full. Folded over a tuple from its
+    smallest degree up, starting at (_EMPTY_BOUND, 0), it gives the
+    profile's total at every h as one int64 array: one concatenate and one
+    add per degree.
+    """
+    return np.concatenate((bound, row[1:] + full)), full + _full_term(n, d)
 
 
 def module_bound(h: int, m: int, shape: FreeModuleShape, pivot: int | None = None) -> BoundBreakdown:

@@ -92,6 +92,8 @@ def cmd_bound_module(args) -> int:
     )
     bounds._refuse_wide_slice(shape, args.m)
     profile = bounds._BoundProfile(shape.n, shape.component_degrees(args.m))
+    # Every number printed is at most the widest capacity, N_1.
+    bounds._refuse_unprintable(profile.caps[0], "a dim S_d", n=args.n, m=args.m)
     # The full terms are closed form; the head's pass, kappa(head, d_j), is
     # refused as cmd_kappa's is, before it runs.
     if 0 <= args.h <= profile.suffix[1]:

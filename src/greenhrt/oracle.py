@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _refuse_wide_slice, module_bound
+from .bounds import _refuse_unprintable, _refuse_wide_slice, module_bound
 from .monomials import _MAX_EXPONENT_CELLS, DegreeSlice, MonomialModule, degree_slice
 
 DEFAULT_PRIME = 32003
@@ -241,7 +241,8 @@ def generic_restriction_dim(
     A failed check is reported in the verdict flags, not raised. p must be
     a prime below 2**31 and above 2 dim F_m, and trials at most _MAX_TRIALS.
     n and m whose widest dim S_d passes bounds._MAX_DIM_BITS bits are
-    refused before dim F_m is taken.
+    refused before dim F_m is taken; where p is too small, n and m whose
+    2 dim F_m has more digits than Python prints are named in its place.
     """
     _check_modulus(p)
     if trials < 1:
@@ -252,6 +253,7 @@ def generic_restriction_dim(
     _refuse_wide_slice(shape, m)
     dim_fm = shape.dim(m)
     if p <= 2 * dim_fm:
+        _refuse_unprintable(2 * dim_fm, "2 dim F_m", n=shape.n, m=m)
         raise ValueError(f"prime {p} too small for dim F_{m} = {dim_fm}; need p > {2 * dim_fm}")
     sl = degree_slice(module, m)
     try:

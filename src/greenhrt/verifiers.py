@@ -17,8 +17,10 @@ from operator import add, gt
 import numpy as np
 
 from .bounds import (
+    _EMPTY_BOUND,
     FreeModuleShape,
     _BoundProfile,
+    _append_block,
     _dim_s,
     _refuse_above,
     rank2_bound,
@@ -342,37 +344,47 @@ def _max_plus_step(g: np.ndarray, row: np.ndarray, windows: _Memo) -> np.ndarray
     return (np.concatenate((g, _NO_SPLIT))[windows[len(g), len(row) - 1]] + row).max(axis=1)
 
 
-def _box_walk(d_max: int, r_max: int, rows: _Memo) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+def _box_walk(
+    n: int, d_max: int, r_max: int, rows: _Memo
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
     """Every non-increasing tuple with entries in 1..d_max and length 1..r_max,
-    with its G(h): the largest rows[d_1][a_1] + ... + rows[d_r][a_r] over the
-    splits a_1 + ... + a_r = h, for h = 0..sum(len(rows[d_i]) - 1).
+    with its G and B at h = 0..sum(len(rows[d_i]) - 1). G(h) is the largest
+    rows[d_1][a_1] + ... + rows[d_r][a_r] over the splits a_1 + ... + a_r =
+    h; B(h) is the module bound at n, ``_BoundProfile(n, tuple).total(h)``.
 
     Depth first, grouped by the smallest degree e ascending: (e,) has G =
     rows[e], and (d, *t) extends t by its largest degree d >= t[0] in one
     max-plus step. The convolution is commutative, so the order in which
-    the degrees join is free. Only the path from (e,) is held, at most r_max
-    tuples and their G. No tuple after group e holds e, so rows drops its
-    entry for e once the group is done.
+    the degrees join is free. The bound's largest degree is filled last, so
+    the same extension appends one block to t's B (``_append_block``), and
+    no profile is built. Only the path from (e,) is held, at most r_max
+    tuples and their G and B. No tuple after group e holds e, so rows drops
+    its entry for e once the group is done.
     """
     windows = _Memo(_split_columns)  # one index array per (len(G), k)
     for e in range(1, d_max + 1):
-        yield from _box_subtree((e,), rows[e], d_max, r_max, rows, windows)
+        row = rows[e]
+        yield from _box_subtree((e,), row, *_append_block(n, e, row, _EMPTY_BOUND, 0),
+                                n, d_max, r_max, rows, windows)
         del rows[e]
 
 
 def _box_subtree(
-    degrees: tuple[int, ...], g: np.ndarray, d_max: int, r_max: int, rows: _Memo, windows: _Memo
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """(degrees, g), then depth first every tuple of length at most r_max
-    that extends degrees by degrees in degrees[0]..d_max, with its G. A
-    module-level generator, not a closure over itself: such a closure is a
-    reference cycle, and it would hold rows and windows until the cyclic
-    collector ran."""
-    yield degrees, g
+    degrees: tuple[int, ...], g: np.ndarray, bound: np.ndarray, full: int,
+    n: int, d_max: int, r_max: int, rows: _Memo, windows: _Memo,
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """(degrees, g, bound), then depth first every tuple of length at most
+    r_max that extends degrees by degrees in degrees[0]..d_max, with its G
+    and B; full is the sum of degrees' full terms. A module-level generator,
+    not a closure over itself: such a closure is a reference cycle, and it
+    would hold rows and windows until the cyclic collector ran."""
+    yield degrees, g, bound
     if len(degrees) < r_max:
         for d in range(degrees[0], d_max + 1):
-            yield from _box_subtree((d, *degrees), _max_plus_step(g, rows[d], windows),
-                                    d_max, r_max, rows, windows)
+            row = rows[d]
+            yield from _box_subtree((d, *degrees), _max_plus_step(g, row, windows),
+                                    *_append_block(n, d, row, bound, full),
+                                    n, d_max, r_max, rows, windows)
 
 
 def _degree_tuples(d_max: int, r_max: int, memo: dict) -> Iterator[tuple[int, ...]]:
@@ -396,22 +408,21 @@ def _degree_tuples(d_max: int, r_max: int, memo: dict) -> Iterator[tuple[int, ..
 
 def _boxes_hold(n: int, d_max: int, r_max: int) -> bool:
     """Whether G(h) <= B(h) at every h of every degree tuple's box, stopping
-    at the first tuple where it fails. The tuples and their G come from
-    ``_box_walk``, one max-plus step each; the box draws nothing, so their
-    order is free. B is the tuple's ``_BoundProfile.totals``, the library's
-    bound at every h as one array. A degree's row, kappa(a, d) for 0 <= a
-    <= N, is built once, when a tuple first holds d, and dropped once no
-    later tuple does: each kappa value is read once, so no memo is kept.
+    at the first tuple where it fails. The tuples, their G and their B come
+    from ``_box_walk``: one max-plus step and one appended bound block each;
+    the box draws nothing, so their order is free. B is the library's bound
+    at every h as one array: the head's kappa plus the closed-form full
+    terms that ``_BoundProfile`` reads too. A degree's row, kappa(a, d) for 0 <= a <= N, is
+    built once, when a tuple first holds d, and dropped once no later tuple
+    does: each kappa value is read once, so no memo is kept.
     """
     def row(d: int) -> np.ndarray:
         cap = _dim_s(n, d)
         return np.fromiter(map(kappa, range(cap + 1), itertools.repeat(d)), dtype=np.int64,
                            count=cap + 1)
 
-    rows = _Memo(row)
-    for degrees, g in _box_walk(d_max, r_max, rows):
-        profile = _BoundProfile(n, degrees)
-        if (g > profile.totals([rows[d] for d in degrees])).any():
+    for _, g, bound in _box_walk(n, d_max, r_max, _Memo(row)):
+        if np.count_nonzero(g > bound):
             return False
     return True
 
@@ -437,19 +448,20 @@ def check_higher(n: int, d_max: int, r_max: int, samples: int, seed: int) -> Ver
     Where ``_box_fits`` holds, decided once per call from n, d_max, r_max
     and samples, each tuple's whole box 0 <= a_i <= N_i is checked first,
     with no draw (``_boxes_hold``): G(h), the largest sum kappa(a_i, d_i)
-    over the splits of h, against B(h), the profile's ``totals`` at every h
-    in 0..sum N_i. The tuples are walked depth first, grouped by their
-    smallest degree (``_box_walk``), so each costs one max-plus step from
-    the tuple it extends, and a degree's kappa row is dropped once its group
-    is done. If G <= B at every h of every tuple, no case of the box, corner
-    or sample, can fail, so the call returns the cases it stands for and no
-    counterexample. Its conditions keep the bound's length per tuple at most
-    its cases, and each max-plus step within one block. If any tuple has
-    G > B at some h, the whole call runs the corners and the seeded draws
-    as above, from a fresh Random(seed), so every failing output is the one
-    the sampled cases give. Either way ``cases`` counts the corners and
-    samples (2^r + samples per tuple), not the box, so the outcome reads the
-    same on both paths.
+    over the splits of h, against B(h), the module bound at every h in
+    0..sum N_i. The tuples are walked depth first, grouped by their
+    smallest degree (``_box_walk``), so each costs one max-plus step and one
+    appended bound block (``_append_block``) from the tuple it extends, no
+    tuple builds a ``_BoundProfile``, and a degree's kappa row is dropped
+    once its group is done. If G <= B at every h of every tuple, no case of
+    the box, corner or sample, can fail, so the call returns the cases it
+    stands for and no counterexample. Its conditions keep the bound's
+    length per tuple at most its cases, and each max-plus step within one
+    block. If any tuple has G > B at some h, the whole call runs the
+    corners and the seeded draws as above, from a fresh Random(seed), so
+    every failing output is the one the sampled cases give. Either way
+    ``cases`` counts the corners and samples (2^r + samples per tuple), not
+    the box, so the outcome reads the same on both paths.
     """
     # Empty tuple lists would pass with 0 cases; name the field instead.
     if d_max < 1:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -10,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenhrt import verifiers
+from greenhrt import bounds, verifiers
 from greenhrt.bounds import (
+    _EMPTY_BOUND,
     BoundBreakdown,
     CapacityError,
     FreeModuleShape,
     _BoundProfile,
+    _append_block,
     _dim_s,
+    _dim_s_bits,
     braced_bound,
     green_bound,
     module_bound,
@@ -281,13 +285,58 @@ def test_full_terms_are_closed_form():
         assert [_dim_s(n - 1, d) for d in dims if d >= 1] == want[:-3], n
 
 
+def test_dim_bits_bound_the_exact_bit_length_from_below():
+    # _dim_s_bits is the ceiling's only look at dim S_d, so it must never
+    # pass the exact bit length; nor may it fall below the old 2^min(d, n-1)
+    # bound, or an input refused before would now be taken.
+    for n in range(1, 61):
+        for d in range(-2, 61):
+            bits = _dim_s_bits(n, d)
+            assert bits <= _dim_s(n, d).bit_length(), (n, d)
+            assert bits >= min(d, n - 1) + 1, (n, d)
+
+
+@pytest.mark.parametrize("n, m", [(100, 2), (3, 50)], ids=["n>>d", "n<<d"])
+def test_wide_slice_ceiling_takes_its_limit_and_refuses_one_past(monkeypatch, n, m):
+    # n >> d reads the bound ((n+d-1)/d)^d, n << d its mirror; both passed
+    # the old 2^min(d, n-1) bound far below the exact bits.
+    binomials = []
+    monkeypatch.setattr(bounds, "comb", lambda *a: binomials.append(a))
+    shape = FreeModuleShape(n, (0,))
+    bits = _dim_s_bits(n, m)
+    assert bits > min(m, n - 1) + 1
+    monkeypatch.setattr(bounds, "_MAX_DIM_BITS", bits)
+    bounds._refuse_wide_slice(shape, m)
+    monkeypatch.setattr(bounds, "_MAX_DIM_BITS", bits - 1)
+    with pytest.raises(ValueError, match=rf"^n and m too large: n={n}, m={m} give more than "
+                                         rf"{bits - 1} bits in a dim S_d$"):
+        bounds._refuse_wide_slice(shape, m)
+    assert binomials == []
+
+
+def test_unprintable_values_are_refused_by_their_fields(monkeypatch):
+    # Python prints an int of at most sys.get_int_max_str_digits() digits.
+    limit = sys.get_int_max_str_digits()
+    bounds._refuse_unprintable(10**limit - 1, "a dim S_d", n=2, m=3)
+    str(10**limit - 1)
+    with pytest.raises(ValueError, match=rf"^n and m too large: n=2, m=3 give more than "
+                                         rf"{limit} digits in a dim S_d$"):
+        bounds._refuse_unprintable(10**limit, "a dim S_d", n=2, m=3)
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        str(10**limit)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+    bounds._refuse_unprintable(10**limit, "a dim S_d", n=2, m=3)
+
+
 def test_totals_match_total_at_every_h():
-    # verify higher's box reads the bound as one array; it must be total(h)
-    # at every h, pivot by pivot. Rows come from kappa (green_bound's pass-
-    # through at d = 0, the lone entry 0 below degree 0), not from the box.
-    # Ranges: every tuple of the sweeps pool's 12 verify higher argv, every
-    # criterion-9 shape at m = -1..6, whose capacities reach 0 and 1, and
-    # n = 1, where every capacity is 1.
+    # verify higher's box builds a tuple's bound one block per degree, from
+    # its smallest degree up; folded over the tuple, the blocks must give
+    # total(h) at every h, and the full terms must sum to the profile's.
+    # Rows come from kappa (green_bound's pass-through at d = 0, the lone
+    # entry 0 below degree 0), not from the box. Ranges: every tuple of the
+    # sweeps pool's 12 verify higher argv, every criterion-9 shape at m =
+    # -1..6, whose capacities reach 0 and 1, and n = 1, where every
+    # capacity is 1.
     pool = [(n, d_max, r_max) for n in (2, 3) for d_max in (3, 4, 5) for r_max in (2, 4)]
     cases = [(n, dims) for n, d_max, r_max in pool
              for r in range(1, r_max + 1) for dims in verifiers.nonincreasing_tuples(d_max, r)]
@@ -297,12 +346,15 @@ def test_totals_match_total_at_every_h():
     cases += [(1, (262144,)), (1, (722, 722)), (1, (9, 0, -1))]
     for n, dims in cases:
         profile = _BoundProfile(n, dims)
-        rows = [np.array([green_bound(a, d) for a in range(cap + 1)] if d >= 0 else [0],
-                         dtype=np.int64) for d, cap in zip(dims, profile.caps)]
-        totals = profile.totals(rows)
-        assert totals.dtype == np.int64
-        assert totals.tolist() == [profile.total(h) for h in range(profile.suffix[1] + 1)], (
+        bound, full = _EMPTY_BOUND, 0
+        for d, cap in zip(dims[::-1], profile.caps[::-1]):
+            row = np.array([green_bound(a, d) for a in range(cap + 1)] if d >= 0 else [0],
+                           dtype=np.int64)
+            bound, full = _append_block(n, d, row, bound, full)
+        assert bound.dtype == np.int64
+        assert bound.tolist() == [profile.total(h) for h in range(profile.suffix[1] + 1)], (
             n, dims)
+        assert full == profile.tail[0], (n, dims)
 
 
 def test_rank2_is_shifted_module_bound():

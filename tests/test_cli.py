@@ -710,11 +710,35 @@ def test_repeated_main_calls_share_no_state(capsys):
     assert code == 0 and second == first
 
 
+def test_unprintable_dimensions_name_n_and_m(capsys, tmp_path):
+    # Each exited 2 with Python's own int-to-str message, naming no field;
+    # n = 10^100 first spent seconds in a binomial of ~5.4M bits.
+    def module(n):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "degrees": [0], "components": [[]]}))
+        return str(path)
+
+    digits = "more than 4300 digits in"
+    cases = [(["bound", "module", "--n", "16384", "--degrees", "0", "--m", "16383", "--h", "1"],
+              f"n=16384, m=16383 give {digits} a dim S_d"),
+             (["bound", "module", "--n", str(10**100), "--degrees", "0", "--m", "16383",
+               "--h", "1"], f"n={10**100}, m=16383 give more than 16384 bits in a dim S_d"),
+             (["oracle", "restrict", "--module", module(10**6), "--m", "16383"],
+              "n=1000000, m=16383 give more than 16384 bits in a dim S_d"),
+             (["oracle", "restrict", "--module", module(16384), "--m", "16383"],
+              f"n=16384, m=16383 give {digits} 2 dim F_m")]
+    for argv, fields in cases:
+        for fmt in ("human", "json"):
+            assert main([*argv, "--format", fmt]) == 2, argv
+            assert capsys.readouterr() == ("", f"error: n and m too large: {fields}\n"), argv
+
+
 def test_wide_slices_are_refused_before_any_binomial(monkeypatch, capsys, tmp_path):
     # With the ceiling patched down to 3 bits: at n = 4, dim S_2 >= 2^min(2, 3)
     # has 3 bits and runs; m = 3 gives 4 bits and is refused before any
     # binomial, with one error line naming n and m. At n = 3 the lower bound
-    # stops at 2^2 whatever m is.
+    # grows with m too: m = 2 (dim 6) runs, and m = 50 (dim 1326 >= 2^8) is
+    # refused.
     monkeypatch.setattr(bounds, "_MAX_DIM_BITS", 3)
     binomials = []
     real_comb = bounds.comb
@@ -733,4 +757,5 @@ def test_wide_slices_are_refused_before_any_binomial(monkeypatch, capsys, tmp_pa
         assert capsys.readouterr() == (
             "", "error: n and m too large: n=4, m=3 give more than 3 bits in a dim S_d\n"), argv
         assert binomials == [], argv
-    assert main(["bound", "module", "--n", "3", "--degrees", "0", "--m", "50", "--h", "1"]) == 0
+    assert main(["bound", "module", "--n", "3", "--degrees", "0", "--m", "2", "--h", "1"]) == 0
+    assert main(["bound", "module", "--n", "3", "--degrees", "0", "--m", "50", "--h", "1"]) == 2

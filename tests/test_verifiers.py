@@ -550,20 +550,31 @@ def _no_total(h, r, total):
 
 
 def _patch_profile_bound(monkeypatch, mutant):
-    # check_higher reads its tuple's bound from the profile: one h at a time
-    # through total on the sampled path, every h at once through totals on
-    # the box path. mutant(profile, h, total) replaces the bound at h in both.
-    real_total, real_totals = bounds._BoundProfile.total, bounds._BoundProfile.totals
+    # check_higher reads its tuple's bound one h at a time through the
+    # profile's total on the sampled path, and one block per tuple through
+    # _append_block on the box path. mutant(profile, h, total) replaces the
+    # bound at h in both; on the box path it sees each block once, with the
+    # profile of the tuple that the block completes. The box then fails
+    # wherever the mutant is wrong somewhere, and the sampled path decides.
+    real_total, real_step = bounds._BoundProfile.total, verifiers._append_block
+    path = [(bounds._EMPTY_BOUND, ())]  # the walk's current path: each B and its tuple
 
     def total(self, h):
         return mutant(self, h, real_total(self, h))
 
-    def totals(self, rows):
-        bound = real_totals(self, rows).tolist()
-        return np.array([mutant(self, h, t) for h, t in enumerate(bound)], dtype=np.int64)
+    def step(n, d, row, bound, full):
+        while path[-1][0] is not bound:
+            path.pop()
+        degrees = (d, *path[-1][1])
+        profile = bounds._BoundProfile(n, degrees)
+        new, new_full = real_step(n, d, row, bound, full)
+        for h in range(len(bound), len(new)):
+            new[h] = mutant(profile, h, int(new[h]))
+        path.append((new, degrees))
+        return new, new_full
 
     monkeypatch.setattr(bounds._BoundProfile, "total", total)
-    monkeypatch.setattr(bounds._BoundProfile, "totals", totals)
+    monkeypatch.setattr(verifiers, "_append_block", step)
 
 
 def _patch_profile_total(monkeypatch, mutant):
@@ -686,7 +697,7 @@ def test_higher_box_matches_the_sampled_path(capsys, monkeypatch):
             calls.update(draws=0, bound=0)
             outcome = check_higher(*args)
             if total is counting_total and verifiers._box_fits(*args[:4]):
-                assert calls["draws"] == 0 and calls["bound"] <= outcome.cases, args
+                assert calls["draws"] == 0 and 0 < calls["bound"] <= outcome.cases, args
             cli = _higher_json(capsys, args)
             with monkeypatch.context() as declined:
                 _decline_box(declined)
@@ -727,10 +738,10 @@ def test_higher_box_sums_match_the_max_plus_reference(monkeypatch):
     sums = []
     real = verifiers._box_walk
 
-    def recording(d_max, r_max, rows):
-        for degrees, g in real(d_max, r_max, rows):
+    def recording(n, d_max, r_max, rows):
+        for degrees, g, bound in real(n, d_max, r_max, rows):
             sums.append((degrees, g.tolist()))
-            yield degrees, g
+            yield degrees, g, bound
 
     monkeypatch.setattr(verifiers, "_box_walk", recording)
     for n, d_max, r_max, samples, seed in _HIGHER_POOL:
@@ -740,6 +751,36 @@ def test_higher_box_sums_match_the_max_plus_reference(monkeypatch):
         assert sorted(dims for dims, _ in sums) == sorted(tuples)
         for dims, g in sums:
             assert g == _max_plus_bound(n, dims, tables), (n, dims)
+
+
+def test_higher_box_bounds_match_the_profile_with_no_profile_built(monkeypatch):
+    # The box appends one bound block per tuple instead of building its
+    # profile; every walked B must still be the profile's total at every h.
+    walked, built = [], []
+    real_walk, real_init = verifiers._box_walk, bounds._BoundProfile.__init__
+
+    def recording(n, d_max, r_max, rows):
+        for degrees, g, bound in real_walk(n, d_max, r_max, rows):
+            walked.append((n, degrees, bound.tolist()))
+            yield degrees, g, bound
+
+    def counting_init(self, n, dims, *args, **kwargs):
+        built.append((n, dims))
+        real_init(self, n, dims, *args, **kwargs)
+
+    monkeypatch.setattr(verifiers, "_box_walk", recording)
+    monkeypatch.setattr(bounds._BoundProfile, "__init__", counting_init)
+    for args in _HIGHER_POOL:
+        n, d_max, r_max = args[:3]
+        before = len(walked)
+        assert check_higher(*args).ok
+        tuples = sum(comb(d_max + r - 1, r) for r in range(1, r_max + 1))
+        assert len(walked) - before == tuples, args
+    assert built == []
+    monkeypatch.undo()
+    for n, degrees, bound in walked:
+        profile = bounds._BoundProfile(n, degrees)
+        assert bound == [profile.total(h) for h in range(profile.suffix[1] + 1)], (n, degrees)
 
 
 def test_higher_box_is_chosen_by_its_two_conditions(monkeypatch):
@@ -769,10 +810,10 @@ def test_higher_drops_each_degree_memo_after_its_last_tuple(monkeypatch, n):
     if n == 1:
         real_walk = verifiers._box_walk
 
-        def recording(d_max, r_max, rows):
-            for degrees, g in real_walk(d_max, r_max, rows):
+        def recording(n, d_max, r_max, rows):
+            for degrees, g, bound in real_walk(n, d_max, r_max, rows):
                 seen.append(bool(rows) and all(d >= degrees[-1] for d in rows))
-                yield degrees, g
+                yield degrees, g, bound
 
         monkeypatch.setattr(verifiers, "_box_walk", recording)
     else:
